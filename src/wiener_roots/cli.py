@@ -99,7 +99,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.input == "-":
         source = sys.stdin.read().splitlines()
     else:
-        source = Path(args.input).read_text().splitlines()
+        try:
+            source = Path(args.input).read_text().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"error: cannot read {args.input}: {reason}", file=sys.stderr)
+            return EXIT_USAGE
     lines, had_parse_error = [], False
     if args.edge_list:
         inputs = [(args.input, None)]
@@ -153,9 +158,14 @@ def cmd_scatter(args: argparse.Namespace) -> int:
         print("order-8 graph sweeps are long-running; pass --long to opt in",
               file=sys.stderr)
         return EXIT_USAGE
+    try:
+        dvecs = _distributions_for_scatter(args.order, args.klass, args.jobs,
+                                           args.long)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     points: list[tuple[float, float]] = []
-    for dvec in _distributions_for_scatter(args.order, args.klass, args.jobs,
-                                           args.long):
+    for dvec in dvecs:
         points.append((0.0, 0.0))  # zero is a root of every Wiener polynomial
         rp = ReducedPolynomial(dvec)
         if rp.degree >= 1:

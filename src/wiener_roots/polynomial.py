@@ -13,6 +13,12 @@ simultaneous iteration with a Newton polish, so multiple roots never degrade
 into clusters.  Purely imaginary roots are detected exactly: split the
 polynomial into even and odd parts, take the integer gcd, and isolate its
 negative real roots with Sturm sequences.
+
+Every remainder sequence (Sturm chains, gcds, Yun's loop) runs on integer
+coefficient lists: fraction-free pseudo-remainders reduced to their
+primitive part, and exact divisions by primitive divisors.  No polynomial
+is ever divided with Fraction coefficients; rationals remain only as values
+(evaluation points, isolating intervals, closed forms, the annulus).
 """
 
 from __future__ import annotations
@@ -195,46 +201,54 @@ def _coeffs(p: WienerPolynomial | ReducedPolynomial) -> tuple[int, ...]:
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    c = _SPLITTER * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLITTER * b
-    bh = c - (c - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
 def _comp_horner(coeffs: Sequence[int], z: complex) -> complex:
     """Compensated Horner evaluation at a complex point, real integer coefficients.
 
-    Error-free transforms capture the rounding error of every multiply and
+    Error-free transforms (Knuth's TwoSum, Dekker's TwoProduct with
+    Veltkamp splitting) capture the rounding error of every multiply and
     add; the error polynomial is accumulated to first order alongside the
     main recurrence, giving results accurate as if computed in doubled
-    precision.
+    precision.  The transforms are written out inline and the splits of
+    z.real and z.imag are taken once, outside the loop.
     """
     x, y = z.real, z.imag
+    c = _SPLITTER * x
+    xh = c - (c - x)
+    xl = x - xh
+    c = _SPLITTER * y
+    yh = c - (c - y)
+    yl = y - yh
     sr, si = float(coeffs[-1]), 0.0
     er, ei = 0.0, 0.0
     for k in range(len(coeffs) - 2, -1, -1):
-        p1, d1 = _two_prod(sr, x)
-        p2, d2 = _two_prod(si, y)
-        p3, d3 = _two_prod(sr, y)
-        p4, d4 = _two_prod(si, x)
-        tr, f1 = _two_sum(p1, -p2)
-        ti, f2 = _two_sum(p3, p4)
-        nr, g1 = _two_sum(tr, float(coeffs[k]))
-        ner = er * x - ei * y + (d1 - d2 + f1 + g1)
-        nei = er * y + ei * x + (d3 + d4 + f2)
-        sr, si, er, ei = nr, ti, ner, nei
+        c = _SPLITTER * sr
+        rh = c - (c - sr)
+        rl = sr - rh
+        c = _SPLITTER * si
+        ih = c - (c - si)
+        il = si - ih
+        p1 = sr * x
+        d1 = ((rh * xh - p1) + rh * xl + rl * xh) + rl * xl
+        p2 = si * y
+        d2 = ((ih * yh - p2) + ih * yl + il * yh) + il * yl
+        p3 = sr * y
+        d3 = ((rh * yh - p3) + rh * yl + rl * yh) + rl * yl
+        p4 = si * x
+        d4 = ((ih * xh - p4) + ih * xl + il * xh) + il * xl
+        m = -p2
+        tr = p1 + m
+        t = tr - p1
+        f1 = (p1 - (tr - t)) + (m - t)
+        ti = p3 + p4
+        t = ti - p3
+        f2 = (p3 - (ti - t)) + (p4 - t)
+        a = float(coeffs[k])
+        nr = tr + a
+        t = nr - tr
+        g1 = (tr - (nr - t)) + (a - t)
+        er, ei = (er * x - ei * y + (d1 - d2 + f1 + g1),
+                  er * y + ei * x + (d3 + d4 + f2))
+        sr, si = nr, ti
     return complex(sr + er, si + ei)
 
 
@@ -287,7 +301,7 @@ def enestrom_kakeya(p: ReducedPolynomial) -> Annulus:
 
 
 # ---------------------------------------------------------------------------
-# Integer / rational polynomial utilities (dense, low degree first)
+# Integer polynomial utilities (dense, low degree first)
 # ---------------------------------------------------------------------------
 
 
@@ -301,83 +315,81 @@ def _deriv(c: Sequence) -> list:
     return [k * c[k] for k in range(1, len(c))]
 
 
+def _poly_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    n = max(len(a), len(b))
+    out = list(a) + [0] * (n - len(a))
+    for i, x in enumerate(b):
+        out[i] -= x
+    return _trim(out)
+
+
 def _content(c: Sequence[int]) -> int:
-    g = 0
-    for x in c:
-        g = math.gcd(g, abs(x))
-    return g or 1
+    return math.gcd(*c) or 1
 
 
 def _primitive(c: Sequence[int]) -> list[int]:
     """Divide by the (positive) content; signs are preserved."""
     g = _content(c)
-    return [x // g for x in c]
+    return [x // g for x in c] if g != 1 else list(c)
 
 
-def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _int_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive part of a positive multiple of the remainder of a by b.
+
+    Fraction-free pseudo-division: before each elimination step the partial
+    remainder is scaled by |lc(b)| / gcd(lc(r), lc(b)) > 0, so the result has
+    the sign pattern of the true rational remainder (which Sturm chains need)
+    while every coefficient stays an integer.
+    """
     r = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and r:
-        q = r[-1] / lead
-        shift = len(r) - 1 - db
+    db = len(b) - 1
+    lb = b[-1]
+    alb = abs(lb)
+    while len(r) > db:
+        lr = r.pop()
+        g = math.gcd(lr, alb)
+        scale, q = alb // g, lr // g
+        if lb < 0:
+            q = -q
+        shift = len(r) - db
+        if scale != 1:
+            r = [scale * x for x in r]
         for i in range(db):
             r[shift + i] -= q * b[i]
-        r.pop()
         _trim(r)
-    return r
+    return _primitive(r)
 
 
-def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _int_div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Exact quotient a / b of integer polynomials.
+
+    When b is primitive and divides a over the rationals, Gauss's lemma makes
+    the quotient integral; anything else raises ArithmeticError.
+    """
     r = list(a)
-    db, lead = len(b) - 1, b[-1]
-    quot = [Fraction(0)] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and r:
-        q = r[-1] / lead
-        shift = len(r) - 1 - db
+    db = len(b) - 1
+    lb = b[-1]
+    quot = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        q, m = divmod(r.pop(), lb)
+        if m:
+            raise ArithmeticError("polynomial division was expected to be exact")
+        shift = len(r) - db
         quot[shift] = q
         for i in range(db):
             r[shift + i] -= q * b[i]
-        r.pop()
         _trim(r)
-    return _trim(quot), r
-
-
-def _frac_div_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    quot, rem = _frac_divmod(a, b)
-    if rem:
+    if r:
         raise ArithmeticError("polynomial division was expected to be exact")
-    return quot
-
-
-def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    fa, fb = _trim(list(a)), _trim(list(b))
-    while fb:
-        fa, fb = fb, _frac_rem(fa, fb)
-    if not fa:
-        return []
-    lead = fa[-1]
-    return [x / lead for x in fa]
-
-
-def _int_from_frac(c: Sequence[Fraction]) -> list[int]:
-    """Scale by a positive rational to primitive integers; signs preserved."""
-    if not c:
-        return []
-    den = 1
-    for x in c:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in c]
-    return _primitive(ints)
+    return _trim(quot)
 
 
 def _int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive integer gcd with positive leading coefficient."""
-    g = _frac_gcd([Fraction(x) for x in _trim(list(a))],
-                  [Fraction(x) for x in _trim(list(b))])
-    out = _int_from_frac(g)
-    if out and out[-1] < 0:
-        out = [-x for x in out]
-    return out
+    fa, fb = _primitive(_trim(list(a))), _primitive(_trim(list(b)))
+    while fb:
+        fa, fb = fb, _int_rem(fa, fb)
+    return [-x for x in fa] if fa and fa[-1] < 0 else fa
 
 
 _GCD_PRIMES = (2305843009213693951, 2147483647, 1000000007)
@@ -417,39 +429,32 @@ def _certified_square_free(c: Sequence[int]) -> bool:
 
 
 def _square_free_decomposition(c: Sequence[int]) -> list[tuple[list[int], int]]:
-    """Yun decomposition into primitive square-free factors with multiplicities."""
+    """Yun decomposition into primitive square-free factors with multiplicities.
+
+    Runs on integers: every gcd is primitive, so by Gauss's lemma each exact
+    division stays integral, and b and d keep a common scale throughout.
+    """
     work = _trim(list(c))
     if len(work) <= 1:
         return []
     if _certified_square_free(work):
         return [(_primitive(work), 1)]
-    f = [Fraction(x) for x in work]
-    fp = _deriv(f)
-    a = _frac_gcd(f, fp)
+    fp = _deriv(work)
+    a = _int_poly_gcd(work, fp)
     if len(a) <= 1:
         return [(_primitive(work), 1)]
-    b = _frac_div_exact(f, a)
-    d = _trim([x - y for x, y in
-               _zip_pad(_frac_div_exact(fp, a), _deriv(b))])
+    b = _int_div_exact(work, a)
+    d = _poly_sub(_int_div_exact(fp, a), _deriv(b))
     out: list[tuple[list[int], int]] = []
     i = 1
     while len(b) > 1:
-        g = _frac_gcd(b, d) if d else [x / b[-1] for x in b]
+        g = _int_poly_gcd(b, d)
         if len(g) > 1:
-            out.append((_int_from_frac(g), i))
-        b = _frac_div_exact(b, g)
-        d = _trim([x - y for x, y in
-                   _zip_pad(_frac_div_exact(d, g) if d else [], _deriv(b))])
+            out.append((g, i))
+        b = _int_div_exact(b, g)
+        d = _poly_sub(_int_div_exact(d, g), _deriv(b))
         i += 1
     return out
-
-
-def _zip_pad(a: Iterable[Fraction], b: Iterable[Fraction]):
-    la, lb = list(a), list(b)
-    n = max(len(la), len(lb))
-    la += [Fraction(0)] * (n - len(la))
-    lb += [Fraction(0)] * (n - len(lb))
-    return zip(la, lb)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +470,10 @@ def _sturm_chain(c: Sequence[int]) -> list[list[int]]:
         return chain
     chain.append(_primitive(dc))
     while len(chain[-1]) > 1:
-        rem = _frac_rem([Fraction(x) for x in chain[-2]],
-                        [Fraction(x) for x in chain[-1]])
+        rem = _int_rem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(_int_from_frac([-x for x in rem]))
+        chain.append([-x for x in rem])
     return chain
 
 
@@ -562,9 +566,8 @@ def _isolate_real_roots(c: Sequence[int]) -> list[IsolatedRoot]:
             mid = (a + b) / 2
             if _eval_frac(work, mid) == 0:
                 rationals.append(mid)
-                work = _int_from_frac(
-                    _frac_div_exact([Fraction(x) for x in work],
-                                    [-mid, Fraction(1)]))
+                work = _primitive(_int_div_exact(
+                    work, [-mid.numerator, mid.denominator]))
                 restart = True
                 break
             stack.append((a, mid))

@@ -149,8 +149,16 @@ def test_verify_all_quick(tmp_path, capsys):
     assert len(list(outdir.glob("*.json"))) == len(rows) - 1
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "scatter", "--order", "notanint")
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys)
     assert code == EXIT_USAGE
+    # out-of-range orders and unreadable inputs: one error line, no traceback
+    for argv in (("scatter", "--order", "0"), ("scatter", "--order", "9"),
+                 ("scatter", "--class", "trees", "--order", "25"),
+                 ("compute", str(tmp_path / "missing.g6")),
+                 ("compute", str(tmp_path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

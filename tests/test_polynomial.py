@@ -2,7 +2,10 @@
 
 Independent oracles: exact Fraction/Gaussian evaluation for the compensated
 Horner scheme, numpy's companion-matrix eigenvalue roots for Aberth-Ehrlich,
-and hand-expanded factorizations for the closed forms.
+and hand-expanded factorizations for the closed forms.  The integer
+remainder sequences are compared with a Fraction-arithmetic reference, and
+the inlined compensated Horner with one built from explicit TwoSum and
+TwoProduct calls, bit for bit.
 """
 
 import math
@@ -387,3 +390,238 @@ def test_count_real_roots_matches_numpy():
         assert ours == theirs
         checked += 1
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# Integer remainder sequences against a Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_divmod(a, b):
+    r = [Fraction(x) for x in a]
+    db, lead = len(b) - 1, Fraction(b[-1])
+    quot = [Fraction(0)] * max(len(r) - db, 0)
+    while r and len(r) - 1 >= db:
+        q = r[-1] / lead
+        shift = len(r) - 1 - db
+        quot[shift] = q
+        for i in range(db):
+            r[shift + i] -= q * b[i]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return quot, r
+
+
+def _ref_div_exact(a, b):
+    quot, rem = _ref_divmod(a, b)
+    assert not rem
+    return quot
+
+
+def _ref_gcd(a, b):
+    """Monic gcd over the rationals by the Euclidean algorithm."""
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [Fraction(x) / a[-1] for x in a] if a else []
+
+
+def _ref_int(c):
+    """Scale a rational list by a positive factor to primitive integers."""
+    den = math.lcm(*(Fraction(x).denominator for x in c)) if c else 1
+    ints = [int(x * den) for x in c]
+    g = math.gcd(*ints) or 1
+    return [x // g for x in ints]
+
+
+def _ref_sub(a, b):
+    n = max(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] -= x
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _ref_deriv(c):
+    return [k * c[k] for k in range(1, len(c))]
+
+
+def _ref_sturm_chain(c):
+    chain = [_ref_int(c)]
+    dc = _ref_deriv(chain[0])
+    if not any(dc):
+        return chain
+    chain.append(_ref_int(dc))
+    while len(chain[-1]) > 1:
+        rem = _ref_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(_ref_int([-x for x in rem]))
+    return chain
+
+
+def _ref_int_gcd(a, b):
+    return _ref_int(_ref_gcd(a, b))
+
+
+def _ref_square_free(c):
+    from wiener_roots.polynomial import _certified_square_free
+
+    if len(c) <= 1:
+        return []
+    if _certified_square_free(c):
+        return [(_ref_int(c), 1)]
+    fp = _ref_deriv(c)
+    a = _ref_gcd(c, fp)
+    if len(a) <= 1:
+        return [(_ref_int(c), 1)]
+    b = _ref_div_exact(c, a)
+    d = _ref_sub(_ref_div_exact(fp, a), _ref_deriv(b))
+    out, i = [], 1
+    while len(b) > 1:
+        g = _ref_gcd(b, d) if d else [x / b[-1] for x in b]
+        if len(g) > 1:
+            out.append((_ref_int(g), i))
+        b = _ref_div_exact(b, g)
+        d = _ref_sub(_ref_div_exact(d, g) if d else [], _ref_deriv(b))
+        i += 1
+    return out
+
+
+def _ref_isolate(c):
+    from wiener_roots.polynomial import (_cauchy_bound, _eval_frac,
+                                         _isolated_value, _refine_bracket,
+                                         _variations_at)
+
+    rationals, work = [], _ref_int(c)
+    if len(work) > 1 and work[0] == 0:
+        rationals.append(Fraction(0))
+        work = work[1:]
+    while len(work) > 1:
+        chain = _ref_sturm_chain(work)
+        bound = _cauchy_bound(work)
+        stack, brackets, restart = [(-bound, bound)], [], False
+        while stack:
+            a, b = stack.pop()
+            k = _variations_at(chain, a) - _variations_at(chain, b)
+            if k == 1:
+                brackets.append((a, b))
+            elif k > 1:
+                mid = (a + b) / 2
+                if _eval_frac(work, mid) == 0:
+                    rationals.append(mid)
+                    work = _ref_int(_ref_div_exact(work, [-mid, Fraction(1)]))
+                    restart = True
+                    break
+                stack += [(a, mid), (mid, b)]
+        if not restart:
+            found = rationals + [_refine_bracket(work, a, b) for a, b in brackets]
+            return sorted(found, key=_isolated_value)
+    return sorted(rationals, key=_isolated_value)
+
+
+def _random_integer_poly(rng):
+    """Random integer polynomial, often with planted repeated/rational factors."""
+    c = [rng.randrange(-40, 41) for _ in range(rng.randrange(0, 7))]
+    c.append(rng.choice((-1, 1)) * rng.randrange(1, 25))
+    for _ in range(rng.randrange(0, 3)):
+        lin = [rng.randrange(-9, 10), rng.choice((-3, -2, -1, 1, 2, 3))]
+        for _ in range(rng.randrange(1, 4)):
+            c = _poly_mul(c, lin)
+    if rng.random() < 0.3:
+        c = _poly_mul(c, [rng.randrange(1, 6), 0, rng.choice((-2, 1, 3))])
+    return c
+
+
+PLANTED = (
+    [8, 17, 10, 1],                                  # (x+1)^2 (x+8)
+    _poly_mul([27, 54, 36, 8], [2, 0, 1]),           # (2x+3)^3 (x^2+2)
+    [2, 3, 3, 3, 1],                                 # (x+1)(x+2)(x^2+1): a midpoint hits a root
+    [30, -11, 31, -11, 1],                           # (x-5)(x-6)(x^2+1)
+    _poly_mul([-3, 0, -2], [1, -4, 4]),              # negative leading coefficients
+    [0, 0, 3, -1],                                   # x^2 (3 - x)
+)
+
+
+def test_integer_remainder_routines_match_fraction_reference():
+    from wiener_roots.polynomial import (_int_poly_gcd, _isolate_real_roots,
+                                         _square_free_decomposition, _sturm_chain)
+
+    rng = random.Random(41)
+    cases = list(PLANTED) + [_random_integer_poly(rng) for _ in range(240)]
+    for c in cases:
+        assert _sturm_chain(c) == _ref_sturm_chain(c)
+        sfd = _square_free_decomposition(c)
+        assert sfd == _ref_square_free(c)
+        for factor, _ in sfd:
+            assert _isolate_real_roots(factor) == _ref_isolate(factor)
+            assert _sturm_chain(factor) == _ref_sturm_chain(factor)
+        other = _random_integer_poly(rng)
+        common = [rng.randrange(-6, 7), rng.choice((-4, -1, 2, 5))]
+        assert _int_poly_gcd(c, other) == _ref_int_gcd(c, other)
+        a, b = _poly_mul(c, common), _poly_mul(other, common)
+        assert _int_poly_gcd(a, b) == _ref_int_gcd(a, b)
+        assert len(_int_poly_gcd(a, b)) >= len(common)
+    assert _square_free_decomposition(PLANTED[0]) == [([8, 1], 1), ([1, 1], 2)]
+    assert _square_free_decomposition(PLANTED[1]) == [([2, 0, 1], 1), ([3, 2], 3)]
+    assert _isolate_real_roots(PLANTED[2]) == [-2, -1]
+    assert _isolate_real_roots(PLANTED[3]) == [5, 6]
+
+
+# ---------------------------------------------------------------------------
+# The inlined compensated Horner against explicit error-free transforms
+# ---------------------------------------------------------------------------
+
+
+def _ref_two_sum(a, b):
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _ref_two_prod(a, b):
+    split = 134217729.0
+    p = a * b
+    c = split * a
+    ah = c - (c - a)
+    al = a - ah
+    c = split * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _ref_comp_horner(coeffs, z):
+    x, y = z.real, z.imag
+    sr, si = float(coeffs[-1]), 0.0
+    er, ei = 0.0, 0.0
+    for k in range(len(coeffs) - 2, -1, -1):
+        p1, d1 = _ref_two_prod(sr, x)
+        p2, d2 = _ref_two_prod(si, y)
+        p3, d3 = _ref_two_prod(sr, y)
+        p4, d4 = _ref_two_prod(si, x)
+        tr, f1 = _ref_two_sum(p1, -p2)
+        ti, f2 = _ref_two_sum(p3, p4)
+        nr, g1 = _ref_two_sum(tr, float(coeffs[k]))
+        er, ei = (er * x - ei * y + (d1 - d2 + f1 + g1),
+                  er * y + ei * x + (d3 + d4 + f2))
+        sr, si = nr, ti
+    return complex(sr + er, si + ei)
+
+
+def test_comp_horner_bit_identical_to_error_free_transforms():
+    from wiener_roots.polynomial import _comp_horner
+
+    rng = random.Random(43)
+    for _ in range(2000):
+        coeffs = [rng.randrange(1, 10 ** rng.randrange(1, 12))
+                  for _ in range(rng.randrange(1, 40))]
+        modulus, angle = 10 ** rng.uniform(-3, 3), rng.uniform(0, 2 * math.pi)
+        z = modulus * complex(math.cos(angle), math.sin(angle))
+        if rng.random() < 0.1:
+            z = complex(z.real, 0.0)
+        assert repr(_comp_horner(coeffs, z)) == repr(_ref_comp_horner(coeffs, z))
