@@ -3,8 +3,14 @@
 Vertices are integers 0..n-1 and each adjacency row is a Python int whose
 bit u says whether {u, v} is an edge.  Distances come from frontier-bitset
 BFS, which is exact and fast at the desk scales this package sweeps: all
-labeled graphs up to order 8 (vectorized over edge masks with numpy) and
-all free trees up to order 18 (canonical level-sequence generation).
+labeled graphs up to order 8 and all free trees up to order 18 (canonical
+level-sequence generation).
+
+The labeled sweep runs BFS for a million edge masks at once on vertex-major
+bit rows: one contiguous uint8 row per vertex holds that vertex's ball for
+every mask, and one 0x00/0xFF row per edge bit gates which balls merge.  The
+distance vectors of the connected masks are packed into int64 keys and
+deduplicated with a 1-D np.unique before anything is decoded.
 
 Graphs must be connected for the distance distribution to exist; single-graph
 operations raise DisconnectedGraphError, while the exhaustive sweeps count
@@ -14,6 +20,7 @@ and skip disconnected instances.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -276,49 +283,98 @@ def _edge_bit_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
-def _sweep_mask_range(n: int, lo: int, hi: int) -> tuple[set[tuple[int, ...]], int]:
-    """Distinct distance distributions and connected count over masks [lo, hi)."""
+def _ball_sizes(ball: np.ndarray) -> np.ndarray:
+    """Sum over vertices of |ball[v]| for every mask: at most n*n, so uint8."""
+    sizes = _POPCOUNT.take(ball[0])
+    for row in ball[1:]:
+        sizes += _POPCOUNT.take(row)
+    return sizes
+
+
+def _chunk_distance_counts(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair counts by distance for every mask in [start, stop), and connectivity.
+
+    Vertex-major: edge[b] is a contiguous uint8 row that is 0xFF where edge
+    bit b is set, and ball[v] holds, for every mask, the bitset of vertices
+    within the current radius of v.  One BFS step ORs the balls of v's
+    neighbours into ball[v], a whole row at a time.  Row k of the returned
+    (n-1, m) uint8 array counts the unordered pairs at distance k+1.  A ball
+    fits in one uint8 because n <= ENUMERATION_MAX_ORDER = 8.
+    """
     pairs = _edge_bit_pairs(n)
+    masks = np.arange(start, stop, dtype=np.int64)
+    m = masks.size
+    edge = np.empty((len(pairs), m), dtype=np.uint8)
+    bit = np.empty_like(masks)
+    for b in range(len(pairs)):
+        np.right_shift(masks, b, out=bit)
+        np.bitwise_and(bit, 1, out=bit)
+        np.negative(bit, out=bit)
+        np.copyto(edge[b], bit, casting="unsafe")
+    del masks, bit
+    bit_of = {pair: b for b, pair in enumerate(pairs)}
+    adjacent = [
+        [(u, edge[bit_of[min(u, v), max(u, v)]]) for u in range(n) if u != v]
+        for v in range(n)
+    ]
+    ball = np.empty((n, m), dtype=np.uint8)
+    for v in range(n):
+        ball[v] = 1 << v
+        for u, e in adjacent[v]:
+            ball[v] |= e & np.uint8(1 << u)
+    tmp = np.empty(m, dtype=np.uint8)
+    counts = np.zeros((n - 1, m), dtype=np.uint8)
+    prev = _ball_sizes(ball)
+    np.subtract(prev, n, out=counts[0])
+    counts[0] >>= 1
+    for k in range(1, n - 1):
+        grown = ball.copy()
+        for v in range(n):
+            for u, e in adjacent[v]:
+                np.bitwise_and(ball[u], e, out=tmp)
+                grown[v] |= tmp
+        ball = grown
+        tot = _ball_sizes(ball)
+        np.subtract(tot, prev, out=counts[k])
+        counts[k] >>= 1
+        if np.array_equal(tot, prev):
+            break
+        prev = tot
+    # connected iff every ball is all n vertices, i.e. the sizes sum to n*n
+    return counts, prev == n * n
+
+
+def _sweep_mask_range(n: int, lo: int, hi: int) -> tuple[set[tuple[int, ...]], int]:
+    """Distinct distance distributions and connected count over masks [lo, hi).
+
+    Each connected distance vector is packed into one int64 key, width bits
+    per entry, so deduplication is a 1-D np.unique and only the distinct keys
+    are decoded.
+    """
     target = n * (n - 1) // 2
-    self_bits = (np.uint8(1) << np.arange(n, dtype=np.uint8))
+    width = target.bit_length()
+    field = (1 << width) - 1
     distinct: set[tuple[int, ...]] = set()
     connected_total = 0
     for start in range(lo, hi, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-        m = masks.size
-        rows = np.zeros((m, n), dtype=np.uint8)
-        for b, (u, v) in enumerate(pairs):
-            bit = ((masks >> b) & 1).astype(np.uint8)
-            rows[:, u] |= bit << v
-            rows[:, v] |= bit << u
-        ball = rows | self_bits
-        prev = _POPCOUNT[ball].sum(axis=1, dtype=np.int64)
-        dvecs = np.zeros((m, n - 1), dtype=np.int64)
-        dvecs[:, 0] = (prev - n) >> 1
-        for k in range(2, n):
-            grown = ball.copy()
-            for v in range(n):
-                for u in range(n):
-                    if u == v:
-                        continue
-                    has = (rows[:, v] >> np.uint8(u)) & np.uint8(1)
-                    grown[:, v] |= ball[:, u] * has
-            ball = grown
-            tot = _POPCOUNT[ball].sum(axis=1, dtype=np.int64)
-            dvecs[:, k - 1] = (tot - prev) >> 1
-            if np.array_equal(tot, prev):
-                break
-            prev = tot
-        full = np.uint8((1 << n) - 1)
-        connected = (ball == full).all(axis=1)
-        connected_total += int(connected.sum())
-        dv = dvecs[connected]
+        counts, connected = _chunk_distance_counts(n, start, min(start + _CHUNK, hi))
+        connected_total += int(np.count_nonzero(connected))
+        dv = counts[:, connected]
+        del counts, connected  # each step frees its input so the chunk peak stays flat
         # invariants: pair counts sum to C(n,2) and zeros appear only as a suffix
-        assert np.all(dv.sum(axis=1) == target)
+        if not np.all(dv.sum(axis=0, dtype=np.int64) == target):
+            raise RuntimeError("labeled sweep: pair counts do not sum to C(n,2)")
         zero = dv == 0
-        assert np.all(np.diff(zero.astype(np.int8), axis=1) >= 0)
-        for row in np.unique(dv, axis=0):
-            vec = tuple(int(x) for x in row)
+        if not np.all(np.diff(zero.astype(np.int8), axis=0) >= 0):
+            raise RuntimeError("labeled sweep: a zero pair count precedes a nonzero one")
+        del zero
+        keys = dv[n - 2].astype(np.int64)
+        for k in range(n - 3, -1, -1):
+            keys <<= width
+            keys |= dv[k]
+        del dv
+        for key in np.unique(keys).tolist():
+            vec = tuple(key >> (width * k) & field for k in range(n - 1))
             while vec and vec[-1] == 0:
                 vec = vec[:-1]
             distinct.add(vec)
@@ -333,7 +389,11 @@ def enumerate_connected_distributions(
     Iterates every one of the 2^C(n,2) labeled graphs, skips disconnected
     instances (counting the connected ones), and deduplicates by distance
     vector: root sets depend only on the distribution, so nothing is lost.
+    Masks are swept in chunks of 2^20 with a vertex-major bitset BFS, and each
+    chunk's connected distance vectors are deduplicated as packed int64 keys.
     Order 8 means a 2^28 sweep and must be requested with long_running=True.
+    jobs > 1 splits the masks over worker processes, at most one per usable
+    core; the result does not depend on jobs.
     """
     if not 2 <= n <= ENUMERATION_MAX_ORDER:
         raise ValueError(f"supported orders are 2..{ENUMERATION_MAX_ORDER}, got {n}")
@@ -342,14 +402,15 @@ def enumerate_connected_distributions(
             "order 8 sweeps 2^28 graphs; pass long_running=True to opt in"
         )
     total = 1 << (n * (n - 1) // 2)
-    if jobs > 1 and total > _CHUNK:
-        slices = jobs * 4
+    workers = min(jobs, _usable_cores())
+    if workers > 1 and total > _CHUNK:
+        slices = workers * 4
         step = -(-total // slices)
         ranges = [(n, k * step, min((k + 1) * step, total)) for k in range(slices)]
         ranges = [r for r in ranges if r[1] < r[2]]
         distinct: set[tuple[int, ...]] = set()
         connected = 0
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part, count in pool.map(_sweep_mask_range_star, ranges):
                 distinct |= part
                 connected += count
@@ -362,6 +423,14 @@ def enumerate_connected_distributions(
 
 def _sweep_mask_range_star(args: tuple[int, int, int]):
     return _sweep_mask_range(*args)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on; more sweep workers than that only contend."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ import random
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 
+from wiener_roots import graph_core
 from wiener_roots.graph_core import (
     DisconnectedGraphError,
     DistanceDistribution,
@@ -299,16 +301,21 @@ def test_enumeration_order2():
     assert [dd.d for dd in dists] == [(1,)]
 
 
-def test_enumeration_distributions_seen_by_direct_bfs():
+def _window_by_bfs(n: int, lo: int, hi: int):
     # independent route: every connected labeled graph's BFS distribution
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    distinct, connected = set(), 0
+    for mask in range(lo, hi):
+        g = from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        if g.is_connected():
+            connected += 1
+            distinct.add(distance_distribution(g).d)
+    return distinct, connected
+
+
+def test_enumeration_distributions_seen_by_direct_bfs():
     for n in range(2, 6):
-        expected = set()
-        pairs = [(u, v) for v in range(n) for u in range(v)]
-        for mask in range(1 << comb(n, 2)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            g = from_edge_list(n, edges)
-            if g.is_connected():
-                expected.add(distance_distribution(g).d)
+        expected, _ = _window_by_bfs(n, 0, 1 << comb(n, 2))
         dists, _ = enumerate_connected_distributions(n)
         assert {dd.d for dd in dists} == expected
 
@@ -331,11 +338,79 @@ def test_enumeration_gates_and_ranges():
         enumerate_connected_distributions(8)  # needs long_running=True
 
 
-def test_enumeration_jobs_agree():
-    seq, seq_stats = enumerate_connected_distributions(5)
-    par, par_stats = enumerate_connected_distributions(5, jobs=3)
+def test_enumeration_jobs_agree(monkeypatch):
+    # order 7 has 2^21 masks, more than one chunk, so jobs=2 takes the pool
+    # path; two workers even where fewer cores are usable
+    monkeypatch.setattr(graph_core, "_usable_cores", lambda: 2)
+    seq, seq_stats = enumerate_connected_distributions(7)
+    par, par_stats = enumerate_connected_distributions(7, jobs=2)
     assert [d.d for d in seq] == [d.d for d in par]
     assert seq_stats == par_stats
+    assert (seq_stats.instances_examined, seq_stats.distinct_distributions) == (
+        labeled_connected_count(7), 98)
+
+
+@pytest.mark.parametrize("jobs, cores, workers", [(64, 3, 3), (2, 3, 2)])
+def test_enumeration_workers_clamped_to_usable_cores(monkeypatch, jobs, cores, workers):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.tasks = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            self.tasks = len(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(graph_core, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(graph_core, "_usable_cores", lambda: cores)
+    dists, stats = enumerate_connected_distributions(7, jobs=jobs)
+    [pool] = pools
+    assert pool.max_workers == workers
+    assert pool.tasks == 4 * workers
+    assert stats == EnumerationStats(7, labeled_connected_count(7), 98)
+    assert len(dists) == 98
+
+
+@pytest.mark.parametrize("n, lo, hi", [
+    (7, (1 << 20) - 2048, (1 << 20) + 2048),  # straddles the 2^20 mask boundary
+    (7, 12345, 16441),  # unaligned; vertex 6 is isolated in every mask
+    (7, 1234567, 1234567 + 4096),  # unaligned, mostly connected
+    (8, (1 << 21) + (1 << 20) + 12345, (1 << 21) + (1 << 20) + 12345 + 4096),
+])
+@pytest.mark.parametrize("chunk", [None, 1000])
+def test_sweep_windows_match_bfs(monkeypatch, n, lo, hi, chunk):
+    # chunk=1000 splits the window into several chunks, the last one partial
+    if chunk is not None:
+        monkeypatch.setattr(graph_core, "_CHUNK", chunk)
+    assert graph_core._sweep_mask_range(n, lo, hi) == _window_by_bfs(n, lo, hi)
+
+
+@pytest.mark.parametrize("bad_column, message", [
+    ([10, 4, 0, 1, 0], "precedes"),  # sums to C(6,2) but has an interior zero
+    ([3, 2, 1, 0, 0], "sum"),
+])
+def test_sweep_invariant_violations_raise(monkeypatch, bad_column, message):
+    def corrupted(n, start, stop):
+        counts = np.zeros((n - 1, stop - start), dtype=np.uint8)
+        counts[:, 0] = bad_column
+        counts[0, 1:] = 15  # complete graphs
+        return counts, np.ones(stop - start, dtype=bool)
+
+    monkeypatch.setattr(graph_core, "_chunk_distance_counts", corrupted)
+    with pytest.raises(RuntimeError, match=message):
+        graph_core._sweep_mask_range(6, 0, 8)
 
 
 def test_enumeration_stats_invariant():
