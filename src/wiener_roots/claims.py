@@ -7,21 +7,28 @@ comparison with an explicit tolerance where the claim is an inequality on
 numeric roots.  Verifiers are deterministic: identical parameters give
 identical reports apart from the runtime field.
 
+A claim is declared once, at its verifier: the `claim` decorator names its
+id, bounds and quick/full parameter sets, and the verifier's annotations give
+its parameter types.  `run_all` runs the claims in declaration order.
+
 Enumeration results and root sets are cached per process, so a suite run
-pays for the order-7 labeled sweep and the order-17 tree sweep only once.
+pays for the order-7 labeled sweep and the order-17 tree sweep only once;
+`distinct_distributions` is derived from those caches on each call.
 """
 
 from __future__ import annotations
 
 import heapq
+import inspect
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_args, get_type_hints
 
 from .graph_core import (
     DistanceDistribution,
@@ -54,6 +61,9 @@ from .families import (
 )
 
 DEFAULT_TOLERANCE = 1e-8
+
+Verdict = tuple[str, list, list]  # a verifier body's verdict, witnesses, counterexamples
+Bound = tuple[Callable[..., bool], str]  # a predicate over named parameters, its message
 
 
 @dataclass
@@ -100,14 +110,103 @@ class ExtremalReport:
         if not self.argmax:
             raise ValueError("extremal searches must return their argmax")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "objective": self.objective,
-            "class": self.kind,
-            "best_value": self.best_value,
-            "argmax": self.argmax,
-        }
+
+# ---------------------------------------------------------------------------
+# Claim registry: declarations and the suite runner
+# ---------------------------------------------------------------------------
+
+# Claim id -> verifier, in declaration order; filled by the `claim` decorator.
+CLAIMS: dict[str, Callable[..., ClaimReport]] = {}
+
+
+class ClaimSpec:
+    """What a claim declares besides its id: parameter types (the verifier's
+    annotations, an optional int counting as int), bounds (predicates over
+    the parameters they name, each with the message raised when it fails)
+    and the quick/full parameter sets."""
+
+    def __init__(self, body: Callable[..., Verdict], bounds: Sequence[Bound],
+                 quick: Sequence[dict], full: Sequence[dict]) -> None:
+        self.signature = inspect.signature(body)
+        hints = get_type_hints(body)
+        self.types: dict[str, type] = {}
+        for name in self.signature.parameters:
+            # n_hi is annotated `int | None`; bind reads None as n_lo before checking
+            options = get_args(hints[name]) or (hints[name],)
+            self.types[name] = next(t for t in options if t is not type(None))
+        self.bounds = [(check, inspect.signature(check).parameters, message)
+                       for check, message in bounds]
+        self.profiles = {"quick": tuple(quick), "full": tuple(full)}
+
+    def bind(self, *args, **kwargs) -> dict:
+        """The arguments by name in signature order, defaults applied and an n_hi
+        of None read as n_lo.  TypeError for a missing, unknown or mistyped
+        argument (a float parameter takes an int too), ValueError for a bound."""
+        bound = self.signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        values = dict(bound.arguments)
+        if "n_hi" in values and values["n_hi"] is None:
+            values["n_hi"] = values["n_lo"]
+        for name, value in values.items():
+            kind = self.types[name]
+            if not isinstance(value, (int, float) if kind is float else kind):
+                raise TypeError(f"parameter {name!r} takes {kind.__name__} values, "
+                                f"not {value!r}")
+        for check, names, message in self.bounds:
+            if not check(*(values[name] for name in names)):
+                raise ValueError(message)
+        return values
+
+
+def claim(claim_id: str, *bounds: Bound, quick: Sequence[dict], full: Sequence[dict]):
+    """Register the decorated body, which returns a Verdict, as claim `claim_id`.
+
+    The verifier keeps the body's signature, validates its arguments with
+    `ClaimSpec.bind`, times the body, and reports as params every argument
+    except tol, rel_tol and long_running, in signature order."""
+    def register(body: Callable[..., Verdict]) -> Callable[..., ClaimReport]:
+        spec = ClaimSpec(body, bounds, quick, full)
+
+        @wraps(body)
+        def verifier(*args, **kwargs) -> ClaimReport:
+            values = spec.bind(*args, **kwargs)
+            params = {name: value for name, value in values.items()
+                      if name not in ("tol", "rel_tol", "long_running")}
+            start = time.perf_counter()
+            verdict, witnesses, counterexamples = body(**values)
+            return ClaimReport(claim_id, params, verdict, witnesses, counterexamples,
+                               runtime=time.perf_counter() - start)
+
+        verifier.spec = spec  # functools.wraps copies it onto wrappers of the verifier
+        CLAIMS[claim_id] = verifier
+        return verifier
+
+    return register
+
+
+def _orders(lo: int, hi: int) -> Bound:
+    """The bound lo <= n_lo <= n_hi <= hi on a verifier's order range."""
+    return (lambda n_lo, n_hi: lo <= n_lo <= n_hi <= hi,
+            f"supported order range is {lo}..{hi}")
+
+
+def claim_ids() -> tuple[str, ...]:
+    return tuple(CLAIMS)
+
+
+def run_claim(claim_id: str, **params) -> ClaimReport:
+    if claim_id not in CLAIMS:
+        raise KeyError(f"unknown claim {claim_id!r}; have {sorted(CLAIMS)}")
+    return CLAIMS[claim_id](**params)
+
+
+def run_all(profile: str = "quick") -> list[ClaimReport]:
+    """Run every registered claim, in declaration order, at each parameter
+    set the profile declares for it, and return all reports."""
+    if profile not in ("quick", "full"):
+        raise ValueError(f"unknown profile {profile!r}; have ['full', 'quick']")
+    return [run_claim(claim_id, **params) for claim_id in CLAIMS
+            for params in CLAIMS[claim_id].spec.profiles[profile]]
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +242,26 @@ def tree_instances(n: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     return tuple(out)
 
 
+def distinct_distributions(kind: str, n: int,
+                           long_running: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The distinct distance vectors of all connected graphs or all free trees
+    of order n: sorted for graphs, in first-occurrence order for trees.
+
+    Derived on each call from the cached enumerations, so the sweep caches
+    stay the only ones to clear.
+    """
+    if kind == "graphs":
+        dists, _ = connected_distributions(n, long_running)
+        return tuple(dd.d for dd in dists)
+    if kind == "trees":
+        return tuple(dict.fromkeys(dvec for dvec, _ in tree_instances(n)))
+    raise ValueError("kind must be 'graphs' or 'trees'")
+
+
 @lru_cache(maxsize=None)
 def root_set(dvec: tuple[int, ...]) -> tuple[ComplexRoot, ...]:
     """Nonzero Wiener roots of the distribution (roots of the reduced polynomial)."""
     return roots(ReducedPolynomial(dvec))
-
-
-def _timed(claim_id: str, params: dict, build: Callable[[], tuple]) -> ClaimReport:
-    start = time.perf_counter()
-    verdict, witnesses, counterexamples = build()
-    return ClaimReport(claim_id, params, verdict, witnesses, counterexamples,
-                       runtime=time.perf_counter() - start)
-
-
-def _root_json(r: ComplexRoot) -> dict:
-    return r.to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -165,98 +269,71 @@ def _root_json(r: ComplexRoot) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def verify_max_modulus(n_lo: int, n_hi: int | None = None,
-                       tol: float = DEFAULT_TOLERANCE) -> ClaimReport:
-    """Largest root modulus at order n is C(n,2)-1, attained only by d = (C(n,2)-1, 1).
+def _extreme_modulus(largest: bool, n_lo: int, n_hi: int, tol: float) -> Verdict:
+    """Shared body of max_modulus (largest) and min_modulus (not largest).
 
-    The inequality is checked numerically on every enumerated distribution;
-    attainment is decided exactly: a degree-1 reduced polynomial has the
-    rational root -d_1/d_2, and any higher-degree distribution has an exact
-    extreme-ratio bound of at most C(n,2)-2.
+    The bound is checked numerically on every root of every enumerated
+    distribution; attainment is decided exactly: only a degree-1 reduced
+    polynomial, with its rational root -d_1/d_2, can attain the bound, and
+    every higher-degree distribution must keep its exact extreme-ratio bound
+    strictly inside it.  `beyond(a, b)` says a lies strictly past b in the
+    claim's direction.
     """
-    n_hi = n_lo if n_hi is None else n_hi
-    params = {"n_lo": n_lo, "n_hi": n_hi}
-    if not 3 <= n_lo <= n_hi <= 7:
-        raise ValueError("supported order range is 3..7")
-
-    def build():
-        witnesses, bad = [], []
-        for n in range(n_lo, n_hi + 1):
+    beyond = operator.gt if largest else operator.lt
+    sign, verb = (">", "reaches") if largest else ("<", "not above")
+    witnesses, bad = [], []
+    for n in range(n_lo, n_hi + 1):
+        if largest:
             bound = comb(n, 2) - 1
-            attainers = []
-            dists, _ = connected_distributions(n)
-            for dd in dists:
-                rp = ReducedPolynomial(dd.d)
-                if rp.degree == 0:
-                    continue
-                if rp.degree == 1:
-                    value = Fraction(dd.d[0], dd.d[1])
-                    if value == bound:
-                        attainers.append(dd.d)
-                    elif value > bound:
-                        bad.append((f"n={n} d={dd.d}", f"exact modulus {value} > {bound}"))
-                else:
-                    ann = enestrom_kakeya(rp)
-                    if ann.R >= bound:
-                        bad.append((f"n={n} d={dd.d}",
-                                    f"ratio bound {ann.R} reaches {bound}"))
-                for r in root_set(dd.d):
-                    if r.modulus > bound + tol:
-                        bad.append((f"n={n} d={dd.d}", _root_json(r)))
-            if attainers != [(bound, 1)]:
-                bad.append((f"n={n}", f"attainers {attainers}, expected [({bound}, 1)]"))
-            else:
-                witnesses.append((f"n={n} d=({bound}, 1)", f"root -{bound}"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("max_modulus", params, build)
-
-
-def verify_min_modulus(n_lo: int, n_hi: int | None = None,
-                       tol: float = DEFAULT_TOLERANCE) -> ClaimReport:
-    """Smallest nonzero root modulus at order n is 2/(n-2), attained only by the star.
-
-    Exact attainment again reduces to rational arithmetic: only a degree-1
-    distribution can have a root of modulus exactly 2/(n-2), and for every
-    higher-degree distribution the exact lower ratio bound strictly exceeds it.
-    """
-    n_hi = n_lo if n_hi is None else n_hi
-    params = {"n_lo": n_lo, "n_hi": n_hi}
-    if not 3 <= n_lo <= n_hi <= 7:
-        raise ValueError("supported order range is 3..7")
-
-    def build():
-        witnesses, bad = [], []
-        for n in range(n_lo, n_hi + 1):
+            attainer = (bound, 1)
+            limit = bound + tol
+        else:
             bound = Fraction(2, n - 2)
-            star = (n - 1, comb(n - 1, 2)) if n >= 3 else None
-            attainers = []
-            dists, _ = connected_distributions(n)
-            for dd in dists:
-                rp = ReducedPolynomial(dd.d)
-                if rp.degree == 0:
-                    continue
-                if rp.degree == 1:
-                    value = Fraction(dd.d[0], dd.d[1])
-                    if value == bound:
-                        attainers.append(dd.d)
-                    elif value < bound:
-                        bad.append((f"n={n} d={dd.d}", f"exact modulus {value} < {bound}"))
-                else:
-                    ann = enestrom_kakeya(rp)
-                    if ann.r <= bound:
-                        bad.append((f"n={n} d={dd.d}",
-                                    f"ratio bound {ann.r} not above {bound}"))
-                for r in root_set(dd.d):
-                    if r.modulus < float(bound) - tol:
-                        bad.append((f"n={n} d={dd.d}", _root_json(r)))
-            if attainers != [star]:
-                bad.append((f"n={n}", f"attainers {attainers}, expected [{star}]"))
+            attainer = (n - 1, comb(n - 1, 2))
+            limit = float(bound) - tol
+        attainers = []
+        for dvec in distinct_distributions("graphs", n):
+            rp = ReducedPolynomial(dvec)
+            if rp.degree == 0:
+                continue
+            if rp.degree == 1:
+                value = Fraction(dvec[0], dvec[1])
+                if value == bound:
+                    attainers.append(dvec)
+                elif beyond(value, bound):
+                    bad.append((f"n={n} d={dvec}",
+                                f"exact modulus {value} {sign} {bound}"))
             else:
-                witnesses.append((f"n={n} d={star}", f"root {-bound}"))
-        return ("pass" if not bad else "fail"), witnesses, bad
+                ann = enestrom_kakeya(rp)
+                ratio = ann.R if largest else ann.r
+                if not beyond(bound, ratio):
+                    bad.append((f"n={n} d={dvec}", f"ratio bound {ratio} {verb} {bound}"))
+            for r in root_set(dvec):
+                if beyond(r.modulus, limit):
+                    bad.append((f"n={n} d={dvec}", r.to_json_dict()))
+        if attainers != [attainer]:
+            bad.append((f"n={n}", f"attainers {attainers}, expected {[attainer]}"))
+        else:
+            witnesses.append((f"n={n} d={attainer}", f"root {-bound}"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
-    return _timed("min_modulus", params, build)
+
+@claim("max_modulus", _orders(3, 7),
+       quick=[dict(n_lo=3, n_hi=6)], full=[dict(n_lo=3, n_hi=7)])
+def verify_max_modulus(n_lo: int, n_hi: int | None = None,
+                       tol: float = DEFAULT_TOLERANCE) -> Verdict:
+    """Largest root modulus at order n is C(n,2)-1, attained only by d = (C(n,2)-1, 1);
+    any higher-degree distribution has an exact ratio bound of at most C(n,2)-2."""
+    return _extreme_modulus(True, n_lo, n_hi, tol)
+
+
+@claim("min_modulus", _orders(3, 7),
+       quick=[dict(n_lo=3, n_hi=6)], full=[dict(n_lo=3, n_hi=7)])
+def verify_min_modulus(n_lo: int, n_hi: int | None = None,
+                       tol: float = DEFAULT_TOLERANCE) -> Verdict:
+    """Smallest nonzero root modulus at order n is 2/(n-2), attained only by the star;
+    for every higher-degree distribution the exact lower ratio bound exceeds it."""
+    return _extreme_modulus(False, n_lo, n_hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -264,92 +341,71 @@ def verify_min_modulus(n_lo: int, n_hi: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def verify_tree_ratio_bounds(n_lo: int, n_hi: int | None = None) -> ClaimReport:
+@claim("tree_ratio_bounds", _orders(3, 14),
+       quick=[dict(n_lo=3, n_hi=10)], full=[dict(n_lo=3, n_hi=14)])
+def verify_tree_ratio_bounds(n_lo: int, n_hi: int | None = None) -> Verdict:
     """Exact rational check of d_k/d_{k+1} <= 2(n-D) over all free trees,
     with the order-only bound 2(n-4) for n >= 5."""
-    n_hi = n_lo if n_hi is None else n_hi
-    params = {"n_lo": n_lo, "n_hi": n_hi}
-    if not 3 <= n_lo <= n_hi <= 14:
-        raise ValueError("supported order range is 3..14")
-
-    def build():
-        witnesses, bad = [], []
-        for n in range(n_lo, n_hi + 1):
-            ties = []
-            for dvec, edges in tree_instances(n):
-                diam = len(dvec)
-                for k in range(diam - 1):
-                    if dvec[k] > 2 * (n - diam) * dvec[k + 1]:
-                        bad.append((f"n={n} edges={edges}",
-                                    f"d_{k+1}/d_{k+2} = {dvec[k]}/{dvec[k+1]} > 2(n-D)"))
-                    if n >= 5 and dvec[k] > 2 * (n - 4) * dvec[k + 1]:
-                        bad.append((f"n={n} edges={edges}",
-                                    f"d_{k+1}/d_{k+2} = {dvec[k]}/{dvec[k+1]} > 2(n-4)"))
-                    if dvec[k] == 2 * (n - diam) * dvec[k + 1]:
-                        ties.append((dvec, k + 1))
-            witnesses.append((f"n={n}", f"{len(tree_instances(n))} trees checked, "
-                              f"{len(ties)} diameter-bound equalities"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("tree_ratio_bounds", params, build)
+    witnesses, bad = [], []
+    for n in range(n_lo, n_hi + 1):
+        ties = []
+        for dvec, edges in tree_instances(n):
+            diam = len(dvec)
+            for k in range(diam - 1):
+                if dvec[k] > 2 * (n - diam) * dvec[k + 1]:
+                    bad.append((f"n={n} edges={edges}",
+                                f"d_{k+1}/d_{k+2} = {dvec[k]}/{dvec[k+1]} > 2(n-D)"))
+                if n >= 5 and dvec[k] > 2 * (n - 4) * dvec[k + 1]:
+                    bad.append((f"n={n} edges={edges}",
+                                f"d_{k+1}/d_{k+2} = {dvec[k]}/{dvec[k+1]} > 2(n-4)"))
+                if dvec[k] == 2 * (n - diam) * dvec[k + 1]:
+                    ties.append((dvec, k + 1))
+        witnesses.append((f"n={n}", f"{len(tree_instances(n))} trees checked, "
+                          f"{len(ties)} diameter-bound equalities"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
-def verify_ratio_lower(n_lo: int, n_hi: int | None = None) -> ClaimReport:
+@claim("ratio_lower", _orders(3, 7),
+       quick=[dict(n_lo=3, n_hi=6)], full=[dict(n_lo=3, n_hi=7)])
+def verify_ratio_lower(n_lo: int, n_hi: int | None = None) -> Verdict:
     """Exact check of d_k/d_{k+1} >= 2/(n-k-1) over all connected distributions."""
-    n_hi = n_lo if n_hi is None else n_hi
-    params = {"n_lo": n_lo, "n_hi": n_hi}
-    if not 3 <= n_lo <= n_hi <= 7:
-        raise ValueError("supported order range is 3..7")
-
-    def build():
-        witnesses, bad = [], []
-        for n in range(n_lo, n_hi + 1):
-            ties = 0
-            dists, stats = connected_distributions(n)
-            for dd in dists:
-                for k in range(len(dd.d) - 1):
-                    lhs = dd.d[k] * (n - (k + 1) - 1)
-                    rhs = 2 * dd.d[k + 1]
-                    if lhs < rhs:
-                        bad.append((f"n={n} d={dd.d}",
-                                    f"d_{k+1}*{n-k-2} = {lhs} < 2*d_{k+2} = {rhs}"))
-                    elif lhs == rhs:
-                        ties += 1
-            witnesses.append((f"n={n}",
-                              f"{stats.distinct_distributions} distributions, {ties} equalities"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("ratio_lower", params, build)
+    witnesses, bad = [], []
+    for n in range(n_lo, n_hi + 1):
+        ties = 0
+        dists, stats = connected_distributions(n)
+        for dd in dists:
+            for k in range(len(dd.d) - 1):
+                lhs = dd.d[k] * (n - (k + 1) - 1)
+                rhs = 2 * dd.d[k + 1]
+                if lhs < rhs:
+                    bad.append((f"n={n} d={dd.d}",
+                                f"d_{k+1}*{n-k-2} = {lhs} < 2*d_{k+2} = {rhs}"))
+                elif lhs == rhs:
+                    ties += 1
+        witnesses.append((f"n={n}",
+                          f"{stats.distinct_distributions} distributions, {ties} equalities"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
+@claim("tree_root_bound", _orders(5, 17),
+       quick=[dict(n_lo=5, n_hi=12)], full=[dict(n_lo=5, n_hi=17)])
 def verify_tree_root_bound(n_lo: int, n_hi: int | None = None,
-                           tol: float = DEFAULT_TOLERANCE) -> ClaimReport:
+                           tol: float = DEFAULT_TOLERANCE) -> Verdict:
     """All roots of all free trees of order n satisfy |z| <= 2(n-4)."""
-    n_hi = n_lo if n_hi is None else n_hi
-    params = {"n_lo": n_lo, "n_hi": n_hi}
-    if not 5 <= n_lo <= n_hi <= 17:
-        raise ValueError("supported order range is 5..17")
-
-    def build():
-        witnesses, bad = [], []
-        for n in range(n_lo, n_hi + 1):
-            bound = 2 * (n - 4)
-            best, best_d = 0.0, None
-            seen = set()
-            for dvec, edges in tree_instances(n):
-                if dvec in seen:
-                    continue
-                seen.add(dvec)
-                for r in root_set(dvec):
-                    if r.modulus > bound + tol:
-                        bad.append((f"n={n} edges={edges}", _root_json(r)))
-                    if r.modulus > best:
-                        best, best_d = r.modulus, dvec
-            witnesses.append((f"n={n}",
-                              f"max modulus {best:.6f} of bound {bound} at d={best_d}"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("tree_root_bound", params, build)
+    witnesses, bad = [], []
+    for n in range(n_lo, n_hi + 1):
+        bound = 2 * (n - 4)
+        best, best_d = 0.0, None
+        for dvec in distinct_distributions("trees", n):
+            for r in root_set(dvec):
+                if r.modulus > bound + tol:
+                    edges = next(e for d, e in tree_instances(n) if d == dvec)
+                    bad.append((f"n={n} edges={edges}", r.to_json_dict()))
+                if r.modulus > best:
+                    best, best_d = r.modulus, dvec
+        witnesses.append((f"n={n}",
+                          f"max modulus {best:.6f} of bound {bound} at d={best_d}"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +435,9 @@ def _sqrt2_sign(a: Fraction, b: Fraction) -> int:
     return -1 if big else 1
 
 
-def verify_tn_interval(n_lo: int, n_hi: int | None = None) -> ClaimReport:
+@claim("tn_interval", _orders(5, 1000),
+       quick=[dict(n_lo=6, n_hi=100)], full=[dict(n_lo=6, n_hi=1000)])
+def verify_tn_interval(n_lo: int, n_hi: int | None = None) -> Verdict:
     """The middle-leaf path family has a real root in an explicit unit interval.
 
     For order n >= 6 the reduced polynomial is negative at -(1+1/sqrt(2))n+7
@@ -388,87 +446,65 @@ def verify_tn_interval(n_lo: int, n_hi: int | None = None) -> ClaimReport:
     located inside the interval.  Orders below 6 are out of the claim's
     range and report inconclusive-budget.
     """
-    n_hi = n_lo if n_hi is None else n_hi
-    params = {"n_lo": n_lo, "n_hi": n_hi}
-    if not 5 <= n_lo <= n_hi <= 1000:
-        raise ValueError("supported order range is 5..1000")
-
-    def build():
-        witnesses, bad = [], []
-        if n_lo < 6:
-            return "inconclusive-budget", [
-                (f"n={n_lo}", "claim applies to orders 6 and up")], []
-        for n in range(n_lo, n_hi + 1):
-            rp = reduce_poly(family_polynomial(FamilySpec("t_n", (n,))))
-            half = Fraction(-n, 2)  # the -(1/sqrt(2))n term equals -(n/2)*sqrt(2)
-            left_sign = _sqrt2_sign(*_sqrt2_eval(rp.c, Fraction(7 - n), half))
-            right_sign = _sqrt2_sign(*_sqrt2_eval(rp.c, Fraction(8 - n), half))
-            if left_sign >= 0:
-                bad.append((f"n={n}", "left endpoint value is not negative"))
-            if right_sign <= 0:
-                bad.append((f"n={n}", "right endpoint value is not positive"))
-            lo = -(1 + 1 / math.sqrt(2)) * n + 7
-            hi = lo + 1
-            inside = [r for r in root_set(rp.c)
-                      if r.im == 0 and lo < r.re < hi]
-            if not inside:
-                bad.append((f"n={n}", f"no numeric real root in ({lo:.6f}, {hi:.6f})"))
-            elif n in (n_lo, n_hi):
-                witnesses.append((f"n={n}", f"real root {inside[0].re:.9f} in "
-                                  f"({lo:.6f}, {hi:.6f})"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("tn_interval", params, build)
+    witnesses, bad = [], []
+    if n_lo < 6:
+        return "inconclusive-budget", [
+            (f"n={n_lo}", "claim applies to orders 6 and up")], []
+    for n in range(n_lo, n_hi + 1):
+        rp = reduce_poly(family_polynomial(FamilySpec("t_n", (n,))))
+        half = Fraction(-n, 2)  # the -(1/sqrt(2))n term equals -(n/2)*sqrt(2)
+        left_sign = _sqrt2_sign(*_sqrt2_eval(rp.c, Fraction(7 - n), half))
+        right_sign = _sqrt2_sign(*_sqrt2_eval(rp.c, Fraction(8 - n), half))
+        if left_sign >= 0:
+            bad.append((f"n={n}", "left endpoint value is not negative"))
+        if right_sign <= 0:
+            bad.append((f"n={n}", "right endpoint value is not positive"))
+        lo = -(1 + 1 / math.sqrt(2)) * n + 7
+        hi = lo + 1
+        inside = [r for r in root_set(rp.c) if r.im == 0 and lo < r.re < hi]
+        if not inside:
+            bad.append((f"n={n}", f"no numeric real root in ({lo:.6f}, {hi:.6f})"))
+        elif n in (n_lo, n_hi):
+            witnesses.append((f"n={n}", f"real root {inside[0].re:.9f} in "
+                              f"({lo:.6f}, {hi:.6f})"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
+@claim("tn_extremal", _orders(5, 17),
+       quick=[dict(n_lo=5, n_hi=12)], full=[dict(n_lo=5, n_hi=17)])
 def verify_tn_extremal(n_lo: int, n_hi: int | None = None,
-                       tol: float = DEFAULT_TOLERANCE) -> ClaimReport:
+                       tol: float = DEFAULT_TOLERANCE) -> Verdict:
     """The middle-leaf path family is the unique max-modulus tree at each order."""
-    n_hi = n_lo if n_hi is None else n_hi
-    params = {"n_lo": n_lo, "n_hi": n_hi}
-    if not 5 <= n_lo <= n_hi <= 17:
-        raise ValueError("supported order range is 5..17")
-
-    def build():
-        witnesses, bad = [], []
-        for n in range(n_lo, n_hi + 1):
-            target = family_polynomial(FamilySpec("t_n", (n,))).d
-            report = search_extremal(n, "max_modulus", "trees", tol=tol)
-            hits = report.argmax
-            if len(hits) != 1 or tuple(hits[0]["d"]) != target:
-                bad.append((f"n={n}",
-                            f"argmax {hits} does not single out d={target}"))
-            else:
-                witnesses.append((f"n={n} d={target}",
-                                  f"max modulus {report.best_value:.9f}"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("tn_extremal", params, build)
+    witnesses, bad = [], []
+    for n in range(n_lo, n_hi + 1):
+        target = family_polynomial(FamilySpec("t_n", (n,))).d
+        report = search_extremal(n, "max_modulus", "trees", tol=tol)
+        hits = report.argmax
+        if len(hits) != 1 or tuple(hits[0]["d"]) != target:
+            bad.append((f"n={n}", f"argmax {hits} does not single out d={target}"))
+        else:
+            witnesses.append((f"n={n} d={target}",
+                              f"max modulus {report.best_value:.9f}"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
+@claim("path_annulus", _orders(3, 100),
+       quick=[dict(n_lo=3, n_hi=30)], full=[dict(n_lo=3, n_hi=100)])
 def verify_path_annulus(n_lo: int, n_hi: int | None = None,
-                        tol: float = DEFAULT_TOLERANCE) -> ClaimReport:
+                        tol: float = DEFAULT_TOLERANCE) -> Verdict:
     """Nonzero path roots lie in the exact annulus (n-1)/(n-2) <= |z| <= 2."""
-    n_hi = n_lo if n_hi is None else n_hi
-    params = {"n_lo": n_lo, "n_hi": n_hi}
-    if not 3 <= n_lo <= n_hi <= 100:
-        raise ValueError("supported order range is 3..100")
-
-    def build():
-        witnesses, bad = [], []
-        for n in range(n_lo, n_hi + 1):
-            rp = reduce_poly(family_polynomial(FamilySpec("path", (n,))))
-            lo = (n - 1) / (n - 2)
-            for r in root_set(rp.c):
-                if not (lo - tol <= r.modulus <= 2 + tol):
-                    bad.append((f"path order {n}", _root_json(r)))
-            if n in (n_lo, n_hi):
-                mods = sorted(r.modulus for r in root_set(rp.c))
-                witnesses.append((f"path order {n}",
-                                  f"moduli in [{mods[0]:.9f}, {mods[-1]:.9f}]"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("path_annulus", params, build)
+    witnesses, bad = [], []
+    for n in range(n_lo, n_hi + 1):
+        rp = reduce_poly(family_polynomial(FamilySpec("path", (n,))))
+        lo = (n - 1) / (n - 2)
+        for r in root_set(rp.c):
+            if not (lo - tol <= r.modulus <= 2 + tol):
+                bad.append((f"path order {n}", r.to_json_dict()))
+        if n in (n_lo, n_hi):
+            mods = sorted(r.modulus for r in root_set(rp.c))
+            witnesses.append((f"path order {n}",
+                              f"moduli in [{mods[0]:.9f}, {mods[-1]:.9f}]"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
 # ---------------------------------------------------------------------------
@@ -476,67 +512,62 @@ def verify_path_annulus(n_lo: int, n_hi: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def verify_density(a_hi: int = 50, b_hi: int = 50) -> ClaimReport:
+@claim("density",
+       (lambda a_hi, b_hi: 1 <= a_hi <= 50 and 1 <= b_hi <= 50,
+        "supported parameter bound is 1..50"),
+       quick=[dict(a_hi=10, b_hi=10)], full=[dict(a_hi=50, b_hi=50)])
+def verify_density(a_hi: int = 50, b_hi: int = 50) -> Verdict:
     """The diameter-2 construction hits every negative rational -a/b exactly."""
-    params = {"a_hi": a_hi, "b_hi": b_hi}
-    if not (1 <= a_hi <= 50 and 1 <= b_hi <= 50):
-        raise ValueError("supported parameter bound is 1..50")
-
-    def build():
-        witnesses, bad = [], []
-        for a in range(1, a_hi + 1):
-            for b in range(1, b_hi + 1):
-                spec, target = dense_construct(a, b)
-                n, m = spec.params
-                if not (n - 1 <= m < comb(n, 2)):
-                    bad.append((str(spec), "size constraint violated"))
-                    continue
-                root = Fraction(-m, comb(n, 2) - m)
-                if root != target or target != Fraction(-a, b):
-                    bad.append((str(spec), f"root {root} != -{a}/{b}"))
-        witnesses.append((f"grid 1..{a_hi} x 1..{b_hi}",
-                          "every rational -a/b realized exactly"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("density", params, build)
+    witnesses, bad = [], []
+    for a in range(1, a_hi + 1):
+        for b in range(1, b_hi + 1):
+            spec, target = dense_construct(a, b)
+            n, m = spec.params
+            if not (n - 1 <= m < comb(n, 2)):
+                bad.append((str(spec), "size constraint violated"))
+                continue
+            root = Fraction(-m, comb(n, 2) - m)
+            if root != target or target != Fraction(-a, b):
+                bad.append((str(spec), f"root {root} != -{a}/{b}"))
+    witnesses.append((f"grid 1..{a_hi} x 1..{b_hi}",
+                      "every rational -a/b realized exactly"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
+@claim("tree_density_limit",
+       (lambda a, b: a >= 1 and b >= 1, "need a >= 1 and b >= 1"),
+       (lambda ell_max: ell_max >= 40, "need ell_max >= 40 for the ladder"),
+       quick=[dict(a=1, b=2, ell_max=240)],
+       full=[dict(a=1, b=2), dict(a=1, b=1), dict(a=2, b=1), dict(a=5, b=1)])
 def verify_tree_density_limit(a: int, b: int, ell_max: int = 1000,
-                              rel_tol: float = 0.01) -> ClaimReport:
+                              rel_tol: float = 0.01) -> Verdict:
     """Double-star leftmost roots approach -r - 1/(4r) for r = a/b.
 
     Checks proximity at ell_max and that the deviation decreases along the
     geometric ladder ell_max/8, ell_max/4, ell_max/2, ell_max.
     """
-    params = {"a": a, "b": b, "ell_max": ell_max}
-    if ell_max < 40:
-        raise ValueError("need ell_max >= 40 for the ladder")
-
-    def build():
-        r = Fraction(a, b)
-        limit = float(-r - 1 / (4 * r))
-        ladder = [ell_max // 8, ell_max // 4, ell_max // 2, ell_max]
-        devs = []
-        witnesses, bad = [], []
-        for ell in ladder:
-            spec = tree_dense_construct(a, b, ell)
-            rts = root_set(family_polynomial(spec).d)
-            real = [t.re for t in rts if t.im == 0]
-            if not real:
-                bad.append((str(spec), "no real roots found"))
-                return "fail", witnesses, bad
-            leftmost = min(real)
-            devs.append(abs(leftmost - limit))
-            witnesses.append((str(spec), f"leftmost root {leftmost:.9f}"))
-        witnesses.append((f"r={a}/{b}", f"limit {limit:.9f}, deviations {devs}"))
-        if devs[-1] > rel_tol * abs(limit):
-            bad.append((f"r={a}/{b}", f"final deviation {devs[-1]:.3e} above "
-                        f"{rel_tol:.0%} of |{limit:.6f}|"))
-        if any(devs[i + 1] >= devs[i] for i in range(len(devs) - 1)):
-            bad.append((f"r={a}/{b}", f"deviations not decreasing: {devs}"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("tree_density_limit", params, build)
+    r = Fraction(a, b)
+    limit = float(-r - 1 / (4 * r))
+    ladder = [ell_max // 8, ell_max // 4, ell_max // 2, ell_max]
+    devs = []
+    witnesses, bad = [], []
+    for ell in ladder:
+        spec = tree_dense_construct(a, b, ell)
+        rts = root_set(family_polynomial(spec).d)
+        real = [t.re for t in rts if t.im == 0]
+        if not real:
+            bad.append((str(spec), "no real roots found"))
+            return "fail", witnesses, bad
+        leftmost = min(real)
+        devs.append(abs(leftmost - limit))
+        witnesses.append((str(spec), f"leftmost root {leftmost:.9f}"))
+    witnesses.append((f"r={a}/{b}", f"limit {limit:.9f}, deviations {devs}"))
+    if devs[-1] > rel_tol * abs(limit):
+        bad.append((f"r={a}/{b}", f"final deviation {devs[-1]:.3e} above "
+                    f"{rel_tol:.0%} of |{limit:.6f}|"))
+    if any(devs[i + 1] >= devs[i] for i in range(len(devs) - 1)):
+        bad.append((f"r={a}/{b}", f"deviations not decreasing: {devs}"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +575,13 @@ def verify_tree_density_limit(a: int, b: int, ell_max: int = 1000,
 # ---------------------------------------------------------------------------
 
 
-def _nonreal_pair(dvec: Sequence[int]) -> complex | None:
-    """The root with positive imaginary part of the unique nonreal pair, if any."""
-    nonreal = [r.z for r in root_set(tuple(dvec)) if r.im > 0]
-    if len(nonreal) != 1:
-        return None
-    return nonreal[0]
-
-
+@claim("broom_asymptotics",
+       (lambda which: which in ("imag", "real"), "which must be 'imag' or 'real'"),
+       (lambda n_max: n_max >= 800, "need n_max >= 800 for the ladder"),
+       quick=[dict(which="imag", n_max=10 ** 4), dict(which="real", n_max=10 ** 4)],
+       full=[dict(which="imag", n_max=10 ** 6), dict(which="real", n_max=10 ** 6)])
 def verify_broom_asymptotics(which: str, n_max: int = 10 ** 6,
-                             rel_tol: float = 0.05) -> ClaimReport:
+                             rel_tol: float = 0.05) -> Verdict:
     """Growth of the nonreal-root pair of the two closed-form broom families.
 
     which='imag': the handle-4 broom pair has imaginary part b_n with
@@ -564,81 +592,69 @@ def verify_broom_asymptotics(which: str, n_max: int = 10 ** 6,
     Both use a geometric ladder up to n_max: within rel_tol at the top, and
     deviation decreasing along the ladder.
     """
-    params = {"which": which, "n_max": n_max}
-    if which not in ("imag", "real"):
-        raise ValueError("which must be 'imag' or 'real'")
-    if n_max < 800:
-        raise ValueError("need n_max >= 800 for the ladder")
-
-    def build():
-        witnesses, bad = [], []
-        ladder = [n_max // 8, n_max // 4, n_max // 2, n_max]
-        if which == "imag":
-            spec_of = lambda n: FamilySpec("broom", (4, n))
-            limit = 2 ** -0.5
-            stat = lambda z, n: z.imag / math.sqrt(n)
-            label = "im/sqrt(n)"
-        else:
-            spec_of = lambda n: FamilySpec("broom", (5, n))
-            limit = 2 ** (-4 / 3)
-            stat = lambda z, n: z.real / n ** (1 / 3)
-            label = "re/n^(1/3)"
-        devs = []
-        for n in ladder:
-            z = _nonreal_pair(family_polynomial(spec_of(n)).d)
-            if z is None:
-                bad.append((str(spec_of(n)), "no single nonreal pair found"))
-                return "fail", witnesses, bad
-            value = stat(z, n)
-            devs.append(abs(value - limit))
-            witnesses.append((str(spec_of(n)), f"{label} = {value:.9f}"))
-        witnesses.append((f"limit {limit:.9f}", f"deviations {devs}"))
-        if devs[-1] > rel_tol * limit:
-            bad.append((f"n={n_max}", f"deviation {devs[-1]:.3e} above "
-                        f"{rel_tol:.0%} of the limit"))
-        if any(devs[i + 1] >= devs[i] for i in range(len(devs) - 1)):
-            bad.append(("ladder", f"deviations not decreasing: {devs}"))
-        if which == "imag":
-            n = 10 ** 4
-            rts = root_set(family_polynomial(FamilySpec("g_n", (n,))).d)
-            top = max(r.im for r in rts)
-            witnesses.append((f"g_n:{n}", f"imaginary part {top:.3f} vs n/2 = {n/2}"))
-            if abs(top - n / 2) > 0.01 * (n / 2):
-                bad.append((f"g_n:{n}", f"imaginary part {top:.3f} not within 1% of n/2"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("broom_asymptotics", params, build)
+    witnesses, bad = [], []
+    ladder = [n_max // 8, n_max // 4, n_max // 2, n_max]
+    if which == "imag":
+        spec_of = lambda n: FamilySpec("broom", (4, n))
+        limit = 2 ** -0.5
+        stat = lambda z, n: z.imag / math.sqrt(n)
+        label = "im/sqrt(n)"
+    else:
+        spec_of = lambda n: FamilySpec("broom", (5, n))
+        limit = 2 ** (-4 / 3)
+        stat = lambda z, n: z.real / n ** (1 / 3)
+        label = "re/n^(1/3)"
+    devs = []
+    for n in ladder:
+        # the root with positive imaginary part of the unique nonreal pair
+        nonreal = [r.z for r in root_set(family_polynomial(spec_of(n)).d) if r.im > 0]
+        if len(nonreal) != 1:
+            bad.append((str(spec_of(n)), "no single nonreal pair found"))
+            return "fail", witnesses, bad
+        value = stat(nonreal[0], n)
+        devs.append(abs(value - limit))
+        witnesses.append((str(spec_of(n)), f"{label} = {value:.9f}"))
+    witnesses.append((f"limit {limit:.9f}", f"deviations {devs}"))
+    if devs[-1] > rel_tol * limit:
+        bad.append((f"n={n_max}", f"deviation {devs[-1]:.3e} above "
+                    f"{rel_tol:.0%} of the limit"))
+    if any(devs[i + 1] >= devs[i] for i in range(len(devs) - 1)):
+        bad.append(("ladder", f"deviations not decreasing: {devs}"))
+    if which == "imag":
+        n = 10 ** 4
+        rts = root_set(family_polynomial(FamilySpec("g_n", (n,))).d)
+        top = max(r.im for r in rts)
+        witnesses.append((f"g_n:{n}", f"imaginary part {top:.3f} vs n/2 = {n/2}"))
+        if abs(top - n / 2) > 0.01 * (n / 2):
+            bad.append((f"g_n:{n}", f"imaginary part {top:.3f} not within 1% of n/2"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
-def verify_half_plane(tol: float = DEFAULT_TOLERANCE) -> ClaimReport:
+@claim("half_plane", quick=[dict()], full=[dict()])
+def verify_half_plane(tol: float = DEFAULT_TOLERANCE) -> Verdict:
     """No half-plane contains all Wiener roots: three concrete certificates.
 
     A real root below -10^3 (complete graph minus an edge at order 46), a
     root with imaginary part above 10^2 (handle-4 broom), and a root with
     real part above 10 (handle-5 broom).
     """
-    params = {}
-
-    def build():
-        witnesses, bad = [], []
-        spec = FamilySpec("complete_minus_edge", (46,))
-        low = min(r.re for r in root_set(family_polynomial(spec).d))
-        (witnesses if low < -1000 else bad).append(
-            (str(spec), f"real root {low:.1f} < -1000" if low < -1000
-             else f"real root {low:.1f} not below -1000"))
-        spec = FamilySpec("broom", (4, 40000))
-        top = max(r.im for r in root_set(family_polynomial(spec).d))
-        (witnesses if top > 100 else bad).append(
-            (str(spec), f"imaginary part {top:.2f} > 100" if top > 100
-             else f"imaginary part {top:.2f} not above 100"))
-        spec = FamilySpec("broom", (5, 10 ** 6))
-        right = max(r.re for r in root_set(family_polynomial(spec).d))
-        (witnesses if right > 10 else bad).append(
-            (str(spec), f"real part {right:.2f} > 10" if right > 10
-             else f"real part {right:.2f} not above 10"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("half_plane", params, build)
+    witnesses, bad = [], []
+    spec = FamilySpec("complete_minus_edge", (46,))
+    low = min(r.re for r in root_set(family_polynomial(spec).d))
+    (witnesses if low < -1000 else bad).append(
+        (str(spec), f"real root {low:.1f} < -1000" if low < -1000
+         else f"real root {low:.1f} not below -1000"))
+    spec = FamilySpec("broom", (4, 40000))
+    top = max(r.im for r in root_set(family_polynomial(spec).d))
+    (witnesses if top > 100 else bad).append(
+        (str(spec), f"imaginary part {top:.2f} > 100" if top > 100
+         else f"imaginary part {top:.2f} not above 100"))
+    spec = FamilySpec("broom", (5, 10 ** 6))
+    right = max(r.re for r in root_set(family_polynomial(spec).d))
+    (witnesses if right > 10 else bad).append(
+        (str(spec), f"real part {right:.2f} > 10" if right > 10
+         else f"real part {right:.2f} not above 10"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
 # ---------------------------------------------------------------------------
@@ -650,36 +666,31 @@ def _double_star_discriminant(k: int, n: int) -> int:
     return (comb(k, 2) + comb(n - k, 2)) ** 2 - 4 * (n - 1) * (k - 1) * (n - k - 1)
 
 
-def verify_double_star_discriminant(n_lo: int = 4, n_hi: int = 200) -> ClaimReport:
+@claim("double_star_discriminant",
+       (lambda n_lo, n_hi: 4 <= n_lo <= n_hi, "need 4 <= n_lo <= n_hi"),
+       quick=[dict(n_lo=4, n_hi=50)], full=[dict(n_lo=4, n_hi=200)])
+def verify_double_star_discriminant(n_lo: int = 4, n_hi: int = 200) -> Verdict:
     """Double-star roots are real from order 15 on, and only from order 15 on.
 
     Exact integer discriminants: nonnegative for every side split at orders
     15..n_hi, while each order 4..14 admits a split with negative discriminant.
     """
-    params = {"n_lo": n_lo, "n_hi": n_hi}
-    if not 4 <= n_lo <= n_hi:
-        raise ValueError("need 4 <= n_lo <= n_hi")
-
-    def build():
-        witnesses, bad = [], []
-        for n in range(max(n_lo, 15), n_hi + 1):
-            for k in range(2, n // 2 + 1):
-                disc = _double_star_discriminant(k, n)
-                if disc < 0:
-                    bad.append((f"double_star:{k},{n}", f"discriminant {disc} < 0"))
-        if max(n_lo, 15) <= n_hi:
-            witnesses.append((f"orders {max(n_lo, 15)}..{n_hi}",
-                              "all discriminants nonnegative"))
-        for n in range(n_lo, min(n_hi, 14) + 1):
-            neg = [k for k in range(2, n // 2 + 1)
-                   if _double_star_discriminant(k, n) < 0]
-            if not neg:
-                bad.append((f"order {n}", "no split with nonreal roots"))
-            else:
-                witnesses.append((f"order {n}", f"nonreal splits at k in {neg}"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("double_star_discriminant", params, build)
+    witnesses, bad = [], []
+    for n in range(max(n_lo, 15), n_hi + 1):
+        for k in range(2, n // 2 + 1):
+            disc = _double_star_discriminant(k, n)
+            if disc < 0:
+                bad.append((f"double_star:{k},{n}", f"discriminant {disc} < 0"))
+    if max(n_lo, 15) <= n_hi:
+        witnesses.append((f"orders {max(n_lo, 15)}..{n_hi}",
+                          "all discriminants nonnegative"))
+    for n in range(n_lo, min(n_hi, 14) + 1):
+        neg = [k for k in range(2, n // 2 + 1) if _double_star_discriminant(k, n) < 0]
+        if not neg:
+            bad.append((f"order {n}", "no split with nonreal roots"))
+        else:
+            witnesses.append((f"order {n}", f"nonreal splits at k in {neg}"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
 # ---------------------------------------------------------------------------
@@ -696,34 +707,21 @@ def _imaginary_desc(hit) -> str:
     return f"±bi with b^2 in ({float(-hi):.12f}, {float(-lo):.12f})"
 
 
-def find_purely_imaginary(kind: str, order: int,
-                          long_running: bool = False) -> ClaimReport:
+@claim("purely_imaginary",
+       (lambda kind: kind in ("graphs", "trees"), "kind must be 'graphs' or 'trees'"),
+       quick=[dict(kind="graphs", order=6)],
+       full=[dict(kind="graphs", order=5), dict(kind="graphs", order=6),
+             dict(kind="trees", order=12)])
+def find_purely_imaginary(kind: str, order: int, long_running: bool = False) -> Verdict:
     """Scan one order of a class with the exact imaginary-axis root test."""
-    params = {"kind": kind, "order": order}
-    if kind not in ("graphs", "trees"):
-        raise ValueError("kind must be 'graphs' or 'trees'")
-
-    def build():
-        witnesses = []
-        if kind == "graphs":
-            dists, _ = connected_distributions(order, long_running)
-            pool = [(f"d={dd.d}", dd.d) for dd in dists]
-        else:
-            seen = set()
-            pool = []
-            for dvec, edges in tree_instances(order):
-                if dvec not in seen:
-                    seen.add(dvec)
-                    pool.append((f"d={dvec}", dvec))
-        for desc, dvec in pool:
-            hits = purely_imaginary_roots(ReducedPolynomial(dvec))
-            if hits:
-                witnesses.append((desc, [_imaginary_desc(h) for h in hits]))
-        if not witnesses:
-            witnesses.append((f"{kind} order {order}", "no purely imaginary roots"))
-        return "pass", witnesses, []
-
-    return _timed("purely_imaginary", params, build)
+    witnesses = []
+    for dvec in distinct_distributions(kind, order, long_running):
+        hits = purely_imaginary_roots(ReducedPolynomial(dvec))
+        if hits:
+            witnesses.append((f"d={dvec}", [_imaginary_desc(h) for h in hits]))
+    if not witnesses:
+        witnesses.append((f"{kind} order {order}", "no purely imaginary roots"))
+    return "pass", witnesses, []
 
 
 # ---------------------------------------------------------------------------
@@ -748,18 +746,15 @@ def search_extremal(order: int, objective: str, kind: str,
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    if kind not in ("graphs", "trees"):
-        raise ValueError("kind must be 'graphs' or 'trees'")
-    if kind == "graphs" and order > 7 and not long_running:
-        raise ValueError("graph searches above order 7 need long_running=True")
     minimize = objective.startswith("min")
     stat = _OBJECTIVES[objective]
-    if kind == "graphs":
-        dists, _ = connected_distributions(order, long_running)
-        pool = [({"d": list(dd.d)}, dd.d) for dd in dists if len(dd.d) > 1]
-    else:
+    if kind == "trees":
         pool = [({"d": list(dvec), "edges": [list(e) for e in edges]}, dvec)
                 for dvec, edges in tree_instances(order) if len(dvec) > 1]
+    else:  # distinct_distributions rejects other classes, the sweep an ungated order 8
+        pool = [({"d": list(dvec)}, dvec)
+                for dvec in distinct_distributions(kind, order, long_running)
+                if len(dvec) > 1]
     if not pool:
         raise ValueError(f"no instances with nonzero roots at order {order}")
     best = None
@@ -774,47 +769,43 @@ def search_extremal(order: int, objective: str, kind: str,
     return ExtremalReport(order, objective, kind, best, argmax)
 
 
-def verify_extremal_real_part(tree_lo: int = 6, tree_hi: int = 17,
-                              graph_hi: int = 5,
-                              tol: float = DEFAULT_TOLERANCE) -> ClaimReport:
+@claim("extremal_real_part",
+       (lambda tree_lo, tree_hi: 6 <= tree_lo <= tree_hi <= 17,
+        "supported tree order range is 6..17"),
+       (lambda graph_hi: graph_hi <= 7, "graph orders above 7 are gated"),
+       quick=[dict(tree_lo=6, tree_hi=12, graph_hi=5)],
+       full=[dict(tree_lo=6, tree_hi=17, graph_hi=5)])
+def verify_extremal_real_part(tree_lo: int = 6, tree_hi: int = 17, graph_hi: int = 5,
+                              tol: float = DEFAULT_TOLERANCE) -> Verdict:
     """Trees with the largest positive real part: paths up to order 15, the
     shipped pendant-path fixtures at orders 16 and 17; no graph of order up
     to graph_hi has any root with positive real part."""
-    params = {"tree_lo": tree_lo, "tree_hi": tree_hi, "graph_hi": graph_hi}
-    if not 6 <= tree_lo <= tree_hi <= 17:
-        raise ValueError("supported tree order range is 6..17")
-    if graph_hi > 7:
-        raise ValueError("graph orders above 7 are gated")
-
-    def build():
-        witnesses, bad = [], []
-        for n in range(3, graph_hi + 1):
-            report = search_extremal(n, "max_real", "graphs", tol=tol)
-            if report.best_value > tol:
-                bad.append((f"graphs order {n}",
-                            f"positive real part {report.best_value:.3e}"))
-            else:
-                witnesses.append((f"graphs order {n}",
-                                  f"max real part {report.best_value:.6f} <= 0"))
-        for n in range(tree_lo, tree_hi + 1):
-            if n <= 15:
-                expected = tuple(range(n - 1, 0, -1))
-                label = f"path:{n}"
-            else:
-                g = load_fixture(f"extremal_real_tree_{n}")
-                expected = distance_distribution(g).d
-                label = f"extremal_real_tree_{n}"
-            report = search_extremal(n, "max_real", "trees", tol=tol)
-            hits = report.argmax
-            if len(hits) != 1 or tuple(hits[0]["d"]) != expected:
-                bad.append((f"trees order {n}",
-                            f"argmax {hits} does not single out {label}"))
-            else:
-                witnesses.append((f"trees order {n}",
-                                  f"{label} attains {report.best_value:.9f}"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("extremal_real_part", params, build)
+    witnesses, bad = [], []
+    for n in range(3, graph_hi + 1):
+        report = search_extremal(n, "max_real", "graphs", tol=tol)
+        if report.best_value > tol:
+            bad.append((f"graphs order {n}",
+                        f"positive real part {report.best_value:.3e}"))
+        else:
+            witnesses.append((f"graphs order {n}",
+                              f"max real part {report.best_value:.6f} <= 0"))
+    for n in range(tree_lo, tree_hi + 1):
+        if n <= 15:
+            expected = tuple(range(n - 1, 0, -1))
+            label = f"path:{n}"
+        else:
+            g = load_fixture(f"extremal_real_tree_{n}")
+            expected = distance_distribution(g).d
+            label = f"extremal_real_tree_{n}"
+        report = search_extremal(n, "max_real", "trees", tol=tol)
+        hits = report.argmax
+        if len(hits) != 1 or tuple(hits[0]["d"]) != expected:
+            bad.append((f"trees order {n}",
+                        f"argmax {hits} does not single out {label}"))
+        else:
+            witnesses.append((f"trees order {n}",
+                              f"{label} attains {report.best_value:.9f}"))
+    return ("pass" if not bad else "fail"), witnesses, bad
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +845,14 @@ def _squared_binomial_times(w: WienerPolynomial) -> tuple[int, ...]:
     return tuple(out)
 
 
+@claim("leaf_augment_identity",
+       (lambda order_lo, order_hi: 2 <= order_lo <= order_hi,
+        "need 2 <= order_lo <= order_hi"),
+       (lambda samples, depth: samples >= 0 and depth >= 0,
+        "need samples >= 0 and depth >= 0"),
+       quick=[dict(samples=50)], full=[dict(samples=200)])
 def verify_leaf_augment_identity(samples: int = 200, order_lo: int = 3,
-                                 order_hi: int = 15, depth: int = 3) -> ClaimReport:
+                                 order_hi: int = 15, depth: int = 3) -> Verdict:
     """Check W(augmented tree) = (x+1)^2 W(tree) coefficient-exactly, plus
     preservation of all-real (and all-rational) root sets through repeated
     augmentation of the three-vertex path.
@@ -873,134 +870,39 @@ def verify_leaf_augment_identity(samples: int = 200, order_lo: int = 3,
     values "claimed (...) vs BFS (...)" for the identity, and
     "nonreal roots appear: d=(...)" for each augmentation depth.
     """
-    params = {"samples": samples, "order_lo": order_lo, "order_hi": order_hi,
-              "depth": depth}
-
-    def build():
-        witnesses, bad = [], []
-        rng = random.Random(0)
-        for _ in range(samples):
-            order = rng.randrange(order_lo, order_hi + 1)
-            t = _random_tree(order, rng)
-            w0 = wiener_polynomial(distance_distribution(t))
-            big = leaf_augment(t)
-            w1 = wiener_polynomial(distance_distribution(big))
-            claimed = _squared_binomial_times(w0)
-            actual = w1.d + (0,) * (len(claimed) - len(w1.d))
-            if claimed != actual:
-                bad.append((f"order {order} edges={tuple(t.edges())}",
-                            f"claimed {claimed} vs BFS {actual}"))
-            d0 = distance_distribution(t).diameter
-            d1 = distance_distribution(big).diameter
-            if d1 != d0 + 2:
-                bad.append((f"order {order} edges={tuple(t.edges())}",
-                            f"diameter went {d0} -> {d1}, expected +2"))
-        base = from_edge_list(3, [(0, 1), (1, 2)])
-        w = wiener_polynomial(distance_distribution(base))
-        if not all_roots_rational(reduce_poly(w)):
-            bad.append(("three-vertex path", "base roots not rational"))
-        t = base
-        for k in range(1, depth + 1):
-            t = leaf_augment(t)
-            wk = wiener_polynomial(distance_distribution(t))
-            rp = reduce_poly(wk)
-            if not all_roots_real(rp):
-                bad.append((f"augmentation depth {k} (order {t.n})",
-                            f"nonreal roots appear: d={wk.d}"))
-            elif not all_roots_rational(rp):
-                bad.append((f"augmentation depth {k} (order {t.n})",
-                            f"irrational roots appear: d={wk.d}"))
-            else:
-                witnesses.append((f"depth {k}", "roots still rational"))
-        return ("pass" if not bad else "fail"), witnesses, bad
-
-    return _timed("leaf_augment_identity", params, build)
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-CLAIMS: dict[str, Callable[..., ClaimReport]] = {
-    "max_modulus": verify_max_modulus,
-    "min_modulus": verify_min_modulus,
-    "tree_ratio_bounds": verify_tree_ratio_bounds,
-    "ratio_lower": verify_ratio_lower,
-    "tree_root_bound": verify_tree_root_bound,
-    "tn_interval": verify_tn_interval,
-    "tn_extremal": verify_tn_extremal,
-    "path_annulus": verify_path_annulus,
-    "density": verify_density,
-    "tree_density_limit": verify_tree_density_limit,
-    "broom_asymptotics": verify_broom_asymptotics,
-    "half_plane": verify_half_plane,
-    "double_star_discriminant": verify_double_star_discriminant,
-    "purely_imaginary": find_purely_imaginary,
-    "extremal_real_part": verify_extremal_real_part,
-    "leaf_augment_identity": verify_leaf_augment_identity,
-}
-
-_SUITE: dict[str, dict[str, list[dict]]] = {
-    "quick": {
-        "max_modulus": [dict(n_lo=3, n_hi=6)],
-        "min_modulus": [dict(n_lo=3, n_hi=6)],
-        "tree_ratio_bounds": [dict(n_lo=3, n_hi=10)],
-        "ratio_lower": [dict(n_lo=3, n_hi=6)],
-        "tree_root_bound": [dict(n_lo=5, n_hi=12)],
-        "tn_interval": [dict(n_lo=6, n_hi=100)],
-        "tn_extremal": [dict(n_lo=5, n_hi=12)],
-        "path_annulus": [dict(n_lo=3, n_hi=30)],
-        "density": [dict(a_hi=10, b_hi=10)],
-        "tree_density_limit": [dict(a=1, b=2, ell_max=240)],
-        "broom_asymptotics": [dict(which="imag", n_max=10 ** 4),
-                              dict(which="real", n_max=10 ** 4)],
-        "half_plane": [dict()],
-        "double_star_discriminant": [dict(n_lo=4, n_hi=50)],
-        "purely_imaginary": [dict(kind="graphs", order=6)],
-        "extremal_real_part": [dict(tree_lo=6, tree_hi=12, graph_hi=5)],
-        "leaf_augment_identity": [dict(samples=50)],
-    },
-    "full": {
-        "max_modulus": [dict(n_lo=3, n_hi=7)],
-        "min_modulus": [dict(n_lo=3, n_hi=7)],
-        "tree_ratio_bounds": [dict(n_lo=3, n_hi=14)],
-        "ratio_lower": [dict(n_lo=3, n_hi=7)],
-        "tree_root_bound": [dict(n_lo=5, n_hi=17)],
-        "tn_interval": [dict(n_lo=6, n_hi=1000)],
-        "tn_extremal": [dict(n_lo=5, n_hi=17)],
-        "path_annulus": [dict(n_lo=3, n_hi=100)],
-        "density": [dict(a_hi=50, b_hi=50)],
-        "tree_density_limit": [dict(a=1, b=2), dict(a=1, b=1),
-                               dict(a=2, b=1), dict(a=5, b=1)],
-        "broom_asymptotics": [dict(which="imag", n_max=10 ** 6),
-                              dict(which="real", n_max=10 ** 6)],
-        "half_plane": [dict()],
-        "double_star_discriminant": [dict(n_lo=4, n_hi=200)],
-        "purely_imaginary": [dict(kind="graphs", order=5),
-                             dict(kind="graphs", order=6),
-                             dict(kind="trees", order=12)],
-        "extremal_real_part": [dict(tree_lo=6, tree_hi=17, graph_hi=5)],
-        "leaf_augment_identity": [dict(samples=200)],
-    },
-}
-
-
-def claim_ids() -> tuple[str, ...]:
-    return tuple(CLAIMS)
-
-
-def run_claim(claim_id: str, **params) -> ClaimReport:
-    if claim_id not in CLAIMS:
-        raise KeyError(f"unknown claim {claim_id!r}; have {sorted(CLAIMS)}")
-    return CLAIMS[claim_id](**params)
-
-
-def run_all(profile: str = "quick") -> list[ClaimReport]:
-    """Run the whole suite at one of the profiles and return all reports."""
-    if profile not in _SUITE:
-        raise ValueError(f"unknown profile {profile!r}; have {sorted(_SUITE)}")
-    reports = []
-    for claim_id, param_sets in _SUITE[profile].items():
-        for params in param_sets:
-            reports.append(run_claim(claim_id, **params))
-    return reports
+    witnesses, bad = [], []
+    rng = random.Random(0)
+    for _ in range(samples):
+        order = rng.randrange(order_lo, order_hi + 1)
+        t = _random_tree(order, rng)
+        w0 = wiener_polynomial(distance_distribution(t))
+        big = leaf_augment(t)
+        w1 = wiener_polynomial(distance_distribution(big))
+        claimed = _squared_binomial_times(w0)
+        actual = w1.d + (0,) * (len(claimed) - len(w1.d))
+        if claimed != actual:
+            bad.append((f"order {order} edges={tuple(t.edges())}",
+                        f"claimed {claimed} vs BFS {actual}"))
+        d0 = distance_distribution(t).diameter
+        d1 = distance_distribution(big).diameter
+        if d1 != d0 + 2:
+            bad.append((f"order {order} edges={tuple(t.edges())}",
+                        f"diameter went {d0} -> {d1}, expected +2"))
+    base = from_edge_list(3, [(0, 1), (1, 2)])
+    w = wiener_polynomial(distance_distribution(base))
+    if not all_roots_rational(reduce_poly(w)):
+        bad.append(("three-vertex path", "base roots not rational"))
+    t = base
+    for k in range(1, depth + 1):
+        t = leaf_augment(t)
+        wk = wiener_polynomial(distance_distribution(t))
+        rp = reduce_poly(wk)
+        if not all_roots_real(rp):
+            bad.append((f"augmentation depth {k} (order {t.n})",
+                        f"nonreal roots appear: d={wk.d}"))
+        elif not all_roots_rational(rp):
+            bad.append((f"augmentation depth {k} (order {t.n})",
+                        f"irrational roots appear: d={wk.d}"))
+        else:
+            witnesses.append((f"depth {k}", "roots still rational"))
+    return ("pass" if not bad else "fail"), witnesses, bad

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import os
 import sys
@@ -20,7 +19,6 @@ from . import claims
 from .families import parse_family_spec, family_polynomial
 from .graph_core import (
     DisconnectedGraphError,
-    Graph,
     Graph6Error,
     distance_distribution,
     enumerate_connected_distributions,
@@ -32,6 +30,7 @@ from .polynomial import (
     Annulus,
     ComplexRoot,
     ReducedPolynomial,
+    WienerPolynomial,
     enestrom_kakeya,
     reduce as reduce_poly,
     roots,
@@ -74,9 +73,7 @@ class OutputRecord:
         return rows
 
 
-def _record_for(desc: str, g: Graph) -> OutputRecord:
-    dd = distance_distribution(g)
-    w = wiener_polynomial(dd)
+def _record_for(desc: str, w: WienerPolynomial) -> OutputRecord:
     rp = reduce_poly(w)
     ann = enestrom_kakeya(rp) if rp.degree >= 1 else None
     return OutputRecord(desc, w.d, roots(rp), ann, wiener_index(w))
@@ -120,7 +117,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             had_parse_error = True
             continue
         try:
-            record = _record_for(token, g)
+            record = _record_for(token, wiener_polynomial(distance_distribution(g)))
         except DisconnectedGraphError as exc:
             lines.append(json.dumps({"graph": desc, "error": str(exc)}))
             continue
@@ -188,9 +185,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rp = reduce_poly(w)
-    ann = enestrom_kakeya(rp) if rp.degree >= 1 else None
-    record = OutputRecord(str(spec), w.d, roots(rp), ann, wiener_index(w))
+    record = _record_for(str(spec), w)
     if args.format == "json":
         _emit([json.dumps(record.to_json_dict(), indent=2)], args.out)
     else:
@@ -203,9 +198,9 @@ def cmd_family(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_claim_params(tokens: list[str], func) -> dict:
-    """Turn 'n=5', 'n=6..100', 'which=imag' tokens into claim arguments."""
-    accepted = set(inspect.signature(func).parameters)
+def _parse_claim_params(tokens: list[str], accepted: dict[str, type]) -> dict:
+    """Turn 'n=5', 'n=6..100', 'rel_tol=0.05', 'which=imag' tokens into claim
+    arguments of the types the claim declares; a bool is written 0 or 1."""
     params: dict = {}
     for token in tokens:
         key, sep, value = token.partition("=")
@@ -222,10 +217,12 @@ def _parse_claim_params(tokens: list[str], func) -> dict:
             raise ValueError(f"claim does not take a parameter named {key!r}")
         if ".." in value:
             raise ValueError(f"parameter {key!r} does not take a range")
+        kind = accepted[key]
         try:
-            params[key] = int(value)
+            params[key] = bool(int(value)) if kind is bool else kind(value)
         except ValueError:
-            params[key] = value
+            raise ValueError(f"parameter {key!r} takes {kind.__name__} values, "
+                             f"not {value!r}") from None
     return params
 
 
@@ -250,16 +247,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     func = claims.CLAIMS[args.claim]
     try:
-        params = _parse_claim_params(args.params, func)
-        if args.tol is not None and "tol" in inspect.signature(func).parameters:
+        params = _parse_claim_params(args.params, func.spec.types)
+        if args.tol is not None and "tol" in func.spec.types:
             params["tol"] = args.tol
         claims.set_jobs(args.jobs)
         report = func(**params)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for line in _report_lines(report):
-        print(line)
+    print("\n".join(_report_lines(report)))
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
     return EXIT_OK if report.verdict == "pass" else EXIT_VERIFICATION
@@ -278,8 +274,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     summary = [("claim_id", "params", "verdict", "runtime_seconds")]
     all_pass = True
     for i, report in enumerate(reports):
-        for line in _report_lines(report):
-            print(line)
+        print("\n".join(_report_lines(report)))
         summary.append((report.claim_id, json.dumps(report.params),
                         report.verdict, f"{report.runtime:.3f}"))
         all_pass &= report.verdict == "pass"
@@ -333,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one claim verifier")
     p.add_argument("claim")
     p.add_argument("params", nargs="*",
-                   help="claim parameters like n=5, n=6..100, which=imag")
+                   help="claim parameters like n=5, n=6..100, rel_tol=0.05, which=imag")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--tol", type=float, default=None)

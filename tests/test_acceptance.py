@@ -20,7 +20,12 @@ from fractions import Fraction
 from math import comb
 
 from wiener_roots import claims
-from wiener_roots.claims import connected_distributions, root_set, tree_instances
+from wiener_roots.claims import (
+    connected_distributions,
+    distinct_distributions,
+    root_set,
+    tree_instances,
+)
 from wiener_roots.families import leaf_augment
 from wiener_roots.graph_core import (
     distance_distribution,
@@ -142,11 +147,7 @@ def test_criterion_10_purely_imaginary():
         problems.append("exact Gaussian evaluation of the order-12 tree at i "
                         "is nonzero")
     for n in range(2, 12):
-        seen = set()
-        for dvec, _ in tree_instances(n):
-            if dvec in seen:
-                continue
-            seen.add(dvec)
+        for dvec in distinct_distributions("trees", n):
             if any(h.b_rational == 1
                    for h in purely_imaginary_roots(ReducedPolynomial(dvec))):
                 problems.append(f"tree of order {n} < 12 has root exactly i: {dvec}")
@@ -304,12 +305,9 @@ def test_criterion_13_property_suite():
             check_root_set(f"graphs n={n} d={dd.d}", dd.d, n, True)
             checked += 1
     for n in range(5, 18):
-        seen = set()
-        for dvec, _ in tree_instances(n):
-            if dvec not in seen:
-                seen.add(dvec)
-                check_root_set(f"trees n={n} d={dvec}", dvec, n, False)
-                checked += 1
+        for dvec in distinct_distributions("trees", n):
+            check_root_set(f"trees n={n} d={dvec}", dvec, n, False)
+            checked += 1
     _report(13, "conjugate closure, annulus containment, nonpositive real "
             "roots, pair-count totals over every enumeration above",
             not violations,

@@ -1,5 +1,6 @@
 """Claim verifiers: verdicts, witnesses, determinism, and report plumbing."""
 
+import inspect
 import json
 
 import pytest
@@ -187,3 +188,58 @@ def test_run_all_quick_profile():
     assert len(by_verdict["pass"]) == len(reports) - 1
     with pytest.raises(ValueError):
         claims.run_all("exhaustive")
+
+
+@pytest.mark.parametrize("claim_id", claims.claim_ids())
+def test_profile_parameter_sets_meet_declarations(claim_id):
+    # the validation every verifier call runs, without running the verifier
+    spec = claims.CLAIMS[claim_id].spec
+    assert set(spec.profiles) == {"quick", "full"}
+    for param_sets in spec.profiles.values():
+        assert param_sets
+        for params in param_sets:
+            spec.bind(**params)
+
+
+def test_declared_validation_rejects_bad_parameter_sets():
+    spec = claims.CLAIMS["tree_root_bound"].spec
+    assert spec.bind(5) == {"n_lo": 5, "n_hi": 5, "tol": claims.DEFAULT_TOLERANCE}
+    with pytest.raises(ValueError, match="5..17"):
+        spec.bind(n_lo=5, n_hi=18)
+    with pytest.raises(TypeError):
+        spec.bind(n_lo=5, n_hj=17)  # misspelt parameter
+    with pytest.raises(TypeError):
+        spec.bind(n_lo=5.0)
+    broom = claims.CLAIMS["broom_asymptotics"].spec
+    with pytest.raises(TypeError):
+        broom.bind(which="imag", n_max=1e6)
+    assert broom.bind(which="real", rel_tol=1)["rel_tol"] == 1  # an int is a float
+    for params in (dict(a=0, b=1), dict(a=1, b=0), dict(a=1, b=2, ell_max=39)):
+        with pytest.raises(ValueError):
+            claims.CLAIMS["tree_density_limit"].spec.bind(**params)
+    for params in (dict(order_lo=1, order_hi=2), dict(order_lo=4, order_hi=3),
+                   dict(samples=-1), dict(depth=-1)):
+        with pytest.raises(ValueError):
+            claims.CLAIMS["leaf_augment_identity"].spec.bind(**params)
+
+
+def test_registered_verifiers_keep_their_signatures():
+    assert list(inspect.signature(claims.CLAIMS["max_modulus"]).parameters) == \
+        ["n_lo", "n_hi", "tol"]
+    assert claims.CLAIMS["purely_imaginary"] is find_purely_imaginary
+    r = verify_tree_density_limit(1, 2, 400, rel_tol=0.05)
+    assert r.params == {"a": 1, "b": 2, "ell_max": 400}
+
+
+def test_distinct_distributions_orders_and_counts():
+    graphs = claims.distinct_distributions("graphs", 6)
+    assert len(graphs) == 34 and list(graphs) == sorted(graphs)
+    trees = claims.distinct_distributions("trees", 12)
+    first_seen = []
+    for dvec, _ in claims.tree_instances(12):
+        if dvec not in first_seen:
+            first_seen.append(dvec)
+    assert list(trees) == first_seen
+    assert len(claims.distinct_distributions("trees", 8)) == 23
+    with pytest.raises(ValueError):
+        claims.distinct_distributions("digraphs", 5)

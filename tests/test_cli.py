@@ -1,6 +1,9 @@
 """Command-line interface: formats, determinism, and the exit-code contract."""
 
+import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Digests of the quick-profile reports without runtime_seconds, keyed by file
+# name, and of summary.csv without its runtime column; recorded at 995a6c8,
+# before claims were declared through the registration decorator.
+QUICK_DIGESTS = Path(__file__).with_name("quick_profile_digests.json")
+
+
+def _report_digest(path: Path) -> str:
+    """sha256 of a claim report with its runtime removed, keys sorted."""
+    report = json.loads(path.read_text())
+    report.pop("runtime_seconds")
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def _summary_digest(path: Path) -> str:
+    """sha256 of summary.csv with its last (runtime) column dropped."""
+    with open(path, newline="") as fh:
+        rows = [row[:-1] for row in csv.reader(fh)]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def test_seed_env_rejected(capsys, monkeypatch):
@@ -136,6 +159,15 @@ def test_verify_command_exit_codes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "leaf_augment_identity", "samples=5")
     assert code == EXIT_VERIFICATION and "fail" in out
 
+    # float parameters arrive as floats: the final deviation at ell_max=80 is
+    # 6.4e-3, above a 1e-12 share of the limit and below a 5% share
+    code, out, _ = run_cli(capsys, "verify", "tree_density_limit", "a=1", "b=2",
+                           "ell_max=80", "rel_tol=1e-12")
+    assert code == EXIT_VERIFICATION and "final deviation 6.410e-03" in out
+    code, out, _ = run_cli(capsys, "verify", "tree_density_limit", "a=1", "b=2",
+                           "ell_max=80", "rel_tol=0.05")
+    assert code == EXIT_OK and "pass" in out
+
 
 def test_verify_all_quick(tmp_path, capsys):
     outdir = tmp_path / "reports"
@@ -147,6 +179,9 @@ def test_verify_all_quick(tmp_path, capsys):
     fails = [row for row in rows if ",fail," in row]
     assert len(fails) == 1 and fails[0].startswith("leaf_augment_identity")
     assert len(list(outdir.glob("*.json"))) == len(rows) - 1
+    digests = {path.name: _report_digest(path) for path in outdir.glob("*.json")}
+    digests["summary.csv"] = _summary_digest(outdir / "summary.csv")
+    assert digests == json.loads(QUICK_DIGESTS.read_text())
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -158,7 +193,10 @@ def test_usage_errors(tmp_path, capsys):
     for argv in (("scatter", "--order", "0"), ("scatter", "--order", "9"),
                  ("scatter", "--class", "trees", "--order", "25"),
                  ("compute", str(tmp_path / "missing.g6")),
-                 ("compute", str(tmp_path))):
+                 ("compute", str(tmp_path)),
+                 ("verify", "tree_density_limit", "a=0", "b=1"),
+                 ("verify", "tree_density_limit", "a=1", "b=0"),
+                 ("verify", "leaf_augment_identity", "order_lo=1", "order_hi=2")):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
