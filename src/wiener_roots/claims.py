@@ -14,6 +14,14 @@ its parameter types.  `run_all` runs the claims in declaration order.
 Enumeration results and root sets are cached per process, so a suite run
 pays for the order-7 labeled sweep and the order-17 tree sweep only once;
 `distinct_distributions` is derived from those caches on each call.
+
+The maximum-modulus scans (`tree_root_bound` and the max_modulus objective
+of `search_extremal`, which `tn_extremal` runs) find roots only for the
+distributions whose Eneström–Kakeya radius max d_k/d_{k+1} reaches the
+modulus that decides the report.  Every root of a distribution lies within
+its radius, so the skipped root sets can neither break a bound nor attain or
+tie a maximum, and the reports are those of an exhaustive scan.  At tree
+orders 5..17 one root set per order is found instead of all of them.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb
-from typing import Callable, Sequence, get_args, get_type_hints
+from typing import Callable, Iterable, Sequence, get_args, get_type_hints
 
 from .graph_core import (
     DistanceDistribution,
@@ -118,12 +126,20 @@ class ExtremalReport:
 # Claim id -> verifier, in declaration order; filled by the `claim` decorator.
 CLAIMS: dict[str, Callable[..., ClaimReport]] = {}
 
+# The bounds of the tolerance parameters, which every claim taking one gets.
+_TOLERANCE_BOUNDS: dict[str, Bound] = {
+    "tol": (lambda tol: math.isfinite(tol) and tol >= 0, "need a finite tol >= 0"),
+    "rel_tol": (lambda rel_tol: math.isfinite(rel_tol) and rel_tol > 0,
+                "need a finite rel_tol > 0"),
+}
+
 
 class ClaimSpec:
     """What a claim declares besides its id: parameter types (the verifier's
     annotations, an optional int counting as int), bounds (predicates over
-    the parameters they name, each with the message raised when it fails)
-    and the quick/full parameter sets."""
+    the parameters they name, each with the message raised when it fails;
+    tol and rel_tol get theirs from _TOLERANCE_BOUNDS) and the quick/full
+    parameter sets."""
 
     def __init__(self, body: Callable[..., Verdict], bounds: Sequence[Bound],
                  quick: Sequence[dict], full: Sequence[dict]) -> None:
@@ -134,6 +150,8 @@ class ClaimSpec:
             # n_hi is annotated `int | None`; bind reads None as n_lo before checking
             options = get_args(hints[name]) or (hints[name],)
             self.types[name] = next(t for t in options if t is not type(None))
+        bounds = [*bounds, *(_TOLERANCE_BOUNDS[name] for name in self.signature.parameters
+                             if name in _TOLERANCE_BOUNDS)]
         self.bounds = [(check, inspect.signature(check).parameters, message)
                        for check, message in bounds]
         self.profiles = {"quick": tuple(quick), "full": tuple(full)}
@@ -264,6 +282,44 @@ def root_set(dvec: tuple[int, ...]) -> tuple[ComplexRoot, ...]:
     return roots(ReducedPolynomial(dvec))
 
 
+# A computed root may lie past its Eneström–Kakeya radius by rounding only;
+# this relative margin is far wider than that.
+_RADIUS_MARGIN = 1 + 2.0 ** -20
+
+
+def _max_moduli(dvecs: Iterable[tuple[int, ...]],
+                floor: Callable[[float], float]) -> dict[tuple[int, ...], float]:
+    """The largest root modulus of each distribution in dvecs whose roots can
+    reach floor(top), top being the largest modulus found so far; keyed in
+    first-occurrence order.
+
+    Every root of d_1 + d_2 x + ... + d_D x^(D-1) with all d_k > 0 has
+    |z| <= R = max d_k/d_{k+1} (Eneström–Kakeya).  The distinct distributions
+    are walked in descending R, ties in first-occurrence order, and root_set
+    is called only while R(1+2^-20) >= floor(top); the walk stops at the
+    first below it, because no distribution left can reach the floor.  The
+    first distribution is always solved, so the floor never sees an unset
+    top.  Distributions of length 1 have no roots and are skipped.  A
+    computed modulus past R(1+2^-20) raises RuntimeError.
+    """
+    unique = [dvec for dvec in dict.fromkeys(dvecs) if len(dvec) > 1]
+    radius = {dvec: _RADIUS_MARGIN * max(dvec[k] / dvec[k + 1]
+                                         for k in range(len(dvec) - 1))
+              for dvec in unique}
+    found: dict[tuple[int, ...], float] = {}
+    top = 0.0
+    for dvec in sorted(unique, key=radius.__getitem__, reverse=True):
+        if found and radius[dvec] < floor(top):
+            break
+        modulus = max(r.modulus for r in root_set(dvec))
+        if not modulus <= radius[dvec]:
+            raise RuntimeError(f"root modulus {modulus!r} of d={dvec} exceeds its "
+                               f"Eneström–Kakeya radius {radius[dvec]!r}")
+        found[dvec] = modulus
+        top = max(top, modulus)
+    return {dvec: found[dvec] for dvec in unique if dvec in found}
+
+
 # ---------------------------------------------------------------------------
 # Modulus bounds over all connected graphs
 # ---------------------------------------------------------------------------
@@ -391,12 +447,20 @@ def verify_ratio_lower(n_lo: int, n_hi: int | None = None) -> Verdict:
        quick=[dict(n_lo=5, n_hi=12)], full=[dict(n_lo=5, n_hi=17)])
 def verify_tree_root_bound(n_lo: int, n_hi: int | None = None,
                            tol: float = DEFAULT_TOLERANCE) -> Verdict:
-    """All roots of all free trees of order n satisfy |z| <= 2(n-4)."""
+    """All roots of all free trees of order n satisfy |z| <= 2(n-4).
+
+    Only the distributions whose Eneström–Kakeya radius reaches the smaller
+    of the largest modulus found and bound + tol are solved (`_max_moduli`):
+    the roots of every other one can neither break the bound nor attain the
+    maximum, so the report is the one an exhaustive scan gives.
+    """
     witnesses, bad = [], []
     for n in range(n_lo, n_hi + 1):
         bound = 2 * (n - 4)
         best, best_d = 0.0, None
-        for dvec in distinct_distributions("trees", n):
+        solved = _max_moduli(distinct_distributions("trees", n),
+                             lambda top: min(top, bound + tol))
+        for dvec in solved:
             for r in root_set(dvec):
                 if r.modulus > bound + tol:
                     edges = next(e for d, e in tree_instances(n) if d == dvec)
@@ -743,6 +807,11 @@ def search_extremal(order: int, objective: str, kind: str,
 
     Instances with no nonzero roots (complete graphs) carry no statistic and
     are skipped.  All instances within tol of the best value are reported.
+
+    For max_modulus only the distributions whose Eneström–Kakeya radius
+    reaches best - tol(1 + |best|) are solved (`_max_moduli`); no other
+    instance can be within tol of the best, so the report is the one an
+    exhaustive scan gives.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -757,6 +826,10 @@ def search_extremal(order: int, objective: str, kind: str,
                 if len(dvec) > 1]
     if not pool:
         raise ValueError(f"no instances with nonzero roots at order {order}")
+    if objective == "max_modulus":
+        moduli = _max_moduli((dvec for _, dvec in pool),
+                             lambda top: top - tol * (1 + abs(top)))
+        pool = [(desc, dvec) for desc, dvec in pool if dvec in moduli]
     best = None
     scored = []
     for desc, dvec in pool:

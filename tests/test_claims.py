@@ -28,6 +28,7 @@ from wiener_roots.claims import (
     verify_tree_ratio_bounds,
     verify_tree_root_bound,
 )
+from wiener_roots.polynomial import ComplexRoot
 
 
 def test_report_invariants():
@@ -139,6 +140,64 @@ def test_extremal_report_value_is_attained():
     hit = tuple(r.argmax[0]["d"])
     attained = max(x.modulus for x in claims.root_set(hit))
     assert r.best_value == pytest.approx(attained)
+
+
+def _exhaustive_tree_moduli(n, tol):
+    """From every root set at tree order n: tree_root_bound's witness, and the
+    best value and argmax of the max_modulus search."""
+    best, best_d = 0.0, None
+    for dvec in claims.distinct_distributions("trees", n):
+        for r in claims.root_set(dvec):
+            if r.modulus > best:
+                best, best_d = r.modulus, dvec
+    witness = (f"n={n}", f"max modulus {best:.6f} of bound {2 * (n - 4)} at d={best_d}")
+    scored = [(max(r.modulus for r in claims.root_set(dvec)),
+               {"d": list(dvec), "edges": [list(e) for e in edges]})
+              for dvec, edges in claims.tree_instances(n) if len(dvec) > 1]
+    top = max(value for value, _ in scored)
+    argmax = [desc for value, desc in scored if abs(value - top) <= tol * (1 + abs(top))]
+    return witness, top, argmax
+
+
+@pytest.mark.parametrize("tol", [claims.DEFAULT_TOLERANCE, 1e6])
+def test_pruned_modulus_scans_match_the_exhaustive_scan(tol):
+    # at tol=1e6 the search's floor is negative, so it prunes nothing
+    for n in range(5, 14):
+        witness, top, argmax = _exhaustive_tree_moduli(n, tol)
+        r = verify_tree_root_bound(n, tol=tol)
+        assert r.verdict == "pass" and r.witnesses == [witness]
+        e = search_extremal(n, "max_modulus", "trees", tol=tol)
+        assert (e.best_value, e.argmax) == (top, argmax)
+
+
+def test_pruned_modulus_scans_solve_few_root_sets():
+    claims.root_set.cache_clear()
+    assert verify_tree_root_bound(15).verdict == "pass"
+    assert verify_tn_extremal(15).verdict == "pass"
+    # an exhaustive scan solves all 6,832 distinct order-15 distributions
+    assert claims.root_set.cache_info().misses <= 10
+
+
+def test_max_moduli_solves_what_can_reach_the_floor():
+    # radii 2/3, none, 2 and 2; largest moduli 2/3, sqrt(2) and 1.6506
+    dvecs = [(4, 6), (10,), (4, 4, 2), (4, 6), (4, 3, 2, 1)]
+    moduli = claims._max_moduli(dvecs, lambda top: 0.6)
+    assert list(moduli) == [(4, 6), (4, 4, 2), (4, 3, 2, 1)]
+    assert moduli[(4, 6)] == pytest.approx(2 / 3)
+    assert moduli[(4, 4, 2)] == pytest.approx(2 ** 0.5)
+    assert list(claims._max_moduli(dvecs, lambda top: top)) == \
+        [(4, 4, 2), (4, 3, 2, 1)]
+    # the first distribution by radius, ties in first-occurrence order, is
+    # always solved
+    assert list(claims._max_moduli(dvecs, lambda top: 3.0)) == [(4, 4, 2)]
+
+
+def test_max_moduli_rejects_a_root_beyond_its_radius(monkeypatch):
+    # every root of 3 + 2x + x^2 lies within max(3/2, 2/1) = 2
+    monkeypatch.setattr(claims, "root_set",
+                        lambda dvec: (ComplexRoot(-3.0, 0.0, 0.0),))
+    with pytest.raises(RuntimeError, match="Eneström–Kakeya radius"):
+        claims._max_moduli([(3, 2, 1)], lambda top: top)
 
 
 def test_extremal_real_part_small():

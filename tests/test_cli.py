@@ -29,6 +29,10 @@ def run_cli(capsys, *argv):
 # name, and of summary.csv without its runtime column; recorded at 995a6c8,
 # before claims were declared through the registration decorator.
 QUICK_DIGESTS = Path(__file__).with_name("quick_profile_digests.json")
+# Digests, by the same scheme, of the full-profile tree_root_bound and
+# tn_extremal reports at tree orders 5..17, keyed by the verify arguments;
+# recorded at 54614c0, while both scans still found every root set.
+FULL_TREE_DIGESTS = Path(__file__).with_name("full_tree_digests.json")
 
 
 def _report_digest(path: Path) -> str:
@@ -184,6 +188,16 @@ def test_verify_all_quick(tmp_path, capsys):
     assert digests == json.loads(QUICK_DIGESTS.read_text())
 
 
+def test_full_tree_modulus_reports_match_the_exhaustive_scan(tmp_path, capsys):
+    digests = {}
+    for label in json.loads(FULL_TREE_DIGESTS.read_text()):
+        path = tmp_path / f"{label.split()[0]}.json"
+        code, _, _ = run_cli(capsys, "verify", *label.split(), "--out", str(path))
+        assert code == EXIT_OK
+        digests[label] = _report_digest(path)
+    assert digests == json.loads(FULL_TREE_DIGESTS.read_text())
+
+
 def test_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "scatter", "--order", "notanint")
     assert code == EXIT_USAGE
@@ -196,7 +210,13 @@ def test_usage_errors(tmp_path, capsys):
                  ("compute", str(tmp_path)),
                  ("verify", "tree_density_limit", "a=0", "b=1"),
                  ("verify", "tree_density_limit", "a=1", "b=0"),
-                 ("verify", "leaf_augment_identity", "order_lo=1", "order_hi=2")):
+                 ("verify", "leaf_augment_identity", "order_lo=1", "order_hi=2"),
+                 ("verify", "path_annulus", "n=3..10", "--tol", "nan"),
+                 ("verify", "extremal_real_part", "--tol", "-1"),
+                 ("verify", "tree_density_limit", "a=1", "b=2", "ell_max=80",
+                  "rel_tol=nan"),
+                 ("verify", "tree_density_limit", "a=1", "b=2", "ell_max=80",
+                  "rel_tol=0")):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
