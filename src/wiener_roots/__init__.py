@@ -2,7 +2,6 @@
 
 from .graph_core import (
     DisconnectedGraphError,
-    DistanceDistribution,
     EnumerationStats,
     Graph,
     Graph6Error,
@@ -18,17 +17,14 @@ from .polynomial import (
     Annulus,
     ComplexRoot,
     PurelyImaginaryRoot,
-    ReducedPolynomial,
     RootFindingError,
     WienerPolynomial,
     enestrom_kakeya,
     evaluate,
     evaluate_gaussian,
     purely_imaginary_roots,
-    reduce,
     roots,
     wiener_index,
-    wiener_polynomial,
 )
 from .families import (
     FamilySpec,

@@ -39,7 +39,6 @@ from math import comb
 from typing import Callable, Iterable, Sequence, get_args, get_type_hints
 
 from .graph_core import (
-    DistanceDistribution,
     EnumerationStats,
     Graph,
     distance_distribution,
@@ -50,15 +49,12 @@ from .graph_core import (
 )
 from .polynomial import (
     ComplexRoot,
-    ReducedPolynomial,
     WienerPolynomial,
     all_roots_rational,
     all_roots_real,
     enestrom_kakeya,
     purely_imaginary_roots,
-    reduce as reduce_poly,
     roots,
-    wiener_polynomial,
 )
 from .families import (
     FamilySpec,
@@ -244,7 +240,7 @@ def set_jobs(jobs: int) -> None:
 @lru_cache(maxsize=None)
 def connected_distributions(
     n: int, long_running: bool = False
-) -> tuple[tuple[DistanceDistribution, ...], EnumerationStats]:
+) -> tuple[tuple[WienerPolynomial, ...], EnumerationStats]:
     dists, stats = enumerate_connected_distributions(
         n, jobs=_ENUMERATION_JOBS, long_running=long_running)
     return tuple(dists), stats
@@ -278,8 +274,8 @@ def distinct_distributions(kind: str, n: int,
 
 @lru_cache(maxsize=None)
 def root_set(dvec: tuple[int, ...]) -> tuple[ComplexRoot, ...]:
-    """Nonzero Wiener roots of the distribution (roots of the reduced polynomial)."""
-    return roots(ReducedPolynomial(dvec))
+    """Nonzero Wiener roots of the distribution, the roots of W/x."""
+    return roots(WienerPolynomial(dvec))
 
 
 # A computed root may lie past its Eneström–Kakeya radius by rounding only;
@@ -329,8 +325,8 @@ def _extreme_modulus(largest: bool, n_lo: int, n_hi: int, tol: float) -> Verdict
     """Shared body of max_modulus (largest) and min_modulus (not largest).
 
     The bound is checked numerically on every root of every enumerated
-    distribution; attainment is decided exactly: only a degree-1 reduced
-    polynomial, with its rational root -d_1/d_2, can attain the bound, and
+    distribution; attainment is decided exactly: only a W/x of degree 1,
+    with its rational root -d_1/d_2, can attain the bound, and
     every higher-degree distribution must keep its exact extreme-ratio bound
     strictly inside it.  `beyond(a, b)` says a lies strictly past b in the
     claim's direction.
@@ -349,10 +345,9 @@ def _extreme_modulus(largest: bool, n_lo: int, n_hi: int, tol: float) -> Verdict
             limit = float(bound) - tol
         attainers = []
         for dvec in distinct_distributions("graphs", n):
-            rp = ReducedPolynomial(dvec)
-            if rp.degree == 0:
+            if len(dvec) == 1:
                 continue
-            if rp.degree == 1:
+            if len(dvec) == 2:
                 value = Fraction(dvec[0], dvec[1])
                 if value == bound:
                     attainers.append(dvec)
@@ -360,7 +355,7 @@ def _extreme_modulus(largest: bool, n_lo: int, n_hi: int, tol: float) -> Verdict
                     bad.append((f"n={n} d={dvec}",
                                 f"exact modulus {value} {sign} {bound}"))
             else:
-                ann = enestrom_kakeya(rp)
+                ann = enestrom_kakeya(WienerPolynomial(dvec))
                 ratio = ann.R if largest else ann.r
                 if not beyond(bound, ratio):
                     bad.append((f"n={n} d={dvec}", f"ratio bound {ratio} {verb} {bound}"))
@@ -504,7 +499,7 @@ def _sqrt2_sign(a: Fraction, b: Fraction) -> int:
 def verify_tn_interval(n_lo: int, n_hi: int | None = None) -> Verdict:
     """The middle-leaf path family has a real root in an explicit unit interval.
 
-    For order n >= 6 the reduced polynomial is negative at -(1+1/sqrt(2))n+7
+    For order n >= 6, W/x is negative at -(1+1/sqrt(2))n+7
     and positive at -(1+1/sqrt(2))n+8; both endpoint signs are evaluated
     exactly in the field extension by sqrt(2), and a numeric root is then
     located inside the interval.  Orders below 6 are out of the claim's
@@ -515,17 +510,17 @@ def verify_tn_interval(n_lo: int, n_hi: int | None = None) -> Verdict:
         return "inconclusive-budget", [
             (f"n={n_lo}", "claim applies to orders 6 and up")], []
     for n in range(n_lo, n_hi + 1):
-        rp = reduce_poly(family_polynomial(FamilySpec("t_n", (n,))))
+        dvec = family_polynomial(FamilySpec("t_n", (n,))).d
         half = Fraction(-n, 2)  # the -(1/sqrt(2))n term equals -(n/2)*sqrt(2)
-        left_sign = _sqrt2_sign(*_sqrt2_eval(rp.c, Fraction(7 - n), half))
-        right_sign = _sqrt2_sign(*_sqrt2_eval(rp.c, Fraction(8 - n), half))
+        left_sign = _sqrt2_sign(*_sqrt2_eval(dvec, Fraction(7 - n), half))
+        right_sign = _sqrt2_sign(*_sqrt2_eval(dvec, Fraction(8 - n), half))
         if left_sign >= 0:
             bad.append((f"n={n}", "left endpoint value is not negative"))
         if right_sign <= 0:
             bad.append((f"n={n}", "right endpoint value is not positive"))
         lo = -(1 + 1 / math.sqrt(2)) * n + 7
         hi = lo + 1
-        inside = [r for r in root_set(rp.c) if r.im == 0 and lo < r.re < hi]
+        inside = [r for r in root_set(dvec) if r.im == 0 and lo < r.re < hi]
         if not inside:
             bad.append((f"n={n}", f"no numeric real root in ({lo:.6f}, {hi:.6f})"))
         elif n in (n_lo, n_hi):
@@ -559,13 +554,13 @@ def verify_path_annulus(n_lo: int, n_hi: int | None = None,
     """Nonzero path roots lie in the exact annulus (n-1)/(n-2) <= |z| <= 2."""
     witnesses, bad = [], []
     for n in range(n_lo, n_hi + 1):
-        rp = reduce_poly(family_polynomial(FamilySpec("path", (n,))))
+        dvec = family_polynomial(FamilySpec("path", (n,))).d
         lo = (n - 1) / (n - 2)
-        for r in root_set(rp.c):
+        for r in root_set(dvec):
             if not (lo - tol <= r.modulus <= 2 + tol):
                 bad.append((f"path order {n}", r.to_json_dict()))
         if n in (n_lo, n_hi):
-            mods = sorted(r.modulus for r in root_set(rp.c))
+            mods = sorted(r.modulus for r in root_set(dvec))
             witnesses.append((f"path order {n}",
                               f"moduli in [{mods[0]:.9f}, {mods[-1]:.9f}]"))
     return ("pass" if not bad else "fail"), witnesses, bad
@@ -780,7 +775,7 @@ def find_purely_imaginary(kind: str, order: int, long_running: bool = False) -> 
     """Scan one order of a class with the exact imaginary-axis root test."""
     witnesses = []
     for dvec in distinct_distributions(kind, order, long_running):
-        hits = purely_imaginary_roots(ReducedPolynomial(dvec))
+        hits = purely_imaginary_roots(WienerPolynomial(dvec))
         if hits:
             witnesses.append((f"d={dvec}", [_imaginary_desc(h) for h in hits]))
     if not witnesses:
@@ -811,8 +806,11 @@ def search_extremal(order: int, objective: str, kind: str,
     For max_modulus only the distributions whose Eneström–Kakeya radius
     reaches best - tol(1 + |best|) are solved (`_max_moduli`); no other
     instance can be within tol of the best, so the report is the one an
-    exhaustive scan gives.
+    exhaustive scan gives.  A tol outside its declared bound raises ValueError.
     """
+    tol_ok, tol_message = _TOLERANCE_BOUNDS["tol"]
+    if not tol_ok(tol):
+        raise ValueError(tol_message)
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     minimize = objective.startswith("min")
@@ -948,32 +946,29 @@ def verify_leaf_augment_identity(samples: int = 200, order_lo: int = 3,
     for _ in range(samples):
         order = rng.randrange(order_lo, order_hi + 1)
         t = _random_tree(order, rng)
-        w0 = wiener_polynomial(distance_distribution(t))
+        w0 = distance_distribution(t)
         big = leaf_augment(t)
-        w1 = wiener_polynomial(distance_distribution(big))
+        w1 = distance_distribution(big)
         claimed = _squared_binomial_times(w0)
         actual = w1.d + (0,) * (len(claimed) - len(w1.d))
         if claimed != actual:
             bad.append((f"order {order} edges={tuple(t.edges())}",
                         f"claimed {claimed} vs BFS {actual}"))
-        d0 = distance_distribution(t).diameter
-        d1 = distance_distribution(big).diameter
+        d0, d1 = w0.degree, w1.degree
         if d1 != d0 + 2:
             bad.append((f"order {order} edges={tuple(t.edges())}",
                         f"diameter went {d0} -> {d1}, expected +2"))
     base = from_edge_list(3, [(0, 1), (1, 2)])
-    w = wiener_polynomial(distance_distribution(base))
-    if not all_roots_rational(reduce_poly(w)):
+    if not all_roots_rational(distance_distribution(base)):
         bad.append(("three-vertex path", "base roots not rational"))
     t = base
     for k in range(1, depth + 1):
         t = leaf_augment(t)
-        wk = wiener_polynomial(distance_distribution(t))
-        rp = reduce_poly(wk)
-        if not all_roots_real(rp):
+        wk = distance_distribution(t)
+        if not all_roots_real(wk):
             bad.append((f"augmentation depth {k} (order {t.n})",
                         f"nonreal roots appear: d={wk.d}"))
-        elif not all_roots_rational(rp):
+        elif not all_roots_rational(wk):
             bad.append((f"augmentation depth {k} (order {t.n})",
                         f"irrational roots appear: d={wk.d}"))
         else:

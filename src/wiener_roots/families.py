@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from .graph_core import Graph, distance_distribution, from_edge_list
-from .polynomial import WienerPolynomial, wiener_polynomial
+from .polynomial import WienerPolynomial
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def family_polynomial(spec: FamilySpec) -> WienerPolynomial:
             return WienerPolynomial(
                 (n - 1, comb(n - 4, 2) + 3, n - 3, n - 4, n - 5))
     # no closed form: brooms with other handles, pendant paths, augmentations
-    return wiener_polynomial(distance_distribution(family_graph(spec)))
+    return distance_distribution(family_graph(spec))
 
 
 def family_graph(spec: FamilySpec) -> Graph:

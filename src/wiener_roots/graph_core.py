@@ -1,5 +1,8 @@
 """Graphs as bitset adjacency rows: parsing, distances, exhaustive enumeration.
 
+Distance distributions are `WienerPolynomial` values: d[k-1] unordered
+pairs at distance k, and the degree is the diameter.
+
 Vertices are integers 0..n-1 and each adjacency row is a Python int whose
 bit u says whether {u, v} is an edge.  Distances come from frontier-bitset
 BFS, which is exact and fast at the desk scales this package sweeps: all
@@ -27,6 +30,8 @@ from importlib import resources
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .polynomial import WienerPolynomial
 
 
 class DisconnectedGraphError(ValueError):
@@ -97,28 +102,6 @@ class Graph:
 
     def is_tree(self) -> bool:
         return self.edge_count == self.n - 1 and self.is_connected()
-
-
-@dataclass(frozen=True)
-class DistanceDistribution:
-    """Counts d_1..d_D of unordered vertex pairs at each distance."""
-
-    n: int
-    d: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("distance distributions need order >= 2")
-        if not self.d or any(x < 1 for x in self.d):
-            raise ValueError("every pair count up to the diameter must be >= 1")
-        if sum(self.d) != self.n * (self.n - 1) // 2:
-            raise ValueError(
-                f"pair counts sum to {sum(self.d)}, expected C({self.n},2)"
-            )
-
-    @property
-    def diameter(self) -> int:
-        return len(self.d)
 
 
 @dataclass(frozen=True)
@@ -234,8 +217,8 @@ def load_fixture(name: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def distance_distribution(g: Graph) -> DistanceDistribution:
-    """Count unordered pairs at each distance by BFS from every vertex."""
+def distance_distribution(g: Graph) -> WienerPolynomial:
+    """Wiener polynomial: unordered pairs by distance, BFS from every vertex."""
     if g.n < 2:
         raise ValueError("distance distribution needs order >= 2")
     full = (1 << g.n) - 1
@@ -261,14 +244,17 @@ def distance_distribution(g: Graph) -> DistanceDistribution:
     d = counts[1:]
     while d and d[-1] == 0:
         d.pop()
-    return DistanceDistribution(g.n, tuple(x // 2 for x in d))
+    w = WienerPolynomial(tuple(x // 2 for x in d))
+    if sum(w.d) != g.n * (g.n - 1) // 2:
+        raise RuntimeError(f"pair counts sum to {sum(w.d)}, expected C({g.n},2)")
+    return w
 
 
 def diameter(g: Graph) -> int:
     """Length of the longest shortest path (0 for the one-vertex graph)."""
     if g.n == 1:
         return 0
-    return distance_distribution(g).diameter
+    return distance_distribution(g).degree
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +369,7 @@ def _sweep_mask_range(n: int, lo: int, hi: int) -> tuple[set[tuple[int, ...]], i
 
 def enumerate_connected_distributions(
     n: int, *, jobs: int = 1, long_running: bool = False
-) -> tuple[list[DistanceDistribution], EnumerationStats]:
+) -> tuple[list[WienerPolynomial], EnumerationStats]:
     """All distinct distance distributions over labeled connected graphs of order n.
 
     Iterates every one of the 2^C(n,2) labeled graphs, skips disconnected
@@ -416,7 +402,7 @@ def enumerate_connected_distributions(
                 connected += count
     else:
         distinct, connected = _sweep_mask_range(n, 0, total)
-    dists = [DistanceDistribution(n, vec) for vec in sorted(distinct)]
+    dists = [WienerPolynomial(vec) for vec in sorted(distinct)]
     stats = EnumerationStats(n, connected, len(dists))
     return dists, stats
 

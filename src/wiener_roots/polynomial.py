@@ -1,4 +1,9 @@
-"""Exact Wiener-polynomial arithmetic and root localization.
+"""The Wiener polynomial, exact arithmetic on it, and root localization.
+
+`WienerPolynomial(d)` is the one value type: d[k-1] counts the vertex pairs
+at distance k, so W = sum d_k x^k has degree len(d), the diameter.
+`evaluate` and `evaluate_gaussian` evaluate W; every other function works on
+W/x, whose coefficients are d and whose roots are the nonzero Wiener roots.
 
 Coefficients are arbitrary-precision integers throughout (pair counts reach
 C(n,2) scale, and the asymptotic sweeps push n to 10^6).  Evaluation converts
@@ -29,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .graph_core import DistanceDistribution
-
 RESIDUAL_THRESHOLD = 1e-9
 ABERTH_SWEEP_BUDGET = 500
 ABERTH_STEP_TOLERANCE = 1e-13
@@ -56,7 +59,7 @@ class RootFindingError(RuntimeError):
 
 @dataclass(frozen=True)
 class WienerPolynomial:
-    """Coefficients d_1..d_D of the distance generating polynomial; no constant term."""
+    """Pair counts d_1..d_D by distance: W = sum d_k x^k, and W/x has coefficients d."""
 
     d: tuple[int, ...]
 
@@ -66,29 +69,8 @@ class WienerPolynomial:
 
     @property
     def degree(self) -> int:
+        """Degree of W, which is the diameter; W/x has degree one less."""
         return len(self.d)
-
-    def coefficients(self) -> tuple[int, ...]:
-        """Dense coefficient list starting at the (zero) constant term."""
-        return (0,) + self.d
-
-
-@dataclass(frozen=True)
-class ReducedPolynomial:
-    """The Wiener polynomial divided by x; its roots are the nonzero Wiener roots."""
-
-    c: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.c or any(x < 1 for x in self.c):
-            raise ValueError("all coefficients must be positive integers")
-
-    @property
-    def degree(self) -> int:
-        return len(self.c) - 1
-
-    def coefficients(self) -> tuple[int, ...]:
-        return self.c
 
 
 @dataclass(frozen=True)
@@ -176,26 +158,8 @@ class GaussianValue(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Construction and evaluation
+# Evaluation
 # ---------------------------------------------------------------------------
-
-
-def wiener_polynomial(dd: DistanceDistribution) -> WienerPolynomial:
-    """Wiener polynomial of a distance distribution: coefficient i is d_i."""
-    return WienerPolynomial(tuple(dd.d))
-
-
-def reduce(w: WienerPolynomial) -> ReducedPolynomial:
-    """Divide out the guaranteed root at zero."""
-    return ReducedPolynomial(w.d)
-
-
-def _coeffs(p: WienerPolynomial | ReducedPolynomial) -> tuple[int, ...]:
-    if isinstance(p, WienerPolynomial):
-        return p.coefficients()
-    if isinstance(p, ReducedPolynomial):
-        return p.coefficients()
-    raise TypeError(f"expected a Wiener or reduced polynomial, got {type(p)!r}")
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -259,26 +223,22 @@ def _horner(coeffs: Sequence[float], z: complex) -> complex:
     return acc
 
 
-def evaluate(p: WienerPolynomial | ReducedPolynomial, z: Number):
-    """Evaluate at z: exact for rational inputs, compensated Horner for floats."""
-    coeffs = _coeffs(p)
+def evaluate(p: WienerPolynomial, z: Number):
+    """W(z): exact for rational z, compensated Horner for floats."""
+    coeffs = (0,) + p.d
     if isinstance(z, complex):
         return _comp_horner(coeffs, z)
     if isinstance(z, float):
         return _comp_horner(coeffs, complex(z, 0.0)).real
     if isinstance(z, (int, Fraction)):
-        acc = Fraction(0)
-        q = Fraction(z)
-        for k in range(len(coeffs) - 1, -1, -1):
-            acc = acc * q + coeffs[k]
-        return acc
+        return _eval_frac(coeffs, Fraction(z))
     raise TypeError(f"cannot evaluate at {type(z)!r}")
 
 
-def evaluate_gaussian(p: WienerPolynomial | ReducedPolynomial,
+def evaluate_gaussian(p: WienerPolynomial,
                       re: int | Fraction, im: int | Fraction) -> GaussianValue:
-    """Exact evaluation at the Gaussian rational re + im*i; no rounding anywhere."""
-    coeffs = _coeffs(p)
+    """Exact W(re + im*i) at a Gaussian rational; no rounding anywhere."""
+    coeffs = (0,) + p.d
     a, b = Fraction(re), Fraction(im)
     vr, vi = Fraction(0), Fraction(0)
     for k in range(len(coeffs) - 1, -1, -1):
@@ -291,11 +251,11 @@ def wiener_index(w: WienerPolynomial) -> int:
     return sum(i * di for i, di in enumerate(w.d, start=1))
 
 
-def enestrom_kakeya(p: ReducedPolynomial) -> Annulus:
-    """Exact root annulus for positive coefficients: extreme consecutive ratios."""
-    c = p.c
+def enestrom_kakeya(p: WienerPolynomial) -> Annulus:
+    """Exact annulus of the nonzero roots: extreme ratios d_k/d_{k+1}."""
+    c = p.d
     if len(c) < 2:
-        raise ValueError("degree-0 polynomials (complete graphs) have no annulus")
+        raise ValueError("a W/x of degree 0 (complete graphs) has no annulus")
     ratios = [Fraction(c[i], c[i + 1]) for i in range(len(c) - 1)]
     return Annulus(min(ratios), max(ratios))
 
@@ -603,17 +563,17 @@ def _isolated_value(r: IsolatedRoot) -> Fraction:
     return r if isinstance(r, Fraction) else (r[0] + r[1]) / 2
 
 
-def all_roots_real(p: ReducedPolynomial) -> bool:
-    """Exact test: every complex root lies on the real line."""
+def all_roots_real(p: WienerPolynomial) -> bool:
+    """Exact test: every root lies on the real line."""
     total = 0
-    for factor, mult in _square_free_decomposition(p.c):
+    for factor, mult in _square_free_decomposition(p.d):
         total += mult * _count_real_roots(factor)
-    return total == p.degree
+    return total == p.degree - 1
 
 
-def all_roots_rational(p: ReducedPolynomial) -> bool:
+def all_roots_rational(p: WienerPolynomial) -> bool:
     """Exact test: every root is rational (hence real)."""
-    for factor, _ in _square_free_decomposition(p.c):
+    for factor, _ in _square_free_decomposition(p.d):
         deg = len(factor) - 1
         found = _isolate_real_roots(factor)
         if len(found) != deg or any(not isinstance(r, Fraction) for r in found):
@@ -774,16 +734,16 @@ def _residual(coeffs: Sequence[int], z: complex) -> float:
     return abs(_comp_horner(coeffs, z)) / scale
 
 
-def roots(p: ReducedPolynomial) -> tuple[ComplexRoot, ...]:
-    """All roots of the reduced polynomial, exact where the degree permits.
+def roots(p: WienerPolynomial) -> tuple[ComplexRoot, ...]:
+    """The nonzero Wiener roots (the roots of W/x), exact where the degree permits.
 
-    Degree 0 has no roots.  Degrees 1 and 2 are solved in closed form.
+    W/x of degree 0 has no roots.  Degrees 1 and 2 are solved in closed form.
     Otherwise the polynomial is split into square-free factors (so multiple
     roots are solved at their exact multiplicity), each factor of degree at
     least 3 goes through Aberth-Ehrlich plus a Newton polish, and the result
     is conjugate-symmetrized using the exact real-root count of the factor.
     """
-    c = p.c
+    c = p.d
     deg = len(c) - 1
     if deg == 0:
         return ()
@@ -818,16 +778,16 @@ def roots(p: ReducedPolynomial) -> tuple[ComplexRoot, ...]:
     return tuple(out)
 
 
-def purely_imaginary_roots(p: ReducedPolynomial) -> tuple[PurelyImaginaryRoot, ...]:
-    """Exact detection of roots on the imaginary axis.
+def purely_imaginary_roots(p: WienerPolynomial) -> tuple[PurelyImaginaryRoot, ...]:
+    """Exact detection of nonzero roots on the imaginary axis.
 
-    Writing p(x) = E(x^2) + x*O(x^2), a nonzero root ib requires t = -b^2 to
+    Writing W/x = E(x^2) + x*O(x^2), a nonzero root ib requires t = -b^2 to
     be a common real root of E and O, hence a negative real root of the
     integer gcd of the two parts.  Those are isolated exactly with Sturm
     sequences; rational t values give exact radicals, the rest give
     certified intervals.
     """
-    c = p.c
+    c = p.d
     even = list(c[0::2])
     odd = list(c[1::2])
     g = _int_poly_gcd(even, odd) if odd else _primitive(_trim(even))

@@ -33,12 +33,10 @@ from wiener_roots.graph_core import (
     load_fixture,
 )
 from wiener_roots.polynomial import (
-    ReducedPolynomial,
+    WienerPolynomial,
     enestrom_kakeya,
     evaluate_gaussian,
     purely_imaginary_roots,
-    reduce,
-    wiener_polynomial,
 )
 
 
@@ -95,8 +93,8 @@ def test_criterion_06_path_annulus():
     r = claims.verify_path_annulus(3, 100)
     residual_ok = True
     for n in range(3, 101):
-        rp = ReducedPolynomial(tuple(range(n - 1, 0, -1)))
-        residual_ok &= all(x.residual <= 1e-9 for x in root_set(rp.c))
+        dvec = tuple(range(n - 1, 0, -1))
+        residual_ok &= all(x.residual <= 1e-9 for x in root_set(dvec))
     _report(6, "path roots in [(n-1)/(n-2), 2] with residuals <= 1e-9, n<=100",
             r.verdict == "pass" and residual_ok, _summary(r))
 
@@ -132,28 +130,27 @@ def test_criterion_10_purely_imaginary():
     for n in range(2, 6):
         dists, _ = connected_distributions(n)
         for dd in dists:
-            if purely_imaginary_roots(ReducedPolynomial(dd.d)):
+            if purely_imaginary_roots(dd):
                 problems.append(f"unexpected hit at order {n}: {dd.d}")
     dists6, _ = connected_distributions(6)
     hit = [dd.d for dd in dists6
-           for h in purely_imaginary_roots(ReducedPolynomial(dd.d))
+           for h in purely_imaginary_roots(dd)
            if dd.d == (6, 4, 3, 2) and h.radicand == 2]
     if not hit:
         problems.append("the (6,4,3,2) distribution with roots ±i*sqrt(2) "
                         "was not found at order 6")
-    fig6 = reduce(wiener_polynomial(distance_distribution(
-        load_fixture("min_tree_root_i"))))
+    fig6 = distance_distribution(load_fixture("min_tree_root_i"))
     if evaluate_gaussian(fig6, 0, 1) != (0, 0):
         problems.append("exact Gaussian evaluation of the order-12 tree at i "
                         "is nonzero")
     for n in range(2, 12):
         for dvec in distinct_distributions("trees", n):
             if any(h.b_rational == 1
-                   for h in purely_imaginary_roots(ReducedPolynomial(dvec))):
+                   for h in purely_imaginary_roots(WienerPolynomial(dvec))):
                 problems.append(f"tree of order {n} < 12 has root exactly i: {dvec}")
     twelve = any(h.b_rational == 1
                  for dvec, _ in tree_instances(12)
-                 for h in purely_imaginary_roots(ReducedPolynomial(dvec)))
+                 for h in purely_imaginary_roots(WienerPolynomial(dvec)))
     if not twelve:
         problems.append("no order-12 tree with root exactly i")
     _report(10, "imaginary-axis roots: none through order 5, the order-6 "
@@ -270,27 +267,27 @@ def test_criterion_13_property_suite():
         if sum(dvec) != comb(n, 2):
             violations.append(f"{label}: pair counts sum to {sum(dvec)}")
             return
-        rp = ReducedPolynomial(dvec)
-        if rp.degree == 0:
+        w = WienerPolynomial(dvec)
+        if w.degree == 1:
             return
         rs = root_set(dvec)
         multiset = sorted((r.re, r.im) for r in rs)
         if multiset != sorted((r.re, -r.im) for r in rs):
             violations.append(f"{label}: not conjugate-closed")
-        if len(rs) != rp.degree:
+        if len(rs) != w.degree - 1:
             violations.append(f"{label}: root count mismatch")
-        ann = enestrom_kakeya(rp)
+        ann = enestrom_kakeya(w)
         for r in rs:
             if not ann.contains(r.z, tol=1e-8):
                 violations.append(f"{label}: root {r.z} escapes the annulus")
             if abs(r.im) <= 1e-9 and r.re > 1e-9:
                 violations.append(f"{label}: positive real root {r.re}")
-        if rp.degree == 1:
+        if w.degree == 2:
             (only,) = rs
             if only.im != 0 or not only.exact:
                 violations.append(f"{label}: linear case not exact real")
         if imaginary_agreement:
-            exact_bs = sorted(h.b for h in purely_imaginary_roots(rp))
+            exact_bs = sorted(h.b for h in purely_imaginary_roots(w))
             numeric_bs = sorted(r.im for r in rs
                                 if r.im > 0 and abs(r.re) <= 1e-10)
             if len(exact_bs) != len(numeric_bs) or any(

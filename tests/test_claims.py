@@ -135,6 +135,19 @@ def test_search_extremal_objectives():
         search_extremal(5, "max_everything", "graphs")
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_search_extremal_rejects_a_bad_tol(tol, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("search_extremal scanned before checking tol")
+
+    monkeypatch.setattr(claims, "tree_instances", no_scan)
+    monkeypatch.setattr(claims, "distinct_distributions", no_scan)
+    with pytest.raises(ValueError, match="need a finite tol >= 0"):
+        search_extremal(7, "max_modulus", "trees", tol=tol)
+    with pytest.raises(ValueError, match="need a finite tol >= 0"):
+        search_extremal(5, "max_real", "graphs", tol=tol)
+
+
 def test_extremal_report_value_is_attained():
     r = search_extremal(7, "max_modulus", "trees")
     hit = tuple(r.argmax[0]["d"])

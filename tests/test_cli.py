@@ -121,6 +121,24 @@ def test_scatter_deterministic_and_tree_mode(tmp_path, capsys):
     assert rows.count("0,0") == 23
 
 
+# sha256 of the scatter CSV, recorded at 7221f40, before the distance
+# distribution, Wiener polynomial and reduced polynomial became one type.
+SCATTER_DIGESTS = {
+    ("--class", "trees", "--order", "12"):
+        "6a31e3291175258023bb76a6bae8b2320db1385ba7b5ac7ad17576dc39257924",
+    ("--order", "6"):
+        "3fd5f8dfbb5f71c1c70ca42ed1a138a842d8fb344daab50e0b42cf67652d15b4",
+}
+
+
+@pytest.mark.parametrize("argv", SCATTER_DIGESTS, ids=("trees-12", "graphs-6"))
+def test_scatter_bytes_pinned(tmp_path, capsys, argv):
+    out_path = tmp_path / "roots.csv"
+    code, _, _ = run_cli(capsys, "scatter", *argv, "--out", str(out_path))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCATTER_DIGESTS[argv]
+
+
 def test_scatter_order8_graphs_gated(capsys):
     code, _, err = run_cli(capsys, "scatter", "--order", "8")
     assert code == EXIT_USAGE and "--long" in err
@@ -213,6 +231,7 @@ def test_usage_errors(tmp_path, capsys):
                  ("verify", "leaf_augment_identity", "order_lo=1", "order_hi=2"),
                  ("verify", "path_annulus", "n=3..10", "--tol", "nan"),
                  ("verify", "extremal_real_part", "--tol", "-1"),
+                 ("verify", "density", "a_hi=2", "b_hi=2", "--tol", "nan"),
                  ("verify", "tree_density_limit", "a=1", "b=2", "ell_max=80",
                   "rel_tol=nan"),
                  ("verify", "tree_density_limit", "a=1", "b=2", "ell_max=80",

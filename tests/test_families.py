@@ -16,11 +16,11 @@ from wiener_roots.families import (
     tree_dense_construct,
     validate_spec,
 )
-from wiener_roots.polynomial import reduce, roots, wiener_polynomial
+from wiener_roots.polynomial import roots
 
 
 def bfs_poly(spec):
-    return wiener_polynomial(distance_distribution(family_graph(spec))).d
+    return distance_distribution(family_graph(spec)).d
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_dense_construct_roots_exact_on_a_grid():
             spec, root = dense_construct(a, b)
             n, m = spec.params
             assert n - 1 <= m < comb(n, 2)
-            (solved,) = roots(reduce(family_polynomial(spec)))
+            (solved,) = roots(family_polynomial(spec))
             assert solved.exact_form == str(Fraction(-a, b))
             assert Fraction(-m, comb(n, 2) - m) == Fraction(-a, b)
 
@@ -141,7 +141,7 @@ def test_tree_dense_construct():
     # orders 15 and up are guaranteed all-real (the discriminant is positive)
     for (a, b, ell) in [(1, 2, 5), (1, 1, 7), (3, 2, 6), (5, 1, 5)]:
         spec = tree_dense_construct(a, b, ell)
-        rts = roots(reduce(family_polynomial(spec)))
+        rts = roots(family_polynomial(spec))
         assert all(r.im == 0 for r in rts)
 
 
@@ -154,7 +154,7 @@ def test_leaf_augment_construction():
     p3 = family_graph(FamilySpec("path", (3,)))
     t1 = leaf_augment(p3)
     assert t1.n == 6 and t1.is_tree()
-    assert distance_distribution(t1).diameter == distance_distribution(p3).diameter + 2
+    assert distance_distribution(t1).degree == distance_distribution(p3).degree + 2
     # every original vertex gained exactly one leaf
     assert all(t1.degree(3 + v) == 1 for v in range(3))
     assert distance_distribution(t1).d == (5, 5, 4, 1)

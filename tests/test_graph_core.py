@@ -17,7 +17,6 @@ import pytest
 from wiener_roots import graph_core
 from wiener_roots.graph_core import (
     DisconnectedGraphError,
-    DistanceDistribution,
     EnumerationStats,
     Graph,
     Graph6Error,
@@ -31,6 +30,7 @@ from wiener_roots.graph_core import (
     load_fixture,
     parse_graph6,
 )
+from wiener_roots.polynomial import WienerPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +265,9 @@ def test_distance_distribution_vs_floyd_warshall():
 
 def test_distribution_invariants_validated():
     with pytest.raises(ValueError):
-        DistanceDistribution(4, (3, 2))  # sums to 5, not 6
-    with pytest.raises(ValueError):
-        DistanceDistribution(4, (5, 0, 1))  # interior zero
-    dd = DistanceDistribution(4, (3, 2, 1))
-    assert dd.diameter == 3
+        WienerPolynomial((5, 0, 1))  # interior zero
+    dd = WienerPolynomial((3, 2, 1))
+    assert dd.degree == 3
 
 
 def test_diameter():

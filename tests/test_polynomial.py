@@ -18,7 +18,6 @@ import pytest
 from wiener_roots.graph_core import from_edge_list, load_fixture, distance_distribution
 from wiener_roots.polynomial import (
     Annulus,
-    ReducedPolynomial,
     RootFindingError,
     WienerPolynomial,
     _aberth_ehrlich,
@@ -28,17 +27,11 @@ from wiener_roots.polynomial import (
     evaluate,
     evaluate_gaussian,
     purely_imaginary_roots,
-    reduce,
     roots,
     wiener_index,
-    wiener_polynomial,
 )
 
-FIG5 = ReducedPolynomial((6, 4, 3, 2))
-
-
-def reduced_of(graph):
-    return reduce(wiener_polynomial(distance_distribution(graph)))
+FIG5 = WienerPolynomial((6, 4, 3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +45,15 @@ def test_type_invariants():
     with pytest.raises(ValueError):
         WienerPolynomial((3, 0, 1))
     with pytest.raises(ValueError):
-        ReducedPolynomial((0, 1))
+        WienerPolynomial((0, 1))
     with pytest.raises(ValueError):
         Annulus(Fraction(2), Fraction(1))
 
 
 def test_wiener_polynomial_and_reduce():
-    k3 = wiener_polynomial(distance_distribution(
-        from_edge_list(3, [(0, 1), (1, 2), (0, 2)])))
-    assert k3.d == (3,)
-    assert reduce(k3).c == (3,)
-    assert reduce(WienerPolynomial((5, 1))).c == (5, 1)
-    assert reduce(WienerPolynomial((3, 2, 1))).c == (3, 2, 1)
+    k3 = distance_distribution(from_edge_list(3, [(0, 1), (1, 2), (0, 2)]))
+    assert k3 == WienerPolynomial((3,)) and k3.degree == 1
+    assert WienerPolynomial((3, 2, 1)).degree == 3  # path of four: the diameter
     assert WienerPolynomial((4, 6)).d == (4, 6)  # star of order 5
 
 
@@ -81,22 +71,24 @@ def test_evaluate_compensated_matches_exact():
     for _ in range(200):
         deg = rng.randrange(1, 15)
         coeffs = tuple(rng.randrange(1, 10 ** 6) for _ in range(deg + 1))
-        p = ReducedPolynomial(coeffs)
+        p = WienerPolynomial(coeffs)
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         got = evaluate(p, z)
         exact = evaluate_gaussian(p, Fraction(z.real), Fraction(z.imag))
         err = abs(got - complex(float(exact.re), float(exact.im)))
-        majorant = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
+        majorant = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs, start=1))
         assert err <= 1e-13 * max(1.0, majorant)
 
 
 def test_evaluate_gaussian_examples():
-    fig6 = reduced_of(load_fixture("min_tree_root_i"))
+    fig6 = distance_distribution(load_fixture("min_tree_root_i"))
     assert evaluate_gaussian(fig6, 0, 1) == (0, 0)
-    assert evaluate_gaussian(ReducedPolynomial((5, 1)), 0, 1) == (5, 1)
-    assert evaluate_gaussian(FIG5, 0, 2) == (-6, -8)
+    assert evaluate_gaussian(WienerPolynomial((5, 1)), 0, 1) == (-1, 5)
+    assert evaluate_gaussian(FIG5, 0, 2) == (16, -12)
+    # W(i/3) = (i/3)(a + bi) with a + bi = (W/x)(i/3)
     v = evaluate_gaussian(FIG5, 0, Fraction(1, 3))
-    assert v.re == Fraction(6) - Fraction(3, 9) and v.im == Fraction(4, 3) - Fraction(2, 27)
+    a, b = Fraction(6) - Fraction(3, 9), Fraction(4, 3) - Fraction(2, 27)
+    assert v.re == -b / 3 and v.im == a / 3
 
 
 def test_wiener_index():
@@ -109,14 +101,14 @@ def test_wiener_index():
 
 
 def test_enestrom_kakeya():
-    ann = enestrom_kakeya(ReducedPolynomial((4, 3, 2, 1)))
+    ann = enestrom_kakeya(WienerPolynomial((4, 3, 2, 1)))
     assert (ann.r, ann.R) == (Fraction(4, 3), Fraction(2))
-    ann = enestrom_kakeya(ReducedPolynomial((5, 1)))
+    ann = enestrom_kakeya(WienerPolynomial((5, 1)))
     assert (ann.r, ann.R) == (Fraction(5), Fraction(5))
-    ann = enestrom_kakeya(ReducedPolynomial((4, 4, 2)))
+    ann = enestrom_kakeya(WienerPolynomial((4, 4, 2)))
     assert (ann.r, ann.R) == (Fraction(1), Fraction(2))
     with pytest.raises(ValueError):
-        enestrom_kakeya(ReducedPolynomial((3,)))
+        enestrom_kakeya(WienerPolynomial((3,)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +117,22 @@ def test_enestrom_kakeya():
 
 
 def test_roots_degree_zero_and_one():
-    assert roots(ReducedPolynomial((7,))) == ()
-    (r,) = roots(ReducedPolynomial((5, 1)))
+    assert roots(WienerPolynomial((7,))) == ()
+    (r,) = roots(WienerPolynomial((5, 1)))
     assert (r.re, r.im, r.exact_form) == (-5.0, 0.0, "-5")
-    (r,) = roots(ReducedPolynomial((4, 6)))
+    (r,) = roots(WienerPolynomial((4, 6)))
     assert r.exact_form == "-2/3" and r.re == pytest.approx(-2 / 3)
     assert r.exact
 
 
 def test_roots_quadratic_surds_and_complex():
-    rs = roots(ReducedPolynomial((3, 2, 1)))  # path of four
+    rs = roots(WienerPolynomial((3, 2, 1)))  # path of four
     assert len(rs) == 2
     assert {round(r.im, 10) for r in rs} == {round(math.sqrt(2), 10),
                                              -round(math.sqrt(2), 10)}
     assert all(r.re == -1.0 and r.exact for r in rs)
     assert any("sqrt(2)" in r.exact_form for r in rs)
-    rs = roots(ReducedPolynomial((10, 4, 1)))  # order-6 pendant clique family
+    rs = roots(WienerPolynomial((10, 4, 1)))  # order-6 pendant clique family
     assert {(round(r.re, 9), round(r.im, 9)) for r in rs} == {
         (-2.0, round(math.sqrt(6), 9)), (-2.0, -round(math.sqrt(6), 9))}
 
@@ -154,7 +146,7 @@ def test_roots_cubic_with_known_factorization():
 
 def test_roots_multiple_root_handled_exactly():
     # (x+1)^4 (x+2): the square-free split must keep full accuracy
-    p = ReducedPolynomial((2, 9, 16, 14, 6, 1))
+    p = WienerPolynomial((2, 9, 16, 14, 6, 1))
     rs = roots(p)
     assert len(rs) == 5
     assert sorted(r.re for r in rs) == [-2.0, -1.0, -1.0, -1.0, -1.0]
@@ -165,7 +157,7 @@ def test_roots_count_conjugacy_residuals():
     rng = random.Random(5)
     for _ in range(60):
         deg = rng.randrange(3, 12)
-        p = ReducedPolynomial(tuple(rng.randrange(1, 60) for _ in range(deg + 1)))
+        p = WienerPolynomial(tuple(rng.randrange(1, 60) for _ in range(deg + 1)))
         rs = roots(p)
         assert len(rs) == deg
         multiset = sorted((r.re, r.im) for r in rs)
@@ -181,7 +173,7 @@ def test_roots_match_companion_eigenvalues():
     for _ in range(40):
         deg = rng.randrange(3, 13)
         coeffs = tuple(rng.randrange(1, 40) for _ in range(deg + 1))
-        ours = sorted(roots(ReducedPolynomial(coeffs)),
+        ours = sorted(roots(WienerPolynomial(coeffs)),
                       key=lambda r: (r.re, r.im))
         numpy_roots = sorted(np.roots(list(reversed(coeffs))),
                              key=lambda z: (z.real, z.imag))
@@ -200,7 +192,7 @@ def test_real_roots_are_nonpositive_on_positive_coefficients():
     rng = random.Random(13)
     for _ in range(40):
         deg = rng.randrange(1, 10)
-        p = ReducedPolynomial(tuple(rng.randrange(1, 30) for _ in range(deg + 1)))
+        p = WienerPolynomial(tuple(rng.randrange(1, 30) for _ in range(deg + 1)))
         for r in roots(p):
             if r.im == 0.0:
                 assert r.re <= 1e-9
@@ -212,13 +204,13 @@ def test_real_roots_are_nonpositive_on_positive_coefficients():
 
 
 def test_all_roots_real_and_rational():
-    assert all_roots_real(ReducedPolynomial((1, 2, 1)))
-    assert all_roots_rational(ReducedPolynomial((1, 2, 1)))
-    assert all_roots_rational(ReducedPolynomial((8, 17, 10, 1)))  # (x+1)^2 (x+8)
-    assert not all_roots_real(ReducedPolynomial((3, 2, 1)))
-    assert all_roots_real(ReducedPolynomial((2, 3, 1)))  # (x+1)(x+2)
-    assert not all_roots_rational(ReducedPolynomial((1, 3, 1)))  # irrational pair
-    assert all_roots_real(ReducedPolynomial((1, 3, 1)))
+    assert all_roots_real(WienerPolynomial((1, 2, 1)))
+    assert all_roots_rational(WienerPolynomial((1, 2, 1)))
+    assert all_roots_rational(WienerPolynomial((8, 17, 10, 1)))  # (x+1)^2 (x+8)
+    assert not all_roots_real(WienerPolynomial((3, 2, 1)))
+    assert all_roots_real(WienerPolynomial((2, 3, 1)))  # (x+1)(x+2)
+    assert not all_roots_rational(WienerPolynomial((1, 3, 1)))  # irrational pair
+    assert all_roots_real(WienerPolynomial((1, 3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +224,23 @@ def test_purely_imaginary_examples():
     assert hits[0].b == pytest.approx(math.sqrt(2))
     assert hits[0].exact and hits[0].b_rational is None
 
-    fig6 = reduced_of(load_fixture("min_tree_root_i"))
+    fig6 = distance_distribution(load_fixture("min_tree_root_i"))
     hits = purely_imaginary_roots(fig6)
     assert any(h.b_rational == 1 for h in hits)
 
-    assert purely_imaginary_roots(ReducedPolynomial((5, 1))) == ()
+    assert purely_imaginary_roots(WienerPolynomial((5, 1))) == ()
 
 
 def test_purely_imaginary_two_rational_radicands():
     # (x + 1)(x^2 + 2)(x^2 + 3) has pairs at sqrt(2) and sqrt(3)
-    p = ReducedPolynomial((6, 6, 5, 5, 1, 1))
+    p = WienerPolynomial((6, 6, 5, 5, 1, 1))
     hits = purely_imaginary_roots(p)
     assert [h.radicand for h in hits] == [2, 3]
 
 
 def test_purely_imaginary_irrational_certified_intervals():
     # (x + 1)(x^4 + 4x^2 + 2): common part t^2 + 4t + 2, roots -2 +- sqrt(2)
-    p = ReducedPolynomial((2, 2, 4, 4, 1, 1))
+    p = WienerPolynomial((2, 2, 4, 4, 1, 1))
     hits = purely_imaginary_roots(p)
     assert len(hits) == 2
     for h, expect in zip(hits, (2 - math.sqrt(2), 2 + math.sqrt(2))):
@@ -263,7 +255,7 @@ def test_purely_imaginary_agrees_with_numeric_roots():
     rng = random.Random(21)
     for _ in range(80):
         deg = rng.randrange(2, 9)
-        p = ReducedPolynomial(tuple(rng.randrange(1, 25) for _ in range(deg + 1)))
+        p = WienerPolynomial(tuple(rng.randrange(1, 25) for _ in range(deg + 1)))
         exact_bs = sorted(h.b for h in purely_imaginary_roots(p))
         numeric_bs = sorted(r.im for r in roots(p)
                             if r.im > 0 and abs(r.re) <= 1e-10)
@@ -273,11 +265,11 @@ def test_purely_imaginary_agrees_with_numeric_roots():
 
 
 def test_complex_root_json_shape():
-    (r,) = roots(ReducedPolynomial((4, 6)))
+    (r,) = roots(WienerPolynomial((4, 6)))
     d = r.to_json_dict()
     assert set(d) == {"re", "im", "residual", "exact"}
     assert d["exact"] == "-2/3"
-    nonexact = [x for x in roots(ReducedPolynomial((9, 7, 5, 3, 1)))
+    nonexact = [x for x in roots(WienerPolynomial((9, 7, 5, 3, 1)))
                 if not x.exact]
     assert nonexact and nonexact[0].to_json_dict()["exact"] is None
 
