@@ -46,6 +46,8 @@ from .graph_core import (
     enumerate_trees,
     from_edge_list,
     load_fixture,
+    tree_distributions,
+    tree_parent_row,
 )
 from .polynomial import (
     ComplexRoot,
@@ -248,12 +250,11 @@ def connected_distributions(
 
 @lru_cache(maxsize=None)
 def tree_instances(n: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
-    """(distance vector, edge list) for every free tree of order n."""
-    out = []
-    for g in enumerate_trees(n):
-        dd = distance_distribution(g)
-        out.append((dd.d, tuple(g.edges())))
-    return tuple(out)
+    """(distance vector, edge list) for every free tree of order n, in the
+    order of enumerate_trees; the vectors come from the batched tree kernel."""
+    parents = [tree_parent_row(g) for g in enumerate_trees(n)]
+    return tuple((dvec, tuple((p, v) for v, p in enumerate(row, 1)))
+                 for dvec, row in zip(tree_distributions(parents), parents))
 
 
 def distinct_distributions(kind: str, n: int,
@@ -816,27 +817,28 @@ def search_extremal(order: int, objective: str, kind: str,
     minimize = objective.startswith("min")
     stat = _OBJECTIVES[objective]
     if kind == "trees":
-        pool = [({"d": list(dvec), "edges": [list(e) for e in edges]}, dvec)
-                for dvec, edges in tree_instances(order) if len(dvec) > 1]
+        pool = [(dvec, edges) for dvec, edges in tree_instances(order) if len(dvec) > 1]
     else:  # distinct_distributions rejects other classes, the sweep an ungated order 8
-        pool = [({"d": list(dvec)}, dvec)
+        pool = [(dvec, None)
                 for dvec in distinct_distributions(kind, order, long_running)
                 if len(dvec) > 1]
     if not pool:
         raise ValueError(f"no instances with nonzero roots at order {order}")
     if objective == "max_modulus":
-        moduli = _max_moduli((dvec for _, dvec in pool),
+        moduli = _max_moduli((dvec for dvec, _ in pool),
                              lambda top: top - tol * (1 + abs(top)))
-        pool = [(desc, dvec) for desc, dvec in pool if dvec in moduli]
+        pool = [(dvec, edges) for dvec, edges in pool if dvec in moduli]
     best = None
     scored = []
-    for desc, dvec in pool:
+    for dvec, edges in pool:
         value = stat(root_set(dvec))
-        scored.append((value, desc))
+        scored.append((value, dvec, edges))
         if best is None or (value < best if minimize else value > best):
             best = value
     slack = tol * (1 + abs(best))
-    argmax = [desc for value, desc in scored if abs(value - best) <= slack]
+    argmax = [{"d": list(dvec)} if edges is None else
+              {"d": list(dvec), "edges": [list(e) for e in edges]}
+              for value, dvec, edges in scored if abs(value - best) <= slack]
     return ExtremalReport(order, objective, kind, best, argmax)
 
 

@@ -25,6 +25,8 @@ from .graph_core import (
     enumerate_trees,
     load_edge_list,
     parse_graph6,
+    tree_distributions,
+    tree_parent_row,
 )
 from .polynomial import (
     Annulus,
@@ -137,8 +139,8 @@ def _distributions_for_scatter(order: int, kind: str, jobs: int,
         return claims.distinct_distributions("graphs", order, long_running)
     # Not claims.tree_instances, which also keeps every tree's edges: 22.4 MB
     # against 2.1 MB for the vectors alone at tree order 16 (tracemalloc).
-    return sorted(dict.fromkeys(distance_distribution(g).d
-                                for g in enumerate_trees(order)))
+    return sorted(dict.fromkeys(tree_distributions(
+        tree_parent_row(g) for g in enumerate_trees(order))))
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:
@@ -334,14 +336,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     if "WIENER_ROOTS_SEED" in os.environ:
         print("error: WIENER_ROOTS_SEED is rejected; this tool is deterministic "
               "and takes no seed", file=sys.stderr)
         return EXIT_USAGE
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     return args.func(args)

@@ -4,16 +4,23 @@ Distance distributions are `WienerPolynomial` values: d[k-1] unordered
 pairs at distance k, and the degree is the diameter.
 
 Vertices are integers 0..n-1 and each adjacency row is a Python int whose
-bit u says whether {u, v} is an edge.  Distances come from frontier-bitset
-BFS, which is exact and fast at the desk scales this package sweeps: all
-labeled graphs up to order 8 and all free trees up to order 18 (canonical
-level-sequence generation).
+bit u says whether {u, v} is an edge.  The distances of one graph come from
+frontier-bitset BFS.  The exhaustive sweeps, over all labeled graphs up to
+order 8 and all free trees up to order 18 (canonical level-sequence
+generation), compute theirs in numpy batches instead.
 
 The labeled sweep runs BFS for a million edge masks at once on vertex-major
 bit rows: one contiguous uint8 row per vertex holds that vertex's ball for
 every mask, and one 0x00/0xFF row per edge bit gates which balls merge.  The
 distance vectors of the connected masks are packed into int64 keys and
 deduplicated with a 1-D np.unique before anything is decoded.
+
+Free trees get their distances in batches instead of one BFS each.  A tree
+numbered in preorder, as enumerate_trees numbers it, is its parent row:
+every vertex v >= 1 has exactly one lower-numbered neighbour.  For a chunk
+of such rows, step v fills row and column v of a (trees, n, n) uint8
+distance array by dist(v, u) = dist(parent(v), u) + 1 for every u < v, and
+one bincount gives each tree's pair counts by distance.
 
 Graphs must be connected for the distance distribution to exist; single-graph
 operations raise DisconnectedGraphError, while the exhaustive sweeps count
@@ -27,7 +34,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -255,6 +262,70 @@ def diameter(g: Graph) -> int:
     if g.n == 1:
         return 0
     return distance_distribution(g).degree
+
+
+def tree_parent_row(g: Graph) -> tuple[int, ...]:
+    """parent[v] for v = 1..n-1 of a tree numbered in preorder, where every
+    vertex v >= 1 has exactly one lower-numbered neighbour, its parent.
+
+    The trees of enumerate_trees have this form.  Any other vertex numbering
+    raises RuntimeError, a check that also runs under python -O.
+    """
+    row = []
+    for v in range(1, g.n):
+        lower = g.adj[v] & ((1 << v) - 1)
+        if not lower or lower & (lower - 1):
+            raise RuntimeError(f"vertex {v} does not have exactly one "
+                               "lower-numbered neighbour")
+        row.append(lower.bit_length() - 1)
+    return tuple(row)
+
+
+_TREE_CHUNK = 512
+
+
+def _tree_chunk_distributions(n: int, rows: list[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Distance vectors of a chunk of trees of order n given as parent rows.
+
+    dist[t] starts as 0xFF off the diagonal, and step v fills row and column
+    v of every tree at once by dist(v, u) = dist(parent(v), u) + 1 for u < v.
+    A parent that does not precede its child reads an unfilled entry, which
+    wraps to distance 0 and fails the pair-count check.
+    """
+    m = len(rows)
+    parents = np.array(rows, dtype=np.intp).reshape(m, n - 1)
+    dist = np.full((m, n, n), 0xFF, dtype=np.uint8)
+    diag = np.arange(n)
+    dist[:, diag, diag] = 0
+    trees = np.arange(m)
+    for v in range(1, n):
+        row = dist[trees, parents[:, v - 1], :v]
+        row += 1
+        dist[:, v, :v] = row
+        dist[:, :v, v] = row
+    later, earlier = np.tril_indices(n, -1)
+    below = dist[:, later, earlier].astype(np.intp)
+    below += (trees * 256)[:, None]  # one bin per uint8 value, out-of-range ones too
+    counts = np.bincount(below.ravel(), minlength=m * 256).reshape(m, 256)[:, 1:n]
+    if not np.all(counts.sum(axis=1) == n * (n - 1) // 2):
+        raise RuntimeError(f"tree pair counts do not sum to C({n},2)")
+    diameters = n - 1 - np.argmax(counts[:, ::-1] > 0, axis=1)
+    return [tuple(d[:k]) for d, k in zip(counts.tolist(), diameters.tolist())]
+
+
+def tree_distributions(parent_rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Distance vector of each tree, in order, from its parent row (tree_parent_row).
+
+    The trees are taken a chunk of _TREE_CHUNK at a time, so memory stays flat
+    however many there are; all must have the same order.  Same vectors as
+    distance_distribution(g).d, without a BFS per tree.
+    """
+    rows = iter(parent_rows)
+    while chunk := list(itertools.islice(rows, _TREE_CHUNK)):
+        n = len(chunk[0]) + 1
+        if n < 2:
+            raise ValueError("distance distribution needs order >= 2")
+        yield from _tree_chunk_distributions(n, chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from wiener_roots.claims import (
     verify_tree_ratio_bounds,
     verify_tree_root_bound,
 )
+from wiener_roots.graph_core import distance_distribution, enumerate_trees
 from wiener_roots.polynomial import ComplexRoot
 
 
@@ -301,6 +302,13 @@ def test_registered_verifiers_keep_their_signatures():
     assert claims.CLAIMS["purely_imaginary"] is find_purely_imaginary
     r = verify_tree_density_limit(1, 2, 400, rel_tol=0.05)
     assert r.params == {"a": 1, "b": 2, "ell_max": 400}
+
+
+def test_tree_instances_match_per_tree_bfs():
+    for n in range(2, 15):
+        expected = tuple((distance_distribution(g).d, tuple(g.edges()))
+                         for g in enumerate_trees(n))
+        assert claims.tree_instances(n) == expected
 
 
 def test_distinct_distributions_orders_and_counts():

@@ -239,3 +239,8 @@ def test_usage_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    for argv in (("verify", "purely_imaginary", "kind=trees", "order=1"),
+                 ("scatter", "--class", "trees", "--order", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == \
+            (EXIT_USAGE, "", "error: distance distribution needs order >= 2\n")

@@ -7,9 +7,13 @@ recurrences, and a Pruefer-sequence sweep deduplicated by canonical codes.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,8 @@ from wiener_roots.graph_core import (
     load_edge_list,
     load_fixture,
     parse_graph6,
+    tree_distributions,
+    tree_parent_row,
 )
 from wiener_roots.polynomial import WienerPolynomial
 
@@ -463,3 +469,51 @@ def test_order4_trees_are_path_and_star():
     path = ahu_code(from_edge_list(4, [(0, 1), (1, 2), (2, 3)]))
     star = ahu_code(from_edge_list(4, [(0, 1), (0, 2), (0, 3)]))
     assert codes == {path, star}
+
+
+# ---------------------------------------------------------------------------
+# Batched tree distances
+# ---------------------------------------------------------------------------
+
+
+def test_tree_kernel_matches_bfs_on_every_free_tree():
+    for n in range(2, 15):
+        trees = list(enumerate_trees(n))
+        rows = [tree_parent_row(g) for g in trees]
+        assert all(len(row) == n - 1 and all(p < v for v, p in enumerate(row, 1))
+                   for row in rows)
+        assert list(tree_distributions(rows)) == \
+            [distance_distribution(g).d for g in trees]
+
+
+def test_tree_kernel_crosses_chunk_boundaries(monkeypatch):
+    trees = list(enumerate_trees(10))  # 106 trees: 15 chunks of 7 and one of 1
+    monkeypatch.setattr(graph_core, "_TREE_CHUNK", 7)
+    assert list(tree_distributions(tree_parent_row(g) for g in trees)) == \
+        [distance_distribution(g).d for g in trees]
+
+
+def test_tree_kernel_order_one_and_empty_input():
+    assert list(tree_distributions([])) == []
+    with pytest.raises(ValueError, match="needs order >= 2"):
+        list(tree_distributions([tree_parent_row(next(enumerate_trees(1)))]))
+
+
+_TREE_INVARIANTS = """
+import pytest
+from wiener_roots.graph_core import from_edge_list, tree_distributions, tree_parent_row
+# vertex 2 has two lower-numbered neighbours in the triangle, none in 0-1 + 2
+for edges in ([(0, 1), (0, 2), (1, 2)], [(0, 1)]):
+    with pytest.raises(RuntimeError, match="exactly one lower-numbered neighbour"):
+        tree_parent_row(from_edge_list(3, edges))
+# the parent of vertex 2 is vertex 3, which does not precede it
+with pytest.raises(RuntimeError, match="do not sum to C"):
+    list(tree_distributions([(0, 3, 1)]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_tree_kernel_invariants_raise(flags):
+    src = Path(graph_core.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, *flags, "-c", _TREE_INVARIANTS], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
