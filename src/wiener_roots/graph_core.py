@@ -6,8 +6,13 @@ pairs at distance k, and the degree is the diameter.
 Vertices are integers 0..n-1 and each adjacency row is a Python int whose
 bit u says whether {u, v} is an edge.  The distances of one graph come from
 frontier-bitset BFS.  The exhaustive sweeps, over all labeled graphs up to
-order 8 and all free trees up to order 18 (canonical level-sequence
-generation), compute theirs in numpy batches instead.
+order 8 and all free trees up to order 18, compute theirs in numpy batches
+instead.
+
+Free trees are composed, not filtered: a single-centroid tree is its
+centroid plus a non-increasing list of rooted blocks, the canonical rooted
+trees of at most (n-1)//2 vertices, and a bicentroid tree is a pair of
+canonical rooted trees of order n/2.  Each comes out as a preorder parent row.
 
 The labeled sweep runs BFS for a million edge masks at once on vertex-major
 bit rows: one contiguous uint8 row per vertex holds that vertex's ball for
@@ -74,15 +79,19 @@ class Graph:
             raise ValueError(f"graph order must be >= 1, got {self.n}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency must have one row per vertex")
+        adj = self.adj
         mask = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             if row & ~mask:
                 raise ValueError(f"row {v} has bits beyond vertex range")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-            for u in _iter_bits(row):
-                if not self.adj[u] >> v & 1:
+            while row:  # every neighbour u, lowest first, as _iter_bits gives them
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at {{{u},{v}}}")
+                row ^= low
 
     @property
     def edge_count(self) -> int:
@@ -491,7 +500,7 @@ def _usable_cores() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Free-tree enumeration via canonical level sequences
+# Free-tree enumeration by composing rooted blocks
 # ---------------------------------------------------------------------------
 
 
@@ -520,56 +529,83 @@ def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
             levels[i] = levels[i - period]
 
 
-def _levels_to_graph(levels: Sequence[int], offset: int = 0, total: int | None = None,
-                     rows: list[int] | None = None) -> list[int]:
-    """Accumulate tree edges for a level sequence into adjacency rows."""
-    size = total if total is not None else len(levels)
-    if rows is None:
-        rows = [0] * size
-    last_at_level = {levels[0]: offset}
-    for i in range(1, len(levels)):
-        v = offset + i
-        parent = last_at_level[levels[i] - 1]
-        rows[v] |= 1 << parent
-        rows[parent] |= 1 << v
-        last_at_level[levels[i]] = v
-    return rows
+def _level_parent_row(levels: Sequence[int]) -> tuple[int, ...]:
+    """Preorder parent row of a level sequence: vertex i is position i, and its
+    parent is the last earlier vertex one level up."""
+    last_at_level = {levels[0]: 0}
+    row = []
+    for v in range(1, len(levels)):
+        row.append(last_at_level[levels[v] - 1])
+        last_at_level[levels[v]] = v
+    return tuple(row)
 
 
-def _root_child_blocks_ok(levels: Sequence[int], bound: int) -> bool:
-    """True when every child subtree of the root has at most `bound` vertices."""
-    size = 0
-    for lv in levels[1:]:
-        if lv == 2:
-            if size > bound:
-                return False
-            size = 1
-        else:
-            size += 1
-    return size <= bound
+def _rooted_blocks(limit: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(levels, parent row) of every canonical rooted tree of orders 1..limit,
+    its level sequence shifted one level down (root at level 2), in
+    descending order of the shifted sequences."""
+    return sorted(((tuple(lv + 1 for lv in seq), _level_parent_row(seq))
+                   for size in range(1, limit + 1)
+                   for seq in _rooted_level_sequences(size)), reverse=True)
+
+
+def _free_tree_parent_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Preorder parent row of every free tree of order n, in enumerate_trees order.
+
+    A tree with a single centroid is that centroid plus a forest of canonical
+    rooted blocks of at most (n-1)//2 vertices each, listed in non-increasing
+    order.  Every block starts at level 2, so the descending order of the
+    trees' level sequences is the descending order of their block lists, and
+    walking those lists visits the centroid-rooted trees in the order of the
+    rooted-sequence walk, without the trees that walk would drop.  A tree
+    with two adjacent centroids is an unordered pair of canonical rooted
+    trees of order n/2 whose roots 0 and n/2 are joined.
+    """
+    blocks = _rooted_blocks((n - 1) // 2)
+    sizes = [len(levels) for levels, _ in blocks]
+    # shifted[b][off]: block b with its root at vertex off, whose parent is 0
+    shifted = [[(0,) + tuple(off + p for p in rel) for off in range(n)]
+               for _, rel in blocks]
+
+    def forests(first: int, offset: int) -> Iterator[tuple[int, ...]]:
+        # rows of the forests on vertices offset..n-1 that use blocks first..
+        remaining = n - offset
+        for b in range(first, len(sizes)):
+            size = sizes[b]
+            if size == remaining:
+                yield shifted[b][offset]
+            elif size < remaining:
+                head = shifted[b][offset]
+                for tail in forests(b, offset + size):
+                    yield head + tail
+
+    if n == 1:
+        yield ()
+    else:
+        yield from forests(0, 1)
+    if n % 2 == 0:
+        half = n // 2
+        halves = [_level_parent_row(seq) for seq in _rooted_level_sequences(half)]
+        lifted = [(0,) + tuple(half + p for p in b) for b in halves]
+        for i, a in enumerate(halves):
+            for b in itertools.islice(lifted, i, None):
+                yield a + b
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
-    """Every free (unlabeled) tree of order n exactly once.
+    """Every free (unlabeled) tree of order n exactly once, numbered in preorder.
 
-    A tree with a single centroid appears as the canonical rooted tree at
-    that centroid (all root subtrees hold at most (n-1)//2 vertices); a tree
-    with two adjacent centroids appears as an unordered pair of canonical
-    rooted trees of order n/2 joined at their roots.
+    Single-centroid trees come first, composed from rooted blocks in
+    descending order of their level sequences rooted at the centroid, then
+    the bicentroid pairs (_free_tree_parent_rows); none is generated and then
+    discarded.  Each Graph is built from its parent row, which
+    tree_parent_row gives back.
     """
     if not 1 <= n <= TREE_MAX_ORDER:
         raise ValueError(f"supported orders are 1..{TREE_MAX_ORDER}, got {n}")
-    bound = (n - 1) // 2
-    for levels in _rooted_level_sequences(n):
-        if _root_child_blocks_ok(levels, bound):
-            yield Graph(n, tuple(_levels_to_graph(levels)))
-    if n % 2 == 0:
-        half = n // 2
-        halves = [list(seq) for seq in _rooted_level_sequences(half)]
-        for i, a in enumerate(halves):
-            for b in itertools.islice(halves, i, None):
-                rows = _levels_to_graph(a, 0, n)
-                rows = _levels_to_graph(b, half, n, rows)
-                rows[0] |= 1 << half
-                rows[half] |= 1
-                yield Graph(n, tuple(rows))
+    for row in _free_tree_parent_rows(n):
+        adj = [0] * n
+        for v, p in enumerate(row, 1):
+            adj[v] |= 1 << p
+            adj[p] |= 1 << v
+        yield Graph(n, tuple(adj))

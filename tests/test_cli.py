@@ -244,3 +244,9 @@ def test_usage_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == \
             (EXIT_USAGE, "", "error: distance distribution needs order >= 2\n")
+    for order in (0, 19):
+        for argv in (("verify", "purely_imaginary", "kind=trees", f"order={order}"),
+                     ("scatter", "--class", "trees", "--order", str(order))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == \
+                (EXIT_USAGE, "", f"error: supported orders are 1..18, got {order}\n")

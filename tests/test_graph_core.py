@@ -6,6 +6,7 @@ for labeled connected graph counts, the rooted-tree/free-tree counting
 recurrences, and a Pruefer-sequence sweep deduplicated by canonical codes.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -158,12 +159,25 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
 
 
 def test_graph_invariants_enforced():
-    with pytest.raises(ValueError):
-        Graph(2, (1, 0))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(2, (1, 2))  # loop at vertex 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loop at vertex 0"):
+        Graph(2, (1, 0))  # row 0 has its own bit
+    with pytest.raises(ValueError, match="loop at vertex 0"):
+        Graph(2, (1, 2))  # row 0 is checked before row 1
+    with pytest.raises(ValueError, match=r"^graph order must be >= 1, got 0$"):
         Graph(0, ())
+    with pytest.raises(ValueError, match=r"^loop at vertex 1$"):
+        Graph(2, (2, 3))
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \{1,0\}$"):
+        Graph(2, (2, 0))
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \{0,1\}$"):
+        Graph(3, (0, 1, 0))
+    # the first neighbour of row 0 is fine, the second is not
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \{2,0\}$"):
+        Graph(3, (0b110, 0b001, 0b000))
+    with pytest.raises(ValueError, match=r"^row 1 has bits beyond vertex range$"):
+        Graph(2, (2, 5))
+    with pytest.raises(ValueError, match=r"^adjacency must have one row per vertex$"):
+        Graph(2, (0,))
 
 
 def test_from_edge_list_basics():
@@ -436,6 +450,58 @@ def test_tree_count_spec_points():
     assert sum(1 for _ in enumerate_trees(4)) == 2
     assert sum(1 for _ in enumerate_trees(10)) == 106
     assert sum(1 for _ in enumerate_trees(16)) == 19320
+
+
+def test_tree_count_oeis_a000055_orders_17_and_18():
+    # OEIS A000055; counted on the parent rows that enumerate_trees builds on
+    assert sum(1 for _ in graph_core._free_tree_parent_rows(17)) == 48629
+    assert sum(1 for _ in graph_core._free_tree_parent_rows(18)) == 123867
+
+
+def test_rooted_block_table():
+    blocks = graph_core._rooted_blocks(9)
+    # OEIS A000081: rooted trees with 1..9 vertices
+    assert Counter(len(levels) for levels, _ in blocks) == \
+        dict(enumerate([1, 1, 2, 4, 9, 20, 48, 115, 286], 1))
+    keys = [levels for levels, _ in blocks]
+    assert keys == sorted(set(keys), reverse=True)
+    for levels, row in blocks:
+        assert levels[0] == 2 and all(lv > 2 for lv in levels[1:])
+        assert len(row) == len(levels) - 1
+        assert all(p < v for v, p in enumerate(row, 1))
+        assert all(levels[v] == levels[p] + 1 for v, p in enumerate(row, 1))
+    assert len(graph_core._rooted_blocks((15 - 1) // 2)) == 85
+
+
+# sha256 of repr([tree_parent_row(g) for g in enumerate_trees(n)]), recorded
+# with the rooted-sequence walk that kept the centroid-rooted sequences: the
+# same trees, in the same order, with the same vertex numbering.
+TREE_ROW_DIGESTS = {
+    1: "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+    2: "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
+    3: "2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da",
+    4: "9bbdc0ea4fe4c828399734e790b006f06f38a139051b09a87ff70b1a23d8b20a",
+    5: "83544d9bf307729632694375fe81449d966fcc4874242825ad8ab2db5176377f",
+    6: "e0cd49405f2872cc18fce42c4b9ac71df29c9be4ab254cbda039ad4b4b46cfba",
+    7: "56e525cb35ce4510be48086bbf2e51290a04d91dc178799974e63ccfe22411f3",
+    8: "e4dbef0fff70e31226086a653c7a73cdb3080cc3d813885b695d7b7a1d986c7f",
+    9: "6fd24fd28c3263d001672f93aaf1caf826bc907fbd38ff18846d6befe61e476c",
+    10: "1930002062eadb7b0b6c90cd9ba4a3a311256c7f157e44c81095cbde97c4c5cf",
+    11: "7e52cec4165d7267e6fd3a409cb9c55234c825f1afb54ffae8f6dad38659a75c",
+    12: "b3c3120575acb2b84b3147d43b8b87f8608b82f20957280a0c6bfcec9a15f68e",
+    13: "46d7906025cca3753a02b1e4d786f7287e802813222de4dc6761d36e5a35ced9",
+    14: "39e8aa6dd08fce53248b8bc7408e5a94133a492b23dfa4bbfd19737b87de4aa9",
+    15: "c79788adc9fca548e5fa7e7cb5f09e475ca385bae57ce5462a8913a980e27711",
+    16: "f2a8f11f1a38fe66224138e7997d5299e797f3d56a75ee3fbf1901262469c679",
+    17: "7c27d595e6dccd025438bc9745c79c2f1bb87c509a71ee9d148d1fccd14e3d99",
+}
+
+
+def test_tree_order_and_numbering_pinned():
+    got = {n: hashlib.sha256(repr([tree_parent_row(g) for g in enumerate_trees(n)])
+                             .encode()).hexdigest()
+           for n in TREE_ROW_DIGESTS}
+    assert got == TREE_ROW_DIGESTS
 
 
 def test_trees_are_trees_and_pairwise_nonisomorphic():
