@@ -12,8 +12,11 @@ id, bounds and quick/full parameter sets, and the verifier's annotations give
 its parameter types.  `run_all` runs the claims in declaration order.
 
 Enumeration results and root sets are cached per process, so a suite run
-pays for the order-7 labeled sweep and the order-17 tree sweep only once;
-`distinct_distributions` is derived from those caches on each call.
+pays for the order-7 labeled sweep and the order-17 tree sweep only once.
+`distinct_distributions` is derived from those caches on each call, and every
+scan reads it, as does the CLI's scatter.  A tree instance keeps its
+distance vector and its parent row; edges are spelled out (`_edges`) only
+where a report names a tree.
 
 The maximum-modulus scans (`tree_root_bound` and the max_modulus objective
 of `search_extremal`, which `tn_extremal` runs) find roots only for the
@@ -249,12 +252,17 @@ def connected_distributions(
 
 
 @lru_cache(maxsize=None)
-def tree_instances(n: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
-    """(distance vector, edge list) for every free tree of order n, in the
-    order of enumerate_trees; the vectors come from the batched tree kernel."""
+def tree_instances(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(distance vector, parent row) for every free tree of order n, in the
+    order of enumerate_trees; the vectors come from the batched tree kernel.
+    A report that names a tree spells its edges out with _edges."""
     parents = [tree_parent_row(g) for g in enumerate_trees(n)]
-    return tuple((dvec, tuple((p, v) for v, p in enumerate(row, 1)))
-                 for dvec, row in zip(tree_distributions(parents), parents))
+    return tuple(zip(tree_distributions(parents), parents))
+
+
+def _edges(row: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The edges (parent, child) of the tree with this parent row, by child."""
+    return tuple((p, v) for v, p in enumerate(row, 1))
 
 
 def distinct_distributions(kind: str, n: int,
@@ -401,14 +409,14 @@ def verify_tree_ratio_bounds(n_lo: int, n_hi: int | None = None) -> Verdict:
     witnesses, bad = [], []
     for n in range(n_lo, n_hi + 1):
         ties = []
-        for dvec, edges in tree_instances(n):
+        for dvec, row in tree_instances(n):
             diam = len(dvec)
             for k in range(diam - 1):
                 if dvec[k] > 2 * (n - diam) * dvec[k + 1]:
-                    bad.append((f"n={n} edges={edges}",
+                    bad.append((f"n={n} edges={_edges(row)}",
                                 f"d_{k+1}/d_{k+2} = {dvec[k]}/{dvec[k+1]} > 2(n-D)"))
                 if n >= 5 and dvec[k] > 2 * (n - 4) * dvec[k + 1]:
-                    bad.append((f"n={n} edges={edges}",
+                    bad.append((f"n={n} edges={_edges(row)}",
                                 f"d_{k+1}/d_{k+2} = {dvec[k]}/{dvec[k+1]} > 2(n-4)"))
                 if dvec[k] == 2 * (n - diam) * dvec[k + 1]:
                     ties.append((dvec, k + 1))
@@ -424,18 +432,17 @@ def verify_ratio_lower(n_lo: int, n_hi: int | None = None) -> Verdict:
     witnesses, bad = [], []
     for n in range(n_lo, n_hi + 1):
         ties = 0
-        dists, stats = connected_distributions(n)
-        for dd in dists:
-            for k in range(len(dd.d) - 1):
-                lhs = dd.d[k] * (n - (k + 1) - 1)
-                rhs = 2 * dd.d[k + 1]
+        dvecs = distinct_distributions("graphs", n)
+        for dvec in dvecs:
+            for k in range(len(dvec) - 1):
+                lhs = dvec[k] * (n - (k + 1) - 1)
+                rhs = 2 * dvec[k + 1]
                 if lhs < rhs:
-                    bad.append((f"n={n} d={dd.d}",
+                    bad.append((f"n={n} d={dvec}",
                                 f"d_{k+1}*{n-k-2} = {lhs} < 2*d_{k+2} = {rhs}"))
                 elif lhs == rhs:
                     ties += 1
-        witnesses.append((f"n={n}",
-                          f"{stats.distinct_distributions} distributions, {ties} equalities"))
+        witnesses.append((f"n={n}", f"{len(dvecs)} distributions, {ties} equalities"))
     return ("pass" if not bad else "fail"), witnesses, bad
 
 
@@ -459,8 +466,8 @@ def verify_tree_root_bound(n_lo: int, n_hi: int | None = None,
         for dvec in solved:
             for r in root_set(dvec):
                 if r.modulus > bound + tol:
-                    edges = next(e for d, e in tree_instances(n) if d == dvec)
-                    bad.append((f"n={n} edges={edges}", r.to_json_dict()))
+                    row = next(row for d, row in tree_instances(n) if d == dvec)
+                    bad.append((f"n={n} edges={_edges(row)}", r.to_json_dict()))
                 if r.modulus > best:
                     best, best_d = r.modulus, dvec
         witnesses.append((f"n={n}",
@@ -791,18 +798,19 @@ def find_purely_imaginary(kind: str, order: int, long_running: bool = False) -> 
 _OBJECTIVES = {
     "max_modulus": lambda rs: max(r.modulus for r in rs),
     "max_real": lambda rs: max(r.re for r in rs),
-    "max_imag": lambda rs: max(r.im for r in rs),
     "min_nonzero_modulus": lambda rs: min(r.modulus for r in rs),
 }
 
 
 def search_extremal(order: int, objective: str, kind: str,
-                    tol: float = DEFAULT_TOLERANCE,
-                    long_running: bool = False) -> ExtremalReport:
+                    tol: float = DEFAULT_TOLERANCE) -> ExtremalReport:
     """Exhaustive scan for the instance(s) attaining a root-statistic extreme.
 
-    Instances with no nonzero roots (complete graphs) carry no statistic and
-    are skipped.  All instances within tol of the best value are reported.
+    Each distinct distribution of the class is scored once; those with no
+    nonzero roots (complete graphs) carry no statistic and are skipped.  The
+    argmax holds every instance whose distribution is within tol(1 + |best|)
+    of the best value: each such tree of tree_instances with its edges, in
+    enumeration order, or each such graph distribution, in pool order.
 
     For max_modulus only the distributions whose Eneström–Kakeya radius
     reaches best - tol(1 + |best|) are solved (`_max_moduli`); no other
@@ -814,31 +822,22 @@ def search_extremal(order: int, objective: str, kind: str,
         raise ValueError(tol_message)
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    minimize = objective.startswith("min")
-    stat = _OBJECTIVES[objective]
-    if kind == "trees":
-        pool = [(dvec, edges) for dvec, edges in tree_instances(order) if len(dvec) > 1]
-    else:  # distinct_distributions rejects other classes, the sweep an ungated order 8
-        pool = [(dvec, None)
-                for dvec in distinct_distributions(kind, order, long_running)
-                if len(dvec) > 1]
+    # distinct_distributions rejects other classes, the sweep an ungated order 8
+    pool = [dvec for dvec in distinct_distributions(kind, order) if len(dvec) > 1]
     if not pool:
         raise ValueError(f"no instances with nonzero roots at order {order}")
     if objective == "max_modulus":
-        moduli = _max_moduli((dvec for dvec, _ in pool),
-                             lambda top: top - tol * (1 + abs(top)))
-        pool = [(dvec, edges) for dvec, edges in pool if dvec in moduli]
-    best = None
-    scored = []
-    for dvec, edges in pool:
-        value = stat(root_set(dvec))
-        scored.append((value, dvec, edges))
-        if best is None or (value < best if minimize else value > best):
-            best = value
+        pool = list(_max_moduli(pool, lambda top: top - tol * (1 + abs(top))))
+    stat = _OBJECTIVES[objective]
+    scores = {dvec: stat(root_set(dvec)) for dvec in pool}
+    best = (min if objective.startswith("min") else max)(scores.values())
     slack = tol * (1 + abs(best))
-    argmax = [{"d": list(dvec)} if edges is None else
-              {"d": list(dvec), "edges": [list(e) for e in edges]}
-              for value, dvec, edges in scored if abs(value - best) <= slack]
+    top = {dvec for dvec, value in scores.items() if abs(value - best) <= slack}
+    if kind == "trees":
+        argmax = [{"d": list(dvec), "edges": [list(e) for e in _edges(row)]}
+                  for dvec, row in tree_instances(order) if dvec in top]
+    else:
+        argmax = [{"d": list(dvec)} for dvec in pool if dvec in top]
     return ExtremalReport(order, objective, kind, best, argmax)
 
 

@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from . import claims
 from .families import parse_family_spec, family_polynomial
@@ -22,11 +21,8 @@ from .graph_core import (
     DisconnectedGraphError,
     Graph6Error,
     distance_distribution,
-    enumerate_trees,
     load_edge_list,
     parse_graph6,
-    tree_distributions,
-    tree_parent_row,
 )
 from .polynomial import (
     Annulus,
@@ -132,25 +128,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _distributions_for_scatter(order: int, kind: str, jobs: int,
-                               long_running: bool) -> Sequence[tuple[int, ...]]:
-    if kind == "graphs":
-        claims.set_jobs(jobs)
-        return claims.distinct_distributions("graphs", order, long_running)
-    # Not claims.tree_instances, which also keeps every tree's edges: 22.4 MB
-    # against 2.1 MB for the vectors alone at tree order 16 (tracemalloc).
-    return sorted(dict.fromkeys(tree_distributions(
-        tree_parent_row(g) for g in enumerate_trees(order))))
-
-
 def cmd_scatter(args: argparse.Namespace) -> int:
     if args.klass == "graphs" and args.order == 8 and not args.long:
         print("order-8 graph sweeps are long-running; pass --long to opt in",
               file=sys.stderr)
         return EXIT_USAGE
+    claims.set_jobs(args.jobs)
     try:
-        dvecs = _distributions_for_scatter(args.order, args.klass, args.jobs,
-                                           args.long)
+        dvecs = claims.distinct_distributions(args.klass, args.order, args.long)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

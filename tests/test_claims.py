@@ -28,7 +28,12 @@ from wiener_roots.claims import (
     verify_tree_ratio_bounds,
     verify_tree_root_bound,
 )
-from wiener_roots.graph_core import distance_distribution, enumerate_trees
+from wiener_roots.graph_core import (
+    distance_distribution,
+    enumerate_connected_distributions,
+    enumerate_trees,
+    tree_parent_row,
+)
 from wiener_roots.polynomial import ComplexRoot
 
 
@@ -156,32 +161,57 @@ def test_extremal_report_value_is_attained():
     assert r.best_value == pytest.approx(attained)
 
 
-def _exhaustive_tree_moduli(n, tol):
-    """From every root set at tree order n: tree_root_bound's witness, and the
-    best value and argmax of the max_modulus search."""
-    best, best_d = 0.0, None
-    for dvec in claims.distinct_distributions("trees", n):
-        for r in claims.root_set(dvec):
-            if r.modulus > best:
-                best, best_d = r.modulus, dvec
-    witness = (f"n={n}", f"max modulus {best:.6f} of bound {2 * (n - 4)} at d={best_d}")
-    scored = [(max(r.modulus for r in claims.root_set(dvec)),
-               {"d": list(dvec), "edges": [list(e) for e in edges]})
-              for dvec, edges in claims.tree_instances(n) if len(dvec) > 1]
-    top = max(value for value, _ in scored)
-    argmax = [desc for value, desc in scored if abs(value - top) <= tol * (1 + abs(top))]
-    return witness, top, argmax
+_STATISTICS = {
+    "max_modulus": lambda rs: max(r.modulus for r in rs),
+    "max_real": lambda rs: max(r.re for r in rs),
+    "min_nonzero_modulus": lambda rs: min(r.modulus for r in rs),
+}
+
+
+def _exhaustive_search(n, objective, kind, tol):
+    """search_extremal's best value and argmax by the per-instance scan: every
+    tree (its vector by BFS, its edges from the Graph) or every distinct graph
+    distribution, scored from its own root set, nothing pruned."""
+    if kind == "trees":
+        instances = [(distance_distribution(g).d,
+                      {"edges": [list(e) for e in g.edges()]})
+                     for g in enumerate_trees(n)]
+    else:
+        dists, _ = enumerate_connected_distributions(n)
+        instances = [(dd.d, {}) for dd in dists]
+    scored = [(_STATISTICS[objective](claims.root_set(dvec)), {"d": list(dvec), **extra})
+              for dvec, extra in instances if len(dvec) > 1]
+    pick = min if objective.startswith("min") else max
+    best = pick(value for value, _ in scored)
+    argmax = [desc for value, desc in scored if abs(value - best) <= tol * (1 + abs(best))]
+    return best, argmax
 
 
 @pytest.mark.parametrize("tol", [claims.DEFAULT_TOLERANCE, 1e6])
 def test_pruned_modulus_scans_match_the_exhaustive_scan(tol):
     # at tol=1e6 the search's floor is negative, so it prunes nothing
     for n in range(5, 14):
-        witness, top, argmax = _exhaustive_tree_moduli(n, tol)
+        best, best_d = 0.0, None
+        for dvec in claims.distinct_distributions("trees", n):
+            for r in claims.root_set(dvec):
+                if r.modulus > best:
+                    best, best_d = r.modulus, dvec
+        witness = (f"n={n}", f"max modulus {best:.6f} of bound {2 * (n - 4)} at d={best_d}")
         r = verify_tree_root_bound(n, tol=tol)
         assert r.verdict == "pass" and r.witnesses == [witness]
         e = search_extremal(n, "max_modulus", "trees", tol=tol)
-        assert (e.best_value, e.argmax) == (top, argmax)
+        assert (e.best_value, e.argmax) == _exhaustive_search(n, "max_modulus", "trees", tol)
+
+
+@pytest.mark.parametrize("tol", [claims.DEFAULT_TOLERANCE, 1e6])
+@pytest.mark.parametrize("objective", sorted(_STATISTICS))
+def test_search_extremal_matches_the_per_instance_scan(objective, tol):
+    # at tol=1e6 every instance is in the argmax, so the instance order and
+    # the ties across distinct distributions are pinned too
+    for kind, orders in (("trees", range(5, 12)), ("graphs", range(3, 7))):
+        for n in orders:
+            e = search_extremal(n, objective, kind, tol=tol)
+            assert (e.best_value, e.argmax) == _exhaustive_search(n, objective, kind, tol)
 
 
 def test_pruned_modulus_scans_solve_few_root_sets():
@@ -306,9 +336,38 @@ def test_registered_verifiers_keep_their_signatures():
 
 def test_tree_instances_match_per_tree_bfs():
     for n in range(2, 15):
-        expected = tuple((distance_distribution(g).d, tuple(g.edges()))
-                         for g in enumerate_trees(n))
+        trees = list(enumerate_trees(n))
+        expected = tuple((distance_distribution(g).d, tree_parent_row(g)) for g in trees)
         assert claims.tree_instances(n) == expected
+        assert [claims._edges(row) for _, row in expected] == \
+            [tuple(g.edges()) for g in trees]
+
+
+@pytest.fixture
+def broken_order5_path(monkeypatch):
+    """The order-5 path's vector (4, 3, 2, 1) replaced by (40, 3, 2, 1), whose
+    first ratio breaks both ratio bounds and whose roots break |z| <= 2."""
+    kernel = claims.tree_distributions
+
+    def patched(rows):
+        for dvec in kernel(rows):
+            yield (40, 3, 2, 1) if dvec == (4, 3, 2, 1) else dvec
+
+    monkeypatch.setattr(claims, "tree_distributions", patched)
+    claims.tree_instances.cache_clear()
+    yield
+    claims.tree_instances.cache_clear()
+
+
+def test_tree_counterexamples_name_the_tree_by_its_edges(broken_order5_path):
+    label = "n=5 edges=((0, 1), (1, 2), (0, 3), (3, 4))"
+    r = verify_tree_ratio_bounds(5)
+    assert r.verdict == "fail"
+    assert r.counterexamples == [(label, "d_1/d_2 = 40/3 > 2(n-D)"),
+                                 (label, "d_1/d_2 = 40/3 > 2(n-4)")]
+    r = verify_tree_root_bound(5)
+    assert r.verdict == "fail"
+    assert [where for where, _ in r.counterexamples] == [label] * 3
 
 
 def test_distinct_distributions_orders_and_counts():
