@@ -41,6 +41,8 @@ from functools import lru_cache, wraps
 from math import comb
 from typing import Callable, Iterable, Sequence, get_args, get_type_hints
 
+import numpy as np
+
 from .graph_core import (
     EnumerationStats,
     Graph,
@@ -58,6 +60,8 @@ from .polynomial import (
     all_roots_rational,
     all_roots_real,
     enestrom_kakeya,
+    imaginary_axis_candidates,
+    length_groups,
     purely_imaginary_roots,
     roots,
 )
@@ -292,6 +296,22 @@ def root_set(dvec: tuple[int, ...]) -> tuple[ComplexRoot, ...]:
 _RADIUS_MARGIN = 1 + 2.0 ** -20
 
 
+def _ratio_radii(dvecs: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """R(1+2^-20), R = max d_k/d_{k+1}, of each distribution, all of length >= 2.
+
+    One numpy expression per length group.  Coefficients below 2^53 convert
+    to float exactly and float division is correctly rounded, so each radius
+    is the scalar expression's bit for bit; a coefficient of 2^53 or more
+    raises ValueError instead of being rounded.
+    """
+    radii = np.empty(len(dvecs))
+    for positions, m in length_groups(dvecs):
+        if m.max() >= 2 ** 53:
+            raise ValueError("pair counts of 2^53 or more have no exact float ratio")
+        radii[positions] = (m[:, :-1] / m[:, 1:]).max(axis=1) * _RADIUS_MARGIN
+    return radii
+
+
 def _max_moduli(dvecs: Iterable[tuple[int, ...]],
                 floor: Callable[[float], float]) -> dict[tuple[int, ...], float]:
     """The largest root modulus of each distribution in dvecs whose roots can
@@ -299,27 +319,29 @@ def _max_moduli(dvecs: Iterable[tuple[int, ...]],
     first-occurrence order.
 
     Every root of d_1 + d_2 x + ... + d_D x^(D-1) with all d_k > 0 has
-    |z| <= R = max d_k/d_{k+1} (Eneström–Kakeya).  The distinct distributions
-    are walked in descending R, ties in first-occurrence order, and root_set
-    is called only while R(1+2^-20) >= floor(top); the walk stops at the
-    first below it, because no distribution left can reach the floor.  The
-    first distribution is always solved, so the floor never sees an unset
-    top.  Distributions of length 1 have no roots and are skipped.  A
-    computed modulus past R(1+2^-20) raises RuntimeError.
+    |z| <= R = max d_k/d_{k+1} (Eneström–Kakeya).  The radii come from
+    `_ratio_radii`, one numpy expression per length.  The distinct
+    distributions are walked in descending R (a stable argsort, so ties stay
+    in first-occurrence order), and root_set is called only while
+    R(1+2^-20) >= floor(top); the walk stops at the first below it, because
+    no distribution left can reach the floor.  The first distribution is
+    always solved, so the floor never sees an unset top.  Distributions of
+    length 1 have no roots and are skipped.  A computed modulus past
+    R(1+2^-20) raises RuntimeError.
     """
     unique = [dvec for dvec in dict.fromkeys(dvecs) if len(dvec) > 1]
-    radius = {dvec: _RADIUS_MARGIN * max(dvec[k] / dvec[k + 1]
-                                         for k in range(len(dvec) - 1))
-              for dvec in unique}
+    radii = _ratio_radii(unique)
+    radius = radii.tolist()
     found: dict[tuple[int, ...], float] = {}
     top = 0.0
-    for dvec in sorted(unique, key=radius.__getitem__, reverse=True):
-        if found and radius[dvec] < floor(top):
+    for i in np.argsort(-radii, kind="stable").tolist():
+        dvec = unique[i]
+        if found and radius[i] < floor(top):
             break
         modulus = max(r.modulus for r in root_set(dvec))
-        if not modulus <= radius[dvec]:
+        if not modulus <= radius[i]:
             raise RuntimeError(f"root modulus {modulus!r} of d={dvec} exceeds its "
-                               f"Eneström–Kakeya radius {radius[dvec]!r}")
+                               f"Eneström–Kakeya radius {radius[i]!r}")
         found[dvec] = modulus
         top = max(top, modulus)
     return {dvec: found[dvec] for dvec in unique if dvec in found}
@@ -480,15 +502,20 @@ def verify_tree_root_bound(n_lo: int, n_hi: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _sqrt2_eval(coeffs: Sequence[int], a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact Horner evaluation at a + b*sqrt(2); returns (rational, sqrt2) parts."""
-    va, vb = Fraction(0), Fraction(0)
-    for k in range(len(coeffs) - 1, -1, -1):
-        va, vb = va * a + 2 * vb * b + coeffs[k], va * b + vb * a
+def _half_sqrt2_eval(coeffs: Sequence[int], a: int, b: int) -> tuple[int, int]:
+    """2^D p((a + b*sqrt(2))/2) for p of degree D, as its (integer, sqrt2) parts.
+
+    Homogeneous Horner: sum c_k (a + b*sqrt(2))^k 2^(D-k) stays integral, and
+    the positive scale 2^D keeps the sign of p at the point.
+    """
+    va, vb, scale = coeffs[-1], 0, 1
+    for k in range(len(coeffs) - 2, -1, -1):
+        scale *= 2
+        va, vb = va * a + 2 * vb * b + coeffs[k] * scale, va * b + vb * a
     return va, vb
 
 
-def _sqrt2_sign(a: Fraction, b: Fraction) -> int:
+def _sqrt2_sign(a: int, b: int) -> int:
     """Exact sign of a + b*sqrt(2)."""
     if a == 0 and b == 0:
         return 0
@@ -508,8 +535,9 @@ def verify_tn_interval(n_lo: int, n_hi: int | None = None) -> Verdict:
     """The middle-leaf path family has a real root in an explicit unit interval.
 
     For order n >= 6, W/x is negative at -(1+1/sqrt(2))n+7
-    and positive at -(1+1/sqrt(2))n+8; both endpoint signs are evaluated
-    exactly in the field extension by sqrt(2), and a numeric root is then
+    and positive at -(1+1/sqrt(2))n+8; both endpoints are (A - n*sqrt(2))/2
+    with A = 2(7-n) or 2(8-n), their signs are evaluated exactly in the
+    field extension by sqrt(2), in integers, and a numeric root is then
     located inside the interval.  Orders below 6 are out of the claim's
     range and report inconclusive-budget.
     """
@@ -519,9 +547,8 @@ def verify_tn_interval(n_lo: int, n_hi: int | None = None) -> Verdict:
             (f"n={n_lo}", "claim applies to orders 6 and up")], []
     for n in range(n_lo, n_hi + 1):
         dvec = family_polynomial(FamilySpec("t_n", (n,))).d
-        half = Fraction(-n, 2)  # the -(1/sqrt(2))n term equals -(n/2)*sqrt(2)
-        left_sign = _sqrt2_sign(*_sqrt2_eval(dvec, Fraction(7 - n), half))
-        right_sign = _sqrt2_sign(*_sqrt2_eval(dvec, Fraction(8 - n), half))
+        left_sign = _sqrt2_sign(*_half_sqrt2_eval(dvec, 2 * (7 - n), -n))
+        right_sign = _sqrt2_sign(*_half_sqrt2_eval(dvec, 2 * (8 - n), -n))
         if left_sign >= 0:
             bad.append((f"n={n}", "left endpoint value is not negative"))
         if right_sign <= 0:
@@ -780,9 +807,16 @@ def _imaginary_desc(hit) -> str:
        full=[dict(kind="graphs", order=5), dict(kind="graphs", order=6),
              dict(kind="trees", order=12)])
 def find_purely_imaginary(kind: str, order: int, long_running: bool = False) -> Verdict:
-    """Scan one order of a class with the exact imaginary-axis root test."""
+    """Scan one order of a class with the exact imaginary-axis root test.
+
+    `imaginary_axis_candidates` first clears, in one batched pass, every
+    distribution whose even and odd parts have a certified constant gcd; the
+    exact `purely_imaginary_roots` runs only on the rest, in pool order, so
+    the report is the one an exact test of every distribution gives.
+    """
     witnesses = []
-    for dvec in distinct_distributions(kind, order, long_running):
+    pool = distinct_distributions(kind, order, long_running)
+    for dvec in imaginary_axis_candidates(pool):
         hits = purely_imaginary_roots(WienerPolynomial(dvec))
         if hits:
             witnesses.append((f"d={dvec}", [_imaginary_desc(h) for h in hits]))

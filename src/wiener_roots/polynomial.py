@@ -19,6 +19,13 @@ into clusters.  Purely imaginary roots are detected exactly: split the
 polynomial into even and odd parts, take the integer gcd, and isolate its
 negative real roots with Sturm sequences.
 
+Scans over many distributions screen them first, in batches:
+`length_groups` stacks the vectors of one length into an int64 matrix, and
+`imaginary_axis_candidates` runs a pseudo-remainder sequence of the even and
+odd parts modulo 2^31 - 1 on each matrix at once.  A vector it clears has a
+certificate that the integer gcd is constant; only the rest need the exact
+test.
+
 Every remainder sequence (Sturm chains, gcds, Yun's loop) runs on integer
 coefficient lists: fraction-free pseudo-remainders reduced to their
 primitive part, and exact divisions by primitive divisors.  No polynomial
@@ -33,6 +40,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
+
+import numpy as np
 
 RESIDUAL_THRESHOLD = 1e-9
 ABERTH_SWEEP_BUDGET = 500
@@ -810,3 +819,82 @@ def purely_imaginary_roots(p: WienerPolynomial) -> tuple[PurelyImaginaryRoot, ..
                         t_interval=(lo, hi)))
     hits.sort(key=lambda h: h.b)
     return tuple(hits)
+
+
+# ---------------------------------------------------------------------------
+# Batched screens over many distributions
+# ---------------------------------------------------------------------------
+
+# 2^31 - 1: residues stay below 2^31, so every product of two fits in int64.
+SCREEN_PRIME = 2147483647
+
+
+def length_groups(dvecs: Sequence[Sequence[int]], modulus: int | None = None
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(positions in dvecs, int64 matrix of those vectors) for each vector length.
+
+    With a modulus the matrices hold the coefficients reduced modulo it; a
+    coefficient outside int64 is reduced in Python first, so none wraps.
+    Without one, such a coefficient raises ValueError.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, dvec in enumerate(dvecs):
+        by_length.setdefault(len(dvec), []).append(i)
+    groups = []
+    for positions in by_length.values():
+        rows = [dvecs[i] for i in positions]
+        try:
+            m = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            if modulus is None:
+                raise ValueError("a coefficient does not fit in int64") from None
+            m = np.array([[x % modulus for x in row] for row in rows], dtype=np.int64)
+        if modulus is not None:
+            m %= modulus
+        groups.append((np.array(positions), m))
+    return groups
+
+
+def _cancel_lead(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
+    """lc(g)*f - lc(f)*x^s*g mod q, row by row, without its vanished leading
+    column; rows hold coefficients leading first, and f is no shorter than g."""
+    r = g[:, :1] * f[:, 1:]
+    r[:, :g.shape[1] - 1] -= f[:, :1] * g[:, 1:]
+    return r % q
+
+
+def imaginary_axis_candidates(dvecs: Sequence[Sequence[int]]) -> list:
+    """The vectors of dvecs that may have a nonzero purely imaginary root, in order.
+
+    With W/x = E(x^2) + x*O(x^2), a root ib != 0 makes -b^2 a common root of
+    E and O.  For each vector length, the pseudo-remainder sequence of E and
+    O (Collins, J. ACM 14, 1967) runs modulo q = 2^31 - 1 on all the rows at
+    once, in lockstep: each step cancels a leading column, as if every
+    remainder lost exactly one degree.  Every row it forms is
+    lc(g)*f - lc(f)*x^s*g for two earlier ones, so it lies in the ideal of E
+    and O over GF(q), also where a remainder lost more.  A row is cleared
+    only when lc(E) and lc(O) are nonzero mod q and the sequence ends in a
+    nonzero constant: then gcd(E, O) = 1 mod q.  The integer gcd G divides
+    E, so q does not divide lc(G) either, and G mod q has the degree of G and
+    divides 1: G is constant, and the vector has no such root (Brown's
+    modular gcd, J. ACM 18, 1971, used only as a certificate).  Every other
+    vector is returned for the exact `purely_imaginary_roots`: length 1, a
+    leading coefficient divisible by q, a sequence ending in zero, and so
+    every vector whose parts do share a factor.
+    """
+    q = SCREEN_PRIME
+    keep = np.ones(len(dvecs), dtype=bool)
+    for positions, m in length_groups(dvecs, q):
+        if m.shape[1] < 2:
+            continue
+        leading_first = m[:, ::-1]
+        f, g = leading_first[:, 0::2], leading_first[:, 1::2]
+        cleared = (f[:, 0] != 0) & (g[:, 0] != 0)
+        while g.shape[1] > 1:
+            r = f
+            while r.shape[1] >= g.shape[1]:
+                r = _cancel_lead(r, g, q)
+            f, g = g, r
+        cleared &= g[:, 0] != 0
+        keep[positions[cleared]] = False
+    return [dvec for dvec, kept in zip(dvecs, keep) if kept]

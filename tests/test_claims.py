@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,7 @@ from wiener_roots.claims import (
     verify_tree_ratio_bounds,
     verify_tree_root_bound,
 )
+from wiener_roots.families import FamilySpec, family_polynomial
 from wiener_roots.graph_core import (
     distance_distribution,
     enumerate_connected_distributions,
@@ -242,6 +244,98 @@ def test_max_moduli_rejects_a_root_beyond_its_radius(monkeypatch):
                         lambda dvec: (ComplexRoot(-3.0, 0.0, 0.0),))
     with pytest.raises(RuntimeError, match="Eneström–Kakeya radius"):
         claims._max_moduli([(3, 2, 1)], lambda top: top)
+
+
+def _scalar_radius(dvec):
+    """The Eneström–Kakeya radius as _max_moduli computed it one vector at a time."""
+    return claims._RADIUS_MARGIN * max(dvec[k] / dvec[k + 1] for k in range(len(dvec) - 1))
+
+
+def _radius_pools():
+    for n in range(2, 18):
+        yield claims.distinct_distributions("trees", n)
+    for n in range(3, 8):
+        yield claims.distinct_distributions("graphs", n)
+
+
+def test_batched_radii_equal_the_scalar_expression():
+    for pool in _radius_pools():
+        unique = [dvec for dvec in pool if len(dvec) > 1]
+        assert claims._ratio_radii(unique).tolist() == \
+            [_scalar_radius(dvec) for dvec in unique]
+
+
+def test_max_moduli_walks_in_the_scalar_sort_order(monkeypatch):
+    walked = []
+
+    def record(dvec):
+        walked.append(dvec)
+        return (ComplexRoot(0.0, 0.0, 0.0),)
+
+    monkeypatch.setattr(claims, "root_set", record)
+    for pool in _radius_pools():
+        walked.clear()
+        claims._max_moduli(pool, lambda top: float("-inf"))
+        unique = [dvec for dvec in dict.fromkeys(pool) if len(dvec) > 1]
+        assert walked == sorted(unique, key=_scalar_radius, reverse=True)
+    # ties keep their first-occurrence order
+    walked.clear()
+    claims._max_moduli([(1, 2, 1), (4, 2), (2, 1), (6, 3, 3)],
+                       lambda top: float("-inf"))
+    assert walked == [(1, 2, 1), (4, 2), (2, 1), (6, 3, 3)]
+
+
+def test_radii_reject_pair_counts_past_exact_floats(monkeypatch):
+    monkeypatch.setattr(claims, "root_set", lambda dvec: (ComplexRoot(0.0, 0.0, 0.0),))
+    assert list(claims._max_moduli([(2 ** 53 - 1, 1)], lambda top: top)) == \
+        [(2 ** 53 - 1, 1)]
+    for dvec in ((2 ** 53, 1), (1, 2 ** 53), (3, 2, 2 ** 53 + 1), (2 ** 64, 1)):
+        with pytest.raises(ValueError):
+            claims._max_moduli([(3, 2, 1), dvec], lambda top: top)
+
+
+def test_purely_imaginary_screen_keeps_the_exact_test_for_few(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p.d)
+        return exact(p)
+
+    exact = claims.purely_imaginary_roots
+    monkeypatch.setattr(claims, "purely_imaginary_roots", counted)
+    report = find_purely_imaginary("trees", 15)
+    assert len(claims.distinct_distributions("trees", 15)) == 6832
+    assert len(calls) <= 0.05 * 6832
+    # the 17 order-15 distributions whose even and odd parts share t + 2
+    assert [descs for _, descs in report.witnesses] == [["±sqrt(2)i"]] * 17
+
+
+def _fraction_sqrt2_eval(coeffs, a, b):
+    """The former exact Horner evaluation at a + b*sqrt(2), in Fractions."""
+    va, vb = Fraction(0), Fraction(0)
+    for k in range(len(coeffs) - 1, -1, -1):
+        va, vb = va * a + 2 * vb * b + coeffs[k], va * b + vb * a
+    return va, vb
+
+
+def test_integer_sqrt2_evaluation_matches_the_fraction_oracle():
+    for n in range(6, 1001):
+        dvec = family_polynomial(FamilySpec("t_n", (n,))).d
+        scale = 2 ** (len(dvec) - 1)
+        for a in (7 - n, 8 - n):
+            va, vb = _fraction_sqrt2_eval(dvec, Fraction(a), Fraction(-n, 2))
+            assert claims._half_sqrt2_eval(dvec, 2 * a, -n) == (va * scale, vb * scale)
+            assert claims._sqrt2_sign(*claims._half_sqrt2_eval(dvec, 2 * a, -n)) == \
+                claims._sqrt2_sign(va, vb)
+    # both signs and exact zeros: x^2 - 2 and x^2 - 2x - 1 = (x - 1)^2 - 2
+    for coeffs in ((-2, 0, 1), (-1, -2, 1), (5, -3, 0, 2), (7,)):
+        scale = 2 ** (len(coeffs) - 1)
+        for a in range(-6, 7):
+            for b in range(-4, 5):
+                va, vb = _fraction_sqrt2_eval(coeffs, Fraction(a, 2), Fraction(b, 2))
+                assert claims._half_sqrt2_eval(coeffs, a, b) == (va * scale, vb * scale)
+    assert claims._sqrt2_sign(*claims._half_sqrt2_eval((-2, 0, 1), 0, 2)) == 0
+    assert claims._sqrt2_sign(*claims._half_sqrt2_eval((-1, -2, 1), 2, 2)) == 0
 
 
 def test_extremal_real_part_small():

@@ -29,9 +29,11 @@ def run_cli(capsys, *argv):
 # name, and of summary.csv without its runtime column; recorded at 995a6c8,
 # before claims were declared through the registration decorator.
 QUICK_DIGESTS = Path(__file__).with_name("quick_profile_digests.json")
-# Digests, by the same scheme, of the full-profile tree_root_bound and
-# tn_extremal reports at tree orders 5..17, keyed by the verify arguments;
-# recorded at 54614c0, while both scans still found every root set.
+# Digests, by the same scheme, keyed by the verify arguments: of the
+# full-profile tree_root_bound and tn_extremal reports at tree orders 5..17,
+# recorded at 54614c0, while both scans still found every root set; and of the
+# purely_imaginary reports at tree orders 5..17 and graph orders 2..7,
+# recorded at 0b62d20, while every distribution still took the exact gcd.
 FULL_TREE_DIGESTS = Path(__file__).with_name("full_tree_digests.json")
 
 
@@ -206,14 +208,27 @@ def test_verify_all_quick(tmp_path, capsys):
     assert digests == json.loads(QUICK_DIGESTS.read_text())
 
 
-def test_full_tree_modulus_reports_match_the_exhaustive_scan(tmp_path, capsys):
+def _check_full_digests(tmp_path, capsys, claim_ids):
+    """Run every pinned label of the given claims and compare its digest."""
+    pinned = {label: digest for label, digest in
+              json.loads(FULL_TREE_DIGESTS.read_text()).items()
+              if label.split()[0] in claim_ids}
+    assert pinned
     digests = {}
-    for label in json.loads(FULL_TREE_DIGESTS.read_text()):
+    for label in pinned:
         path = tmp_path / f"{label.split()[0]}.json"
         code, _, _ = run_cli(capsys, "verify", *label.split(), "--out", str(path))
         assert code == EXIT_OK
         digests[label] = _report_digest(path)
-    assert digests == json.loads(FULL_TREE_DIGESTS.read_text())
+    assert digests == pinned
+
+
+def test_full_tree_modulus_reports_match_the_exhaustive_scan(tmp_path, capsys):
+    _check_full_digests(tmp_path, capsys, ("tree_root_bound", "tn_extremal"))
+
+
+def test_purely_imaginary_reports_match_the_exact_scan(tmp_path, capsys):
+    _check_full_digests(tmp_path, capsys, ("purely_imaginary",))
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -5,7 +5,8 @@ Horner scheme, numpy's companion-matrix eigenvalue roots for Aberth-Ehrlich,
 and hand-expanded factorizations for the closed forms.  The integer
 remainder sequences are compared with a Fraction-arithmetic reference, and
 the inlined compensated Horner with one built from explicit TwoSum and
-TwoProduct calls, bit for bit.
+TwoProduct calls, bit for bit.  The batched modular screen is checked
+against the exact integer gcd of the even and odd parts.
 """
 
 import math
@@ -15,17 +16,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wiener_roots.claims import distinct_distributions
 from wiener_roots.graph_core import from_edge_list, load_fixture, distance_distribution
 from wiener_roots.polynomial import (
     Annulus,
     RootFindingError,
     WienerPolynomial,
+    SCREEN_PRIME,
     _aberth_ehrlich,
+    _int_poly_gcd,
     all_roots_rational,
     all_roots_real,
     enestrom_kakeya,
     evaluate,
     evaluate_gaussian,
+    imaginary_axis_candidates,
     purely_imaginary_roots,
     roots,
     wiener_index,
@@ -249,6 +254,59 @@ def test_purely_imaginary_irrational_certified_intervals():
         assert hi - lo <= Fraction(1, 1 << 40)
         assert float(lo) <= -expect <= float(hi)
         assert h.b == pytest.approx(math.sqrt(expect), abs=1e-9)
+
+
+def _constant_gcd(dvec) -> bool:
+    """The exact test's first step: gcd of the even and odd parts is constant."""
+    return len(dvec) > 1 and len(_int_poly_gcd(dvec[0::2], dvec[1::2])) <= 1
+
+
+def test_screen_clears_only_vectors_with_a_constant_gcd():
+    for kind, orders in (("trees", range(2, 17)), ("graphs", range(2, 8))):
+        for n in orders:
+            pool = distinct_distributions(kind, n)
+            kept = imaginary_axis_candidates(pool)
+            kept_set = set(kept)
+            assert kept == [dvec for dvec in pool if dvec in kept_set]  # pool order
+            cleared = set(pool) - kept_set
+            assert all(_constant_gcd(dvec) for dvec in cleared), (kind, n)
+            if kind == "trees" and n >= 13:  # the screen does its job
+                assert len(kept) <= 0.05 * len(pool)
+
+
+def test_screen_edge_vectors():
+    q = SCREEN_PRIME
+    fig6 = distance_distribution(load_fixture("min_tree_root_i")).d
+    # 2^64 + 2^64 x + x^2 + x^3 = (1 + x)(2^64 + x^2): roots +-2^32 i
+    big_hit = (2 ** 64, 2 ** 64, 1, 1)
+    kept = [
+        (5,),                     # length 1: no odd part to screen
+        (1, q),                   # leading (odd) coefficient divisible by q
+        (q, 1),                   # the even constant divisible by q
+        (1, 1, q),                # leading even coefficient divisible by q
+        (1, 1, 1, q),             # leading odd coefficient divisible by q
+        (1, 1, 1, q, 1),          # lc(O) divisible by q below an even lead
+        (1, 1, q * 2 ** 40),      # beyond int64 and divisible by q
+        big_hit,
+        FIG5.d,                   # (6, 4, 3, 2): roots +-sqrt(2)i
+        fig6,                     # the order-12 tree with roots +-i
+    ]
+    cleared = [
+        (5, 1),                   # two nonzero constants
+        (1, 2), (q + 1, 1),
+        (2 ** 64 + 1, 3, 1),      # beyond int64: reduced exactly, not wrapped
+        (2 ** 63, 1, 2 ** 70 + 5, 1),
+        (4, 3, 2, 1),             # the order-5 path
+        (1, 1, q + 1),
+    ]
+    assert imaginary_axis_candidates(kept + cleared) == kept
+    assert all(not _constant_gcd(d) for d in (big_hit, FIG5.d, fig6))
+    assert all(_constant_gcd(d) for d in cleared)
+    assert [h.radicand for h in purely_imaginary_roots(WienerPolynomial(big_hit))] \
+        == [2 ** 64]
+    for dvec in kept + cleared:  # one vector at a time, in groups of one
+        assert imaginary_axis_candidates([dvec]) == ([dvec] if dvec in kept else [])
+    assert imaginary_axis_candidates([]) == []
 
 
 def test_purely_imaginary_agrees_with_numeric_roots():
