@@ -14,11 +14,15 @@ centroid plus a non-increasing list of rooted blocks, the canonical rooted
 trees of at most (n-1)//2 vertices, and a bicentroid tree is a pair of
 canonical rooted trees of order n/2.  Each comes out as a preorder parent row.
 
-The labeled sweep runs BFS for a million edge masks at once on vertex-major
-bit rows: one contiguous uint8 row per vertex holds that vertex's ball for
-every mask, and one 0x00/0xFF row per edge bit gates which balls merge.  The
-distance vectors of the connected masks are packed into int64 keys and
-deduplicated with a 1-D np.unique before anything is decoded.
+The labeled sweep gets its distances by vertex augmentation, a million edge
+masks at a time.  The top C(n,2) - C(n-1,2) bits of a mask join the last
+vertex w to a set s of the others, and the rest is a graph H of order n-1.
+One Floyd-Warshall pivot on w gives the distances of H + w from those of H:
+d(u, w) = D(u) = 1 + min over a in s of d_H(u, a), and d(u, v) is the smaller
+of d_H(u, v) and D(u) + D(v).  The distances of H come, pair-major in
+contiguous uint8 rows, from the same step one order down.  The distance
+vectors of the connected masks are packed into int64 keys and deduplicated
+with a 1-D np.unique before anything is decoded.
 
 Free trees get their distances in batches instead of one BFS each.  A tree
 numbered in preorder, as enumerate_trees numbers it, is its parent row:
@@ -341,73 +345,124 @@ def tree_distributions(parent_rows: Iterable[Sequence[int]]) -> Iterator[tuple[i
 # Exhaustive labeled-graph enumeration (vectorized over edge masks)
 # ---------------------------------------------------------------------------
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _CHUNK = 1 << 20
+# Distance of an unreachable pair: above every distance at order <= 8, and
+# the sum of two of them still fits in a uint8.
+_INF = 0x7F
 
 
 def _edge_bit_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
-def _ball_sizes(ball: np.ndarray) -> np.ndarray:
-    """Sum over vertices of |ball[v]| for every mask: at most n*n, so uint8."""
-    sizes = _POPCOUNT.take(ball[0])
-    for row in ball[1:]:
-        sizes += _POPCOUNT.take(row)
-    return sizes
+def _pair_row(u: int, v: int) -> int:
+    """Row of the pair {u, v}, u != v, in _edge_bit_pairs order (its edge bit)."""
+    if u > v:
+        u, v = v, u
+    return v * (v - 1) // 2 + u
+
+
+def _reach(h: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """Distances to a new vertex w joined to the vertex set s of each graph H.
+
+    h holds the pair distances of labeled graphs H on vertices 0..w-1, one
+    row per pair in _edge_bit_pairs order and one column per graph.  Row u
+    of out gets d(u, w) = 1 + min over a in s of d_H(u, a), which is _INF
+    when no vertex of s is reachable from u.
+    """
+    nbrs = list(_iter_bits(s))
+    for u, row in enumerate(out):
+        if s >> u & 1:
+            row.fill(1)
+        elif not nbrs:
+            row.fill(_INF)
+        else:
+            np.copyto(row, h[_pair_row(u, nbrs[0])])
+            for a in nbrs[1:]:
+                np.minimum(row, h[_pair_row(u, a)], out=row)
+            row += 1
+            np.minimum(row, _INF, out=row)  # clamp: an unreachable u stays _INF
+    return out
+
+
+def _pair_rows(h: np.ndarray, reach: np.ndarray, rows: Iterable[np.ndarray]
+               ) -> Iterator[np.ndarray]:
+    """Distances of the pairs of H in H + w, written into rows and yielded one by one.
+
+    A shortest path passes w at most once, and its two parts avoid w, so
+    d(u, v) = min(d_H(u, v), d(u, w) + d(v, w)) with reach[u] = d(u, w).
+    """
+    for (u, v), h_row, row in zip(_edge_bit_pairs(len(reach)), h, rows):
+        np.add(reach[u], reach[v], out=row)
+        np.minimum(h_row, row, out=row)
+        yield row
+
+
+def _augmented_blocks(n: int, start: int, stop: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(column, s, h) for each run of masks in [start, stop) with one neighbour set.
+
+    Mask bits above C(n-1,2) are the edges of w = n-1, so the run with
+    neighbour set s covers masks (s << C(n-1,2)) | h over a range of order
+    n-1 masks h, whose distances h holds.  A window that covers every order
+    n-1 mask takes them from one full table; a shorter one spans at most two
+    runs and gets each run's range on its own.
+    """
+    inner = (n - 1) * (n - 2) // 2
+    size = 1 << inner
+    table = _pair_distances(n - 1, 0, size) if stop - start >= size else None
+    pos = start
+    while pos < stop:
+        s, lo = divmod(pos, size)
+        hi = min(stop - (s << inner), size)
+        h = table[:, lo:hi] if table is not None else _pair_distances(n - 1, lo, hi)
+        yield pos - start, s, h
+        pos += hi - lo
+
+
+def _pair_distances(n: int, start: int, stop: int) -> np.ndarray:
+    """(C(n,2), stop - start) uint8 pair distances of masks [start, stop) at order n.
+
+    Built by augmenting from order 1, one vertex at a time; an unreachable
+    pair holds _INF.  The pairs of vertex n-1 are the last n-1 rows.
+    """
+    out = np.empty((n * (n - 1) // 2, stop - start), dtype=np.uint8)
+    if n > 1:
+        for col, s, h in _augmented_blocks(n, start, stop):
+            block = out[:, col:col + h.shape[1]]
+            reach = _reach(h, s, block[h.shape[0]:])
+            for _ in _pair_rows(h, reach, block):  # each row lands in block
+                pass
+    return out
 
 
 def _chunk_distance_counts(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair counts by distance for every mask in [start, stop), and connectivity.
 
-    Vertex-major: edge[b] is a contiguous uint8 row that is 0xFF where edge
-    bit b is set, and ball[v] holds, for every mask, the bitset of vertices
-    within the current radius of v.  One BFS step ORs the balls of v's
-    neighbours into ball[v], a whole row at a time.  Row k of the returned
-    (n-1, m) uint8 array counts the unordered pairs at distance k+1.  A ball
-    fits in one uint8 because n <= ENUMERATION_MAX_ORDER = 8.
+    Each run of masks sharing the neighbour set s of the last vertex w = n-1
+    takes the order-(n-1) distances of its range and adds w by one
+    Floyd-Warshall pivot (_reach, then _pair_rows), one distance row at a
+    time.  Row k of the returned (n-1, m) uint8 array counts the unordered
+    pairs at distance k+1, and a mask is connected iff w reaches every
+    other vertex.
     """
-    pairs = _edge_bit_pairs(n)
-    masks = np.arange(start, stop, dtype=np.int64)
-    m = masks.size
-    edge = np.empty((len(pairs), m), dtype=np.uint8)
-    bit = np.empty_like(masks)
-    for b in range(len(pairs)):
-        np.right_shift(masks, b, out=bit)
-        np.bitwise_and(bit, 1, out=bit)
-        np.negative(bit, out=bit)
-        np.copyto(edge[b], bit, casting="unsafe")
-    del masks, bit
-    bit_of = {pair: b for b, pair in enumerate(pairs)}
-    adjacent = [
-        [(u, edge[bit_of[min(u, v), max(u, v)]]) for u in range(n) if u != v]
-        for v in range(n)
-    ]
-    ball = np.empty((n, m), dtype=np.uint8)
-    for v in range(n):
-        ball[v] = 1 << v
-        for u, e in adjacent[v]:
-            ball[v] |= e & np.uint8(1 << u)
-    tmp = np.empty(m, dtype=np.uint8)
-    counts = np.zeros((n - 1, m), dtype=np.uint8)
-    prev = _ball_sizes(ball)
-    np.subtract(prev, n, out=counts[0])
-    counts[0] >>= 1
-    for k in range(1, n - 1):
-        grown = ball.copy()
-        for v in range(n):
-            for u, e in adjacent[v]:
-                np.bitwise_and(ball[u], e, out=tmp)
-                grown[v] |= tmp
-        ball = grown
-        tot = _ball_sizes(ball)
-        np.subtract(tot, prev, out=counts[k])
-        counts[k] >>= 1
-        if np.array_equal(tot, prev):
-            break
-        prev = tot
-    # connected iff every ball is all n vertices, i.e. the sizes sum to n*n
-    return counts, prev == n * n
+    target = n * (n - 1) // 2
+    counts = np.zeros((n - 1, stop - start), dtype=np.uint8)
+    connected = np.empty(stop - start, dtype=bool)
+    for col, s, h in _augmented_blocks(n, start, stop):
+        width = h.shape[1]
+        block = counts[:, col:col + width]
+        reach = _reach(h, s, np.empty((n - 1, width), dtype=np.uint8))
+        hit = np.empty(width, dtype=bool)
+        via = np.empty(width, dtype=np.uint8)
+        for row in itertools.chain(reach, _pair_rows(h, reach, itertools.repeat(via))):
+            for k in range(n - 1):
+                np.equal(row, k + 1, out=hit)
+                block[k] += hit
+        np.less(reach.max(axis=0), _INF, out=connected[col:col + width])
+    # a connected mask has every pair at a finite distance, a disconnected one not
+    if not np.array_equal(counts.sum(axis=0) == target, connected):
+        raise RuntimeError("labeled sweep: a distance table disagrees with connectivity")
+    return counts, connected
 
 
 def _sweep_mask_range(n: int, lo: int, hi: int) -> tuple[set[tuple[int, ...]], int]:
@@ -455,8 +510,9 @@ def enumerate_connected_distributions(
     Iterates every one of the 2^C(n,2) labeled graphs, skips disconnected
     instances (counting the connected ones), and deduplicates by distance
     vector: root sets depend only on the distribution, so nothing is lost.
-    Masks are swept in chunks of 2^20 with a vertex-major bitset BFS, and each
-    chunk's connected distance vectors are deduplicated as packed int64 keys.
+    Masks are swept in chunks of 2^20 whose distances come by augmenting the
+    order n-1 distance table with the last vertex, and each chunk's connected
+    distance vectors are deduplicated as packed int64 keys.
     Order 8 means a 2^28 sweep and must be requested with long_running=True.
     jobs > 1 splits the masks over worker processes, at most one per usable
     core; the result does not depend on jobs.

@@ -551,9 +551,13 @@ def _isolate_real_roots(c: Sequence[int]) -> list[IsolatedRoot]:
 
 
 def _refine_bracket(c: Sequence[int], a: Fraction, b: Fraction) -> IsolatedRoot:
-    """Shrink a one-root bracket to width 2^-40 or an exact rational hit."""
+    """Shrink a one-root bracket to width 2^-40 or an exact rational hit.
+
+    The bracket also shrinks until 0 is not in its closure: 0 is never a
+    root here, so every kept bracket has the sign of its root.
+    """
     sa = _sign(_eval_frac(c, a))
-    while b - a > STURM_REFINE_WIDTH or (a < 0 < b):
+    while b - a > STURM_REFINE_WIDTH or a <= 0 <= b:
         mid = (a + b) / 2
         sm = _sign(_eval_frac(c, mid))
         if sm == 0:

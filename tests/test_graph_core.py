@@ -319,12 +319,16 @@ def test_enumeration_order2():
     assert [dd.d for dd in dists] == [(1,)]
 
 
+def _mask_graph(n: int, mask: int) -> Graph:
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    return from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
 def _window_by_bfs(n: int, lo: int, hi: int):
     # independent route: every connected labeled graph's BFS distribution
-    pairs = [(u, v) for v in range(n) for u in range(v)]
     distinct, connected = set(), 0
     for mask in range(lo, hi):
-        g = from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        g = _mask_graph(n, mask)
         if g.is_connected():
             connected += 1
             distinct.add(distance_distribution(g).d)
@@ -429,6 +433,78 @@ def test_sweep_invariant_violations_raise(monkeypatch, bad_column, message):
     monkeypatch.setattr(graph_core, "_chunk_distance_counts", corrupted)
     with pytest.raises(RuntimeError, match=message):
         graph_core._sweep_mask_range(6, 0, 8)
+
+
+def _bfs_pair_distances(g: Graph) -> list[int]:
+    # one plain BFS per vertex; pairs in edge-bit order, None when unreachable
+    rows = []
+    for src in range(g.n):
+        dist, frontier, k = {src: 0}, [src], 0
+        while frontier:
+            k += 1
+            frontier = [v for v in range(g.n) if v not in dist
+                        and any(g.has_edge(u, v) for u in frontier)]
+            dist.update(dict.fromkeys(frontier, k))
+        rows.append(dist)
+    return [rows[u].get(v) for v in range(g.n) for u in range(v)]
+
+
+@pytest.mark.parametrize("n, lo, hi", [
+    (7, (1 << 15) - 300, (1 << 15) + 300),  # S = 0 (vertex 6 isolated) into S = 1
+    (7, (37 << 15) - 250, (37 << 15) + 250),
+    (7, (1 << 21) - 400, 1 << 21),  # the last block, S = all of 0..5
+    (6, (5 << 10) + 100, (6 << 10) + 700),  # longer than a block: one full table
+    (8, (3 << 21) - 256, (3 << 21) + 256),
+    (8, 0, 300),
+    (3, 0, 8),
+    (2, 0, 2),
+])
+def test_chunk_kernel_matches_per_mask_bfs(n, lo, hi):
+    counts, connected = graph_core._chunk_distance_counts(n, lo, hi)
+    assert counts.shape == (n - 1, hi - lo) and connected.shape == (hi - lo,)
+    for col, mask in enumerate(range(lo, hi)):
+        g = _mask_graph(n, mask)
+        assert bool(connected[col]) == g.is_connected(), mask
+        if g.is_connected():
+            d = distance_distribution(g).d
+            assert tuple(counts[:, col]) == d + (0,) * (n - 1 - len(d)), mask
+
+
+def test_pair_distance_table_matches_bfs_through_order_6():
+    for n in range(1, 7):
+        total = 1 << comb(n, 2)
+        table = graph_core._pair_distances(n, 0, total)
+        assert table.shape == (comb(n, 2), total) and table.dtype == np.uint8
+        for mask in range(total):
+            expect = [graph_core._INF if d is None else d
+                      for d in _bfs_pair_distances(_mask_graph(n, mask))]
+            assert table[:, mask].tolist() == expect, (n, mask)
+
+
+_SWEEP_INVARIANTS = """
+import pytest
+from wiener_roots import graph_core
+
+pair_rows = graph_core._pair_rows
+
+def corrupted(h, reach, rows):
+    for i, row in enumerate(pair_rows(h, reach, rows)):
+        if len(reach) == 3 and i == 0 and reach[:, -1].tolist() == [1, 1, 1]:
+            row[-1] = FILL  # pair {0, 1} of the complete graph K4, mask 63
+        yield row
+
+graph_core._pair_rows = corrupted
+for FILL in (graph_core._INF, 0):
+    with pytest.raises(RuntimeError, match="disagrees with connectivity"):
+        graph_core._chunk_distance_counts(4, 0, 64)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_chunk_kernel_table_inconsistency_raises(flags):
+    src = Path(graph_core.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, *flags, "-c", _SWEEP_INVARIANTS], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_enumeration_stats_invariant():

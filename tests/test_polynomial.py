@@ -256,6 +256,17 @@ def test_purely_imaginary_irrational_certified_intervals():
         assert h.b == pytest.approx(math.sqrt(expect), abs=1e-9)
 
 
+def test_purely_imaginary_roots_next_to_zero():
+    # (1 + x)(1 + 2^64 x^2): t = -2^-64 lies inside the last 2^-40 bracket
+    # at 0, so refinement goes on until the bracket leaves 0
+    [hit] = purely_imaginary_roots(WienerPolynomial((1, 1, 2**64, 2**64)))
+    assert hit.radicand == Fraction(1, 2**64) and hit.b == 2.0**-32
+    [hit] = purely_imaginary_roots(WienerPolynomial((1, 1, 3 * 2**50, 3 * 2**50)))
+    lo, hi = hit.t_interval
+    assert lo < Fraction(-1, 3 * 2**50) < hi < 0
+    assert hi - lo <= Fraction(1, 1 << 40)
+
+
 def _constant_gcd(dvec) -> bool:
     """The exact test's first step: gcd of the even and odd parts is constant."""
     return len(dvec) > 1 and len(_int_poly_gcd(dvec[0::2], dvec[1::2])) <= 1
