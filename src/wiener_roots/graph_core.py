@@ -20,9 +20,10 @@ vertex w to a set s of the others, and the rest is a graph H of order n-1.
 One Floyd-Warshall pivot on w gives the distances of H + w from those of H:
 d(u, w) = D(u) = 1 + min over a in s of d_H(u, a), and d(u, v) is the smaller
 of d_H(u, v) and D(u) + D(v).  The distances of H come, pair-major in
-contiguous uint8 rows, from the same step one order down.  The distance
-vectors of the connected masks are packed into int64 keys and deduplicated
-with a 1-D np.unique before anything is decoded.
+contiguous uint8 rows, from the same step one order down.  Each chunk's
+distance vectors are packed into int64 keys, the connected masks' keys are
+deduplicated by an in-place sort, and only the distinct keys are decoded and
+checked.
 
 Free trees get their distances in batches instead of one BFS each.  A tree
 numbered in preorder, as enumerate_trees numbers it, is its parent row:
@@ -459,8 +460,9 @@ def _chunk_distance_counts(n: int, start: int, stop: int) -> tuple[np.ndarray, n
                 np.equal(row, k + 1, out=hit)
                 block[k] += hit
         np.less(reach.max(axis=0), _INF, out=connected[col:col + width])
-    # a connected mask has every pair at a finite distance, a disconnected one not
-    if not np.array_equal(counts.sum(axis=0) == target, connected):
+    # a connected mask has every pair at a finite distance, a disconnected one
+    # not; each pair has one distance, so a uint8 column sum is at most C(n,2)
+    if not np.array_equal(counts.sum(axis=0, dtype=np.uint8) == target, connected):
         raise RuntimeError("labeled sweep: a distance table disagrees with connectivity")
     return counts, connected
 
@@ -468,9 +470,11 @@ def _chunk_distance_counts(n: int, start: int, stop: int) -> tuple[np.ndarray, n
 def _sweep_mask_range(n: int, lo: int, hi: int) -> tuple[set[tuple[int, ...]], int]:
     """Distinct distance distributions and connected count over masks [lo, hi).
 
-    Each connected distance vector is packed into one int64 key, width bits
-    per entry, so deduplication is a 1-D np.unique and only the distinct keys
-    are decoded.
+    Every column of a chunk is packed into one int64 key, width bits per
+    entry, before the connected ones are selected; an in-place sort and a
+    neighbour comparison deduplicate those, and only the distinct keys are
+    decoded and checked.  No count exceeds C(n,2) < 2^width, so packing is a
+    bijection and a check on the distinct vectors is a check on every column.
     """
     target = n * (n - 1) // 2
     width = target.bit_length()
@@ -480,24 +484,27 @@ def _sweep_mask_range(n: int, lo: int, hi: int) -> tuple[set[tuple[int, ...]], i
     for start in range(lo, hi, _CHUNK):
         counts, connected = _chunk_distance_counts(n, start, min(start + _CHUNK, hi))
         connected_total += int(np.count_nonzero(connected))
-        dv = counts[:, connected]
-        del counts, connected  # each step frees its input so the chunk peak stays flat
-        # invariants: pair counts sum to C(n,2) and zeros appear only as a suffix
-        if not np.all(dv.sum(axis=0, dtype=np.int64) == target):
+        if counts.max() > target:  # would carry into the next field
             raise RuntimeError("labeled sweep: pair counts do not sum to C(n,2)")
-        zero = dv == 0
-        if not np.all(np.diff(zero.astype(np.int8), axis=0) >= 0):
-            raise RuntimeError("labeled sweep: a zero pair count precedes a nonzero one")
-        del zero
-        keys = dv[n - 2].astype(np.int64)
+        keys = counts[n - 2].astype(np.int64)
         for k in range(n - 3, -1, -1):
             keys <<= width
-            keys |= dv[k]
-        del dv
-        for key in np.unique(keys).tolist():
+            keys |= counts[k]
+        del counts  # each step frees its input so the chunk peak stays flat
+        keys = keys[connected]
+        keys.sort()
+        first = np.empty(keys.size, dtype=bool)  # first of its run of equal keys
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        for key in keys[first].tolist():
             vec = tuple(key >> (width * k) & field for k in range(n - 1))
+            # invariants: pair counts sum to C(n,2) and zeros appear only as a suffix
+            if sum(vec) != target:
+                raise RuntimeError("labeled sweep: pair counts do not sum to C(n,2)")
             while vec and vec[-1] == 0:
                 vec = vec[:-1]
+            if 0 in vec:
+                raise RuntimeError("labeled sweep: a zero pair count precedes a nonzero one")
             distinct.add(vec)
     return distinct, connected_total
 
@@ -512,7 +519,8 @@ def enumerate_connected_distributions(
     vector: root sets depend only on the distribution, so nothing is lost.
     Masks are swept in chunks of 2^20 whose distances come by augmenting the
     order n-1 distance table with the last vertex, and each chunk's connected
-    distance vectors are deduplicated as packed int64 keys.
+    distance vectors are deduplicated as packed int64 keys by an in-place
+    sort, so only the distinct ones are decoded and checked.
     Order 8 means a 2^28 sweep and must be requested with long_running=True.
     jobs > 1 splits the masks over worker processes, at most one per usable
     core; the result does not depend on jobs.

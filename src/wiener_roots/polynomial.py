@@ -47,6 +47,7 @@ RESIDUAL_THRESHOLD = 1e-9
 ABERTH_SWEEP_BUDGET = 500
 ABERTH_STEP_TOLERANCE = 1e-13
 STURM_REFINE_WIDTH = Fraction(1, 1 << 40)
+STURM_RELATIVE_WIDTH = Fraction(1, 1 << 20)
 
 Number = Union[int, float, complex, Fraction]
 
@@ -133,7 +134,7 @@ class PurelyImaginaryRoot:
 
     When the squared value is rational, `radicand` holds b^2 exactly (so the
     root is the radical sqrt(radicand)); otherwise `t_interval` certifies the
-    negative real number t = -b^2 to width 2^-40.
+    negative real number t = -b^2 to width 2^-40 and to a relative 2^-20.
     """
 
     b: float
@@ -509,8 +510,9 @@ def _isolate_real_roots(c: Sequence[int]) -> list[IsolatedRoot]:
     """All real roots of a square-free integer polynomial.
 
     Rational roots come back exactly (as Fractions); irrational roots come
-    back as certified open intervals of width at most 2^-40 with non-root
-    dyadic endpoints.  A dyadic subdivision point that happens to be a root
+    back as certified open intervals of width at most 2^-40, and at most 2^-20
+    times the modulus of the endpoint nearer 0, with non-root dyadic
+    endpoints.  A dyadic subdivision point that happens to be a root
     is divided out and the isolation restarts on the quotient.
     """
     rationals: list[Fraction] = []
@@ -554,10 +556,14 @@ def _refine_bracket(c: Sequence[int], a: Fraction, b: Fraction) -> IsolatedRoot:
     """Shrink a one-root bracket to width 2^-40 or an exact rational hit.
 
     The bracket also shrinks until 0 is not in its closure: 0 is never a
-    root here, so every kept bracket has the sign of its root.
+    root here, so every kept bracket has the sign of its root.  Next to 0 it
+    shrinks on until its width is at most 2^-20 times the modulus of its
+    endpoint nearer 0, so the bracket's midpoint is close to the root in
+    relative terms too.
     """
     sa = _sign(_eval_frac(c, a))
-    while b - a > STURM_REFINE_WIDTH or a <= 0 <= b:
+    while (b - a > STURM_REFINE_WIDTH or a <= 0 <= b
+           or b - a > STURM_RELATIVE_WIDTH * min(abs(a), abs(b))):
         mid = (a + b) / 2
         sm = _sign(_eval_frac(c, mid))
         if sm == 0:

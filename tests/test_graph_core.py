@@ -410,10 +410,13 @@ def test_enumeration_workers_clamped_to_usable_cores(monkeypatch, jobs, cores, w
     (7, 12345, 16441),  # unaligned; vertex 6 is isolated in every mask
     (7, 1234567, 1234567 + 4096),  # unaligned, mostly connected
     (8, (1 << 21) + (1 << 20) + 12345, (1 << 21) + (1 << 20) + 12345 + 4096),
+    *((n, 0, 1 << comb(n, 2)) for n in range(2, 7)),  # every mask of the order
 ])
-@pytest.mark.parametrize("chunk", [None, 1000])
+@pytest.mark.parametrize("chunk", [None, 1000, 7])
 def test_sweep_windows_match_bfs(monkeypatch, n, lo, hi, chunk):
-    # chunk=1000 splits the window into several chunks, the last one partial
+    # chunk=1000 splits the window into several chunks, the last one partial;
+    # chunk=7 gives chunks with no connected mask and with exactly one, the
+    # edge cases of the sort-and-compare deduplication
     if chunk is not None:
         monkeypatch.setattr(graph_core, "_CHUNK", chunk)
     assert graph_core._sweep_mask_range(n, lo, hi) == _window_by_bfs(n, lo, hi)
@@ -422,6 +425,9 @@ def test_sweep_windows_match_bfs(monkeypatch, n, lo, hi, chunk):
 @pytest.mark.parametrize("bad_column, message", [
     ([10, 4, 0, 1, 0], "precedes"),  # sums to C(6,2) but has an interior zero
     ([3, 2, 1, 0, 0], "sum"),
+    # 26 > C(6,2) carries out of its 4-bit field: the key decodes to (4, 10, 1),
+    # which sums to 15 with no interior zero, so only the overflow guard sees it
+    ([4, 26, 0, 0, 0], "sum"),
 ])
 def test_sweep_invariant_violations_raise(monkeypatch, bad_column, message):
     def corrupted(n, start, stop):

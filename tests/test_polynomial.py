@@ -265,6 +265,28 @@ def test_purely_imaginary_roots_next_to_zero():
     lo, hi = hit.t_interval
     assert lo < Fraction(-1, 3 * 2**50) < hi < 0
     assert hi - lo <= Fraction(1, 1 << 40)
+    # the bracket is also narrow relative to t, so b is close to 1/sqrt(3 * 2^50)
+    assert hi - lo <= -hi / 2**20
+    assert hit.b == pytest.approx(1 / math.sqrt(3 * 2**50), rel=2.0**-20)
+
+
+def test_purely_imaginary_roots_beside_a_divided_out_rational():
+    # E = O = (t + 1)(K(t + 1)^2 - 1): isolation hits t = -1 at a midpoint and
+    # divides it out, and the roots -1 +- 1/sqrt(K) are refined on the quotient,
+    # so a bracket that still holds -1 must not come back as -1
+    K = 3 * 2**100
+    hits = purely_imaginary_roots(WienerPolynomial(
+        (K - 1, K - 1, 3 * K - 1, 3 * K - 1, 3 * K, 3 * K, K, K)))
+    below, exact, above = hits
+    assert exact.radicand == 1
+
+    def f(t):
+        return K * (t + 1) ** 2 - 1
+
+    for h in (below, above):
+        lo, hi = h.t_interval
+        assert f(lo) * f(hi) < 0
+    assert below.t_interval[1] > -1 > above.t_interval[1]
 
 
 def _constant_gcd(dvec) -> bool:
