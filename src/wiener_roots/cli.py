@@ -18,7 +18,6 @@ from pathlib import Path
 from . import claims
 from .families import parse_family_spec, family_polynomial
 from .graph_core import (
-    DisconnectedGraphError,
     Graph6Error,
     distance_distribution,
     load_edge_list,
@@ -111,10 +110,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
             had_parse_error = True
             continue
         try:
-            record = _record_for(token, distance_distribution(g))
-        except DisconnectedGraphError as exc:
+            w = distance_distribution(g)
+        except ValueError as exc:  # disconnected, or a single vertex
             lines.append(json.dumps({"graph": desc, "error": str(exc)}))
             continue
+        record = _record_for(token, w)
         if args.format == "json":
             lines.append(json.dumps(record.to_json_dict()))
         else:

@@ -20,7 +20,10 @@ vertex w to a set s of the others, and the rest is a graph H of order n-1.
 One Floyd-Warshall pivot on w gives the distances of H + w from those of H:
 d(u, w) = D(u) = 1 + min over a in s of d_H(u, a), and d(u, v) is the smaller
 of d_H(u, v) and D(u) + D(v).  The distances of H come, pair-major in
-contiguous uint8 rows, from the same step one order down.  Each chunk's
+contiguous uint8 rows, from the same step one order down.  A chunk is
+counted one tile of at most 2^15 masks at a time: each tile's pairs fill one
+(C(n,2), tile) uint8 table, small enough to stay in cache, and one compare
+plus one column sum over the whole table counts each distance.  Each chunk's
 distance vectors are packed into int64 keys, the connected masks' keys are
 deduplicated by an in-place sort, and only the distinct keys are decoded and
 checked.
@@ -347,6 +350,9 @@ def tree_distributions(parent_rows: Iterable[Sequence[int]]) -> Iterator[tuple[i
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 20
+# Masks per pair table: at orders 7-8 such a table is 0.7-0.9 MB, so it and
+# its compare buffer can stay in a core's L2 cache while they are counted.
+_TILE = 1 << 15
 # Distance of an unreachable pair: above every distance at order <= 8, and
 # the sum of two of them still fits in a uint8.
 _INF = 0x7F
@@ -400,13 +406,15 @@ def _pair_rows(h: np.ndarray, reach: np.ndarray, rows: Iterable[np.ndarray]
 
 
 def _augmented_blocks(n: int, start: int, stop: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(column, s, h) for each run of masks in [start, stop) with one neighbour set.
+    """(column, s, h) for each tile of masks in [start, stop) with one neighbour set.
 
     Mask bits above C(n-1,2) are the edges of w = n-1, so the run with
     neighbour set s covers masks (s << C(n-1,2)) | h over a range of order
-    n-1 masks h, whose distances h holds.  A window that covers every order
-    n-1 mask takes them from one full table; a shorter one spans at most two
-    runs and gets each run's range on its own.
+    n-1 masks h.  A window that covers every order n-1 mask takes their
+    distances from one full table; a shorter one spans at most two runs and
+    builds each run's range on its own.  Each run's table is then cut at the
+    multiples of _TILE within the run, so a tile has at most _TILE columns
+    and h is a slice of the run's table.
     """
     inner = (n - 1) * (n - 2) // 2
     size = 1 << inner
@@ -415,9 +423,23 @@ def _augmented_blocks(n: int, start: int, stop: int) -> Iterator[tuple[int, int,
     while pos < stop:
         s, lo = divmod(pos, size)
         hi = min(stop - (s << inner), size)
-        h = table[:, lo:hi] if table is not None else _pair_distances(n - 1, lo, hi)
-        yield pos - start, s, h
+        run = table[:, lo:hi] if table is not None else _pair_distances(n - 1, lo, hi)
+        cuts = [lo, *range(lo - lo % _TILE + _TILE, hi, _TILE), hi]
+        for a, b in itertools.pairwise(cuts):
+            yield pos - start + a - lo, s, run[:, a - lo:b - lo]
         pos += hi - lo
+
+
+def _augment(h: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """Fill out, (C(w+1,2), width), with the pair distances of each H + w.
+
+    The pairs of H take the first rows and the pairs of w the last w, in
+    _edge_bit_pairs order; returns those last rows, d(u, w) for u < w.
+    """
+    reach = _reach(h, s, out[h.shape[0]:])
+    for _ in _pair_rows(h, reach, out):  # each row lands in out
+        pass
+    return reach
 
 
 def _pair_distances(n: int, start: int, stop: int) -> np.ndarray:
@@ -429,36 +451,38 @@ def _pair_distances(n: int, start: int, stop: int) -> np.ndarray:
     out = np.empty((n * (n - 1) // 2, stop - start), dtype=np.uint8)
     if n > 1:
         for col, s, h in _augmented_blocks(n, start, stop):
-            block = out[:, col:col + h.shape[1]]
-            reach = _reach(h, s, block[h.shape[0]:])
-            for _ in _pair_rows(h, reach, block):  # each row lands in block
-                pass
+            _augment(h, s, out[:, col:col + h.shape[1]])
     return out
 
 
 def _chunk_distance_counts(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair counts by distance for every mask in [start, stop), and connectivity.
 
-    Each run of masks sharing the neighbour set s of the last vertex w = n-1
-    takes the order-(n-1) distances of its range and adds w by one
-    Floyd-Warshall pivot (_reach, then _pair_rows), one distance row at a
-    time.  Row k of the returned (n-1, m) uint8 array counts the unordered
-    pairs at distance k+1, and a mask is connected iff w reaches every
-    other vertex.
+    Each tile of at most _TILE masks sharing the neighbour set s of the last
+    vertex w = n-1 takes the order-(n-1) distances of its range, adds w by
+    one Floyd-Warshall pivot (_augment) into a (C(n,2), tile) pair table,
+    and counts each distance k over the whole table with one compare and one
+    column sum.  Row k of the returned (n-1, m) uint8 array counts the
+    unordered pairs at distance k+1, and a mask is connected iff w reaches
+    every other vertex.
     """
     target = n * (n - 1) // 2
-    counts = np.zeros((n - 1, stop - start), dtype=np.uint8)
-    connected = np.empty(stop - start, dtype=bool)
+    m = stop - start
+    counts = np.empty((n - 1, m), dtype=np.uint8)
+    connected = np.empty(m, dtype=bool)
+    # flat, so that the table of a tile shorter than _TILE is contiguous too
+    table = np.empty(target * min(m, _TILE), dtype=np.uint8)
+    hit = np.empty(table.size, dtype=bool)
     for col, s, h in _augmented_blocks(n, start, stop):
         width = h.shape[1]
-        block = counts[:, col:col + width]
-        reach = _reach(h, s, np.empty((n - 1, width), dtype=np.uint8))
-        hit = np.empty(width, dtype=bool)
-        via = np.empty(width, dtype=np.uint8)
-        for row in itertools.chain(reach, _pair_rows(h, reach, itertools.repeat(via))):
-            for k in range(n - 1):
-                np.equal(row, k + 1, out=hit)
-                block[k] += hit
+        pairs = table[:target * width].reshape(target, width)
+        same = hit[:target * width].reshape(target, width)
+        reach = _augment(h, s, pairs)
+        for k in range(1, n):
+            np.equal(pairs, k, out=same)
+            # a column has at most C(n,2) <= 28 hits, so uint8 sums are exact
+            same.view(np.uint8).sum(axis=0, dtype=np.uint8,
+                                    out=counts[k - 1, col:col + width])
         np.less(reach.max(axis=0), _INF, out=connected[col:col + width])
     # a connected mask has every pair at a finite distance, a disconnected one
     # not; each pair has one distance, so a uint8 column sum is at most C(n,2)

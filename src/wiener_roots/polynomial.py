@@ -748,8 +748,9 @@ def _symmetrize(zs: list[complex], n_real: int) -> list[complex]:
     return out
 
 
-def _residual(coeffs: Sequence[int], z: complex) -> float:
-    scale = max(abs(c) for c in coeffs) * max(1.0, abs(z)) ** (len(coeffs) - 1)
+def _residual(coeffs: Sequence[int], cmax: int, z: complex) -> float:
+    """|p(z)| relative to cmax * max(1, |z|)^deg, cmax the largest |coefficient|."""
+    scale = cmax * max(1.0, abs(z)) ** (len(coeffs) - 1)
     return abs(_comp_horner(coeffs, z)) / scale
 
 
@@ -781,8 +782,9 @@ def roots(p: WienerPolynomial) -> tuple[ComplexRoot, ...]:
         for z in _symmetrize(approx, n_real):
             entries.append((z, None, mult))
     out: list[ComplexRoot] = []
+    cmax = max(c)  # pair counts are positive, so this is the largest |coefficient|
     for z, form, mult in entries:
-        root = ComplexRoot(z.real, z.imag, _residual(c, z), form)
+        root = ComplexRoot(z.real, z.imag, _residual(c, cmax, z), form)
         out.extend([root] * mult)
     out.sort(key=lambda r: (r.re, r.im))
     if len(out) != deg:

@@ -84,6 +84,26 @@ def test_compute_handles_disconnected_and_parse_errors(tmp_path, capsys):
     assert "error" in json.loads(out.strip())
 
 
+def test_compute_reports_an_order_one_graph_per_record(tmp_path, capsys):
+    # a single vertex has no distance distribution: an error line, like a
+    # disconnected graph, and the records after it are still computed
+    src = tmp_path / "in.g6"
+    src.write_text("@\nA_\n")
+    code, out, err = run_cli(capsys, "compute", str(src))
+    first, second = (json.loads(ln) for ln in out.strip().splitlines())
+    assert code == EXIT_OK and err == ""
+    assert first == {"graph": "line 1: @",
+                     "error": "distance distribution needs order >= 2"}
+    assert second["coefficients"] == [1]
+
+    src = tmp_path / "k1.edges"
+    src.write_text("1\n")
+    code, out, err = run_cli(capsys, "compute", str(src), "--edge-list")
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out) == {"graph": str(src),
+                               "error": "distance distribution needs order >= 2"}
+
+
 def test_compute_edge_list_and_stdin(tmp_path, capsys, monkeypatch):
     src = tmp_path / "p4.edges"
     src.write_text("4\n0 1\n1 2\n2 3\n")

@@ -6,6 +6,7 @@ for labeled connected graph counts, the rooted-tree/free-tree counting
 recurrences, and a Pruefer-sequence sweep deduplicated by canonical codes.
 """
 
+import functools
 import hashlib
 import itertools
 import os
@@ -324,6 +325,7 @@ def _mask_graph(n: int, mask: int) -> Graph:
     return from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+@functools.cache
 def _window_by_bfs(n: int, lo: int, hi: int):
     # independent route: every connected labeled graph's BFS distribution
     distinct, connected = set(), 0
@@ -405,13 +407,16 @@ def test_enumeration_workers_clamped_to_usable_cores(monkeypatch, jobs, cores, w
     assert len(dists) == 98
 
 
-@pytest.mark.parametrize("n, lo, hi", [
+_SWEEP_WINDOWS = [
     (7, (1 << 20) - 2048, (1 << 20) + 2048),  # straddles the 2^20 mask boundary
     (7, 12345, 16441),  # unaligned; vertex 6 is isolated in every mask
     (7, 1234567, 1234567 + 4096),  # unaligned, mostly connected
     (8, (1 << 21) + (1 << 20) + 12345, (1 << 21) + (1 << 20) + 12345 + 4096),
     *((n, 0, 1 << comb(n, 2)) for n in range(2, 7)),  # every mask of the order
-])
+]
+
+
+@pytest.mark.parametrize("n, lo, hi", _SWEEP_WINDOWS)
 @pytest.mark.parametrize("chunk", [None, 1000, 7])
 def test_sweep_windows_match_bfs(monkeypatch, n, lo, hi, chunk):
     # chunk=1000 splits the window into several chunks, the last one partial;
@@ -419,6 +424,15 @@ def test_sweep_windows_match_bfs(monkeypatch, n, lo, hi, chunk):
     # edge cases of the sort-and-compare deduplication
     if chunk is not None:
         monkeypatch.setattr(graph_core, "_CHUNK", chunk)
+    assert graph_core._sweep_mask_range(n, lo, hi) == _window_by_bfs(n, lo, hi)
+
+
+@pytest.mark.parametrize("n, lo, hi", _SWEEP_WINDOWS)
+@pytest.mark.parametrize("tile", [7, 1000])
+def test_sweep_windows_match_bfs_with_small_tiles(monkeypatch, n, lo, hi, tile):
+    # small tiles cut the window's runs, and the lower orders' tables it is
+    # augmented from, into several tiles each, the last one partial
+    monkeypatch.setattr(graph_core, "_TILE", tile)
     assert graph_core._sweep_mask_range(n, lo, hi) == _window_by_bfs(n, lo, hi)
 
 
@@ -461,6 +475,11 @@ def _bfs_pair_distances(g: Graph) -> list[int]:
     (7, (1 << 21) - 400, 1 << 21),  # the last block, S = all of 0..5
     (6, (5 << 10) + 100, (6 << 10) + 700),  # longer than a block: one full table
     (8, (3 << 21) - 256, (3 << 21) + 256),
+    # straddle tile boundaries inside the order-8 run S = {0, 1}: at 2^15,
+    # where vertex 6 is isolated in every mask, and at 63 * 2^15, where
+    # every mask is connected
+    (8, (3 << 21) + (1 << 15) - 256, (3 << 21) + (1 << 15) + 256),
+    (8, (3 << 21) + (63 << 15) - 256, (3 << 21) + (63 << 15) + 256),
     (8, 0, 300),
     (3, 0, 8),
     (2, 0, 2),
@@ -476,15 +495,32 @@ def test_chunk_kernel_matches_per_mask_bfs(n, lo, hi):
             assert tuple(counts[:, col]) == d + (0,) * (n - 1 - len(d)), mask
 
 
-def test_pair_distance_table_matches_bfs_through_order_6():
+@functools.cache
+def _bfs_pair_table(n: int) -> np.ndarray:
+    # (C(n,2), 2^C(n,2)) pair distances of every mask, _INF when unreachable
+    return np.array([[graph_core._INF if d is None else d
+                      for d in _bfs_pair_distances(_mask_graph(n, mask))]
+                     for mask in range(1 << comb(n, 2))],
+                    dtype=np.uint8).reshape(1 << comb(n, 2), comb(n, 2)).T
+
+
+def _check_pair_distance_tables_through_order_6():
     for n in range(1, 7):
         total = 1 << comb(n, 2)
         table = graph_core._pair_distances(n, 0, total)
         assert table.shape == (comb(n, 2), total) and table.dtype == np.uint8
-        for mask in range(total):
-            expect = [graph_core._INF if d is None else d
-                      for d in _bfs_pair_distances(_mask_graph(n, mask))]
-            assert table[:, mask].tolist() == expect, (n, mask)
+        wrong = np.flatnonzero((table != _bfs_pair_table(n)).any(axis=0))
+        assert wrong.size == 0, (n, wrong[:8].tolist())
+
+
+def test_pair_distance_table_matches_bfs_through_order_6():
+    _check_pair_distance_tables_through_order_6()
+
+
+@pytest.mark.parametrize("tile", [7, 1000])
+def test_pair_distance_table_matches_bfs_with_small_tiles(monkeypatch, tile):
+    monkeypatch.setattr(graph_core, "_TILE", tile)
+    _check_pair_distance_tables_through_order_6()
 
 
 _SWEEP_INVARIANTS = """
