@@ -44,6 +44,8 @@ from typing import Callable, Iterable, Sequence, get_args, get_type_hints
 import numpy as np
 
 from .graph_core import (
+    ENUMERATION_MAX_ORDER,
+    GRAPH_MAX_ORDER,
     EnumerationStats,
     Graph,
     distance_distribution,
@@ -278,7 +280,10 @@ def distinct_distributions(kind: str, n: int,
     stay the only ones to clear.
     """
     if kind == "graphs":
-        dists, _ = connected_distributions(n, long_running)
+        # the flag matters only as the order-8 opt-in; passed nowhere else, it
+        # keys one sweep per order, shared with plain connected_distributions(n)
+        opt_in = (True,) if long_running and n == ENUMERATION_MAX_ORDER else ()
+        dists, _ = connected_distributions(n, *opt_in)
         return tuple(dd.d for dd in dists)
     if kind == "trees":
         return tuple(dict.fromkeys(dvec for dvec, _ in tree_instances(n)))
@@ -954,6 +959,9 @@ def _squared_binomial_times(w: WienerPolynomial) -> tuple[int, ...]:
 @claim("leaf_augment_identity",
        (lambda order_lo, order_hi: 2 <= order_lo <= order_hi,
         "need 2 <= order_lo <= order_hi"),
+       # the augmented trees have twice the order, at most GRAPH_MAX_ORDER
+       (lambda order_hi: order_hi <= GRAPH_MAX_ORDER // 2,
+        f"need order_hi <= {GRAPH_MAX_ORDER // 2}"),
        (lambda samples, depth: samples >= 0 and depth >= 0,
         "need samples >= 0 and depth >= 0"),
        quick=[dict(samples=50)], full=[dict(samples=200)])

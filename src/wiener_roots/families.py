@@ -1,8 +1,12 @@
 """Named graph families: closed-form Wiener polynomials and constructors.
 
-Each family is available both as an explicit graph (for the BFS cross-check)
-and, where a closed form exists, as exact coefficients.  The two routes must
-agree; the test suite asserts it across the full parameter grids.
+Each family is one entry of the table `_FAMILIES`, keyed by its name: its
+arity, the predicate its parameters must meet, its order, its labeled edge
+list and, where a closed form exists, its exact pair counts.  The graph
+serves the BFS cross-check, and the two routes must agree; the test suite
+asserts it across the full parameter grids.  A graph is built only up to
+GRAPH_MAX_ORDER vertices, checked from the declared order before any edge
+exists; closed forms have no such bound.
 
 Family names and parameters:
   complete:n             all pairs adjacent
@@ -10,10 +14,13 @@ Family names and parameters:
   star:n                 one center, n-1 leaves
   path:n                 n vertices in a line
   double_star:k,n        adjacent centers with k-1 and n-k-1 leaves
-  broom:k,n              path of k vertices, n-k leaves on one end
-  t_n:n                  path of five, n-5 extra leaves on the middle vertex
-  g_n:n                  complete graph of order n-1 minus an edge, plus a
-                         pendant vertex on an endpoint of the missing edge
+  broom:k,n              path of k vertices, n-k leaves on one end; closed
+                         forms for handles k = 4 and 5 only
+  t_n:n                  the tree T_n: path of five, n-5 extra leaves on the
+                         middle vertex
+  g_n:n                  the graph G_n: complete graph of order n-1 minus an
+                         edge, plus a pendant vertex on an endpoint of the
+                         missing edge
   diameter2:n,m          star plus the first m-n+1 non-adjacent leaf pairs
   path_with_pendants:p,a,l   path of p vertices, l leaves at position a
   leaf_augmented:m,k     path of m vertices, then k rounds of attaching one
@@ -24,10 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
+from typing import Callable, NamedTuple, Optional
 
-from .graph_core import Graph, distance_distribution, from_edge_list
+from .graph_core import GRAPH_MAX_ORDER, Graph, distance_distribution, from_edge_list
 from .polynomial import WienerPolynomial
+
+Edges = list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -41,18 +52,77 @@ class FamilySpec:
         return f"{self.name}:{','.join(str(p) for p in self.params)}"
 
 
-_PARAM_COUNTS = {
-    "complete": 1,
-    "complete_minus_edge": 1,
-    "star": 1,
-    "path": 1,
-    "double_star": 2,
-    "broom": 2,
-    "t_n": 1,
-    "g_n": 1,
-    "diameter2": 2,
-    "path_with_pendants": 3,
-    "leaf_augmented": 2,
+class _Family(NamedTuple):
+    """One family; every function takes the family's parameters in order."""
+
+    arity: int
+    valid: Callable[..., bool]  # the parameter domain
+    order: Callable[..., int]  # exact, or past GRAPH_MAX_ORDER whenever the order is
+    edges: Callable[..., Edges]  # of the labeled graph on vertices 0..order-1
+    # the closed-form pair counts d_1..d_D; None, or None for some parameters,
+    # where there is none
+    counts: Optional[Callable[..., Optional[tuple[int, ...]]]] = None
+
+
+def _clique(n: int) -> Edges:
+    """The pairs of K_n by larger end, so (0, 1) comes first."""
+    return [(u, v) for v in range(n) for u in range(v)]
+
+
+def _path(length: int, attach: int = 1, leaves: int = 0) -> Edges:
+    """The path 0, ..., length-1, plus the leaves length, length+1, ... on
+    vertex attach-1."""
+    return ([(v, v + 1) for v in range(length - 1)]
+            + [(attach - 1, length + j) for j in range(leaves)])
+
+
+def _leaf_pairs(n: int, count: int) -> Edges:
+    """The first `count` pairs of the leaves 1..n-1 of a star, by larger end."""
+    return list(islice(((u, v) for v in range(2, n) for u in range(1, v)), count))
+
+
+_FAMILIES: dict[str, _Family] = {
+    "complete": _Family(
+        1, lambda n: n >= 2, lambda n: n, _clique,
+        lambda n: (comb(n, 2),)),
+    "complete_minus_edge": _Family(
+        1, lambda n: n >= 3, lambda n: n, lambda n: _clique(n)[1:],
+        lambda n: (comb(n, 2) - 1, 1)),
+    "star": _Family(
+        1, lambda n: n >= 2, lambda n: n, lambda n: _path(1, 1, n - 1),
+        lambda n: (1,) if n == 2 else (n - 1, comb(n - 1, 2))),
+    "path": _Family(
+        1, lambda n: n >= 2, lambda n: n, _path,
+        lambda n: tuple(range(n - 1, 0, -1))),
+    "double_star": _Family(
+        2, lambda k, n: n >= 4 and 2 <= k <= n - 2, lambda k, n: n,
+        lambda k, n: _path(2, 1, k - 1) + [(1, v) for v in range(k + 1, n)],
+        lambda k, n: (n - 1, comb(k, 2) + comb(n - k, 2), (k - 1) * (n - k - 1))),
+    "broom": _Family(
+        2, lambda k, n: k >= 3 and n > k, lambda k, n: n,
+        lambda k, n: _path(k, k, n - k),
+        lambda k, n: {4: (n - 1, comb(n - 3, 2) + 2, n - 3, n - 4),
+                      5: (n - 1, comb(n - 4, 2) + 3, n - 3, n - 4, n - 5)}.get(k)),
+    "t_n": _Family(
+        1, lambda n: n >= 5, lambda n: n, lambda n: _path(5, 3, n - 5),
+        lambda n: (n - 1, comb(n - 3, 2) + 2, 2 * (n - 4), 1)),
+    "g_n": _Family(
+        1, lambda n: n >= 4, lambda n: n,
+        lambda n: _clique(n - 1)[1:] + [(0, n - 1)],
+        lambda n: (comb(n - 1, 2), n - 2, 1)),
+    "diameter2": _Family(
+        2, lambda n, m: n >= 3 and n - 1 <= m < comb(n, 2), lambda n, m: n,
+        lambda n, m: _path(1, 1, n - 1) + _leaf_pairs(n, m - (n - 1)),
+        lambda n, m: (m, comb(n, 2) - m)),
+    "path_with_pendants": _Family(
+        3, lambda p, a, leaves: p >= 2 and 1 <= a <= p and leaves >= 0,
+        lambda p, a, leaves: p + leaves, _path),
+    "leaf_augmented": _Family(
+        2, lambda m, k: m >= 2 and k >= 0,
+        # k saturates at 64: any larger order is past the bound anyway
+        lambda m, k: m << min(k, 64),
+        lambda m, k: _path(m) + [(v, (m << r) + v) for r in range(k)
+                                 for v in range(m << r)]),
 }
 
 
@@ -70,141 +140,45 @@ def parse_family_spec(text: str) -> FamilySpec:
     return spec
 
 
+def _family(spec: FamilySpec) -> _Family:
+    """The table entry of the spec's family, once its parameters are checked."""
+    family = _FAMILIES.get(spec.name)
+    if family is None:
+        raise ValueError(f"unknown family {spec.name!r}")
+    if len(spec.params) != family.arity:
+        raise ValueError(
+            f"{spec.name} takes {family.arity} parameters, got {len(spec.params)}")
+    if not family.valid(*spec.params):
+        raise ValueError(f"parameters {spec.params} out of range for {spec.name}")
+    return family
+
+
 def validate_spec(spec: FamilySpec) -> None:
     """Check the family name and its parameter ranges."""
-    if spec.name not in _PARAM_COUNTS:
-        raise ValueError(f"unknown family {spec.name!r}")
-    if len(spec.params) != _PARAM_COUNTS[spec.name]:
-        raise ValueError(
-            f"{spec.name} takes {_PARAM_COUNTS[spec.name]} parameters, "
-            f"got {len(spec.params)}")
-    p = spec.params
-    ok = True
-    if spec.name in ("complete", "star", "path"):
-        ok = p[0] >= 2
-    elif spec.name == "complete_minus_edge":
-        ok = p[0] >= 3
-    elif spec.name == "double_star":
-        k, n = p
-        ok = n >= 4 and 2 <= k <= n - 2
-    elif spec.name == "broom":
-        k, n = p
-        ok = k >= 3 and n > k
-    elif spec.name == "t_n":
-        ok = p[0] >= 5
-    elif spec.name == "g_n":
-        ok = p[0] >= 4
-    elif spec.name == "diameter2":
-        n, m = p
-        ok = n >= 3 and n - 1 <= m < comb(n, 2)
-    elif spec.name == "path_with_pendants":
-        path, attach, leaves = p
-        ok = path >= 2 and 1 <= attach <= path and leaves >= 0
-    elif spec.name == "leaf_augmented":
-        base, k = p
-        ok = base >= 2 and k >= 0
-    if not ok:
-        raise ValueError(f"parameters {spec.params} out of range for {spec.name}")
+    _family(spec)
 
 
 def family_polynomial(spec: FamilySpec) -> WienerPolynomial:
     """Exact Wiener polynomial; closed form where one exists, BFS otherwise."""
-    validate_spec(spec)
-    p = spec.params
-    if spec.name == "complete":
-        return WienerPolynomial((comb(p[0], 2),))
-    if spec.name == "complete_minus_edge":
-        return WienerPolynomial((comb(p[0], 2) - 1, 1))
-    if spec.name == "star":
-        n = p[0]
-        if n == 2:
-            return WienerPolynomial((1,))
-        return WienerPolynomial((n - 1, comb(n - 1, 2)))
-    if spec.name == "path":
-        n = p[0]
-        return WienerPolynomial(tuple(range(n - 1, 0, -1)))
-    if spec.name == "double_star":
-        k, n = p
-        return WienerPolynomial(
-            (n - 1, comb(k, 2) + comb(n - k, 2), (k - 1) * (n - k - 1)))
-    if spec.name == "t_n":
-        n = p[0]
-        return WienerPolynomial((n - 1, comb(n - 3, 2) + 2, 2 * (n - 4), 1))
-    if spec.name == "g_n":
-        n = p[0]
-        return WienerPolynomial((comb(n - 1, 2), n - 2, 1))
-    if spec.name == "diameter2":
-        n, m = p
-        return WienerPolynomial((m, comb(n, 2) - m))
-    if spec.name == "broom":
-        k, n = p
-        if k == 4:
-            return WienerPolynomial((n - 1, comb(n - 3, 2) + 2, n - 3, n - 4))
-        if k == 5:
-            return WienerPolynomial(
-                (n - 1, comb(n - 4, 2) + 3, n - 3, n - 4, n - 5))
-    # no closed form: brooms with other handles, pendant paths, augmentations
-    return distance_distribution(family_graph(spec))
+    family = _family(spec)
+    counts = family.counts and family.counts(*spec.params)
+    if counts:
+        return WienerPolynomial(counts)
+    return distance_distribution(_graph(spec, family))
 
 
 def family_graph(spec: FamilySpec) -> Graph:
     """A labeled representative whose distance distribution matches the family."""
-    validate_spec(spec)
-    p = spec.params
-    if spec.name == "complete":
-        n = p[0]
-        return from_edge_list(n, [(u, v) for v in range(n) for u in range(v)])
-    if spec.name == "complete_minus_edge":
-        n = p[0]
-        return from_edge_list(
-            n, [(u, v) for v in range(n) for u in range(v) if (u, v) != (0, 1)])
-    if spec.name == "star":
-        n = p[0]
-        return from_edge_list(n, [(0, v) for v in range(1, n)])
-    if spec.name == "path":
-        n = p[0]
-        return from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
-    if spec.name == "double_star":
-        k, n = p
-        edges = [(0, 1)]
-        edges += [(0, v) for v in range(2, k + 1)]
-        edges += [(1, v) for v in range(k + 1, n)]
-        return from_edge_list(n, edges)
-    if spec.name == "broom":
-        k, n = p
-        edges = [(v, v + 1) for v in range(k - 1)]
-        edges += [(k - 1, v) for v in range(k, n)]
-        return from_edge_list(n, edges)
-    if spec.name == "t_n":
-        return family_graph(FamilySpec("path_with_pendants", (5, 3, p[0] - 5)))
-    if spec.name == "g_n":
-        n = p[0]
-        edges = [(u, v) for v in range(n - 1) for u in range(v) if (u, v) != (0, 1)]
-        edges.append((0, n - 1))
-        return from_edge_list(n, edges)
-    if spec.name == "diameter2":
-        n, m = p
-        edges = [(0, v) for v in range(1, n)]
-        extra = m - (n - 1)
-        for v in range(1, n):
-            for u in range(1, v):
-                if extra == 0:
-                    break
-                edges.append((u, v))
-                extra -= 1
-        return from_edge_list(n, edges)
-    if spec.name == "path_with_pendants":
-        path, attach, leaves = p
-        edges = [(v, v + 1) for v in range(path - 1)]
-        edges += [(attach - 1, path + j) for j in range(leaves)]
-        return from_edge_list(path + leaves, edges)
-    if spec.name == "leaf_augmented":
-        base, k = p
-        g = family_graph(FamilySpec("path", (base,)))
-        for _ in range(k):
-            g = leaf_augment(g)
-        return g
-    raise AssertionError(f"unhandled family {spec.name}")
+    return _graph(spec, _family(spec))
+
+
+def _graph(spec: FamilySpec, family: _Family) -> Graph:
+    """The family's labeled graph, refused past GRAPH_MAX_ORDER before any edge exists."""
+    order = family.order(*spec.params)
+    if order > GRAPH_MAX_ORDER:
+        raise ValueError(f"{spec} has more than {GRAPH_MAX_ORDER} vertices; "
+                         "only closed forms go past that order")
+    return from_edge_list(order, family.edges(*spec.params))
 
 
 def dense_construct(a: int, b: int) -> tuple[FamilySpec, Fraction]:

@@ -63,6 +63,7 @@ class Graph6Error(ValueError):
 
 
 GRAPH6_MAX_ORDER = 62  # single-byte length form only
+GRAPH_MAX_ORDER = 1 << 14  # largest graph built from edges: bit rows of 32 MB at most
 ENUMERATION_MAX_ORDER = 8
 TREE_MAX_ORDER = 18
 
@@ -207,6 +208,8 @@ def load_edge_list(lines: Sequence[str], name: str = "<edge list>") -> Graph:
     if not rows:
         raise ValueError(f"{name}: empty edge-list input")
     n = int(rows[0])
+    if n > GRAPH_MAX_ORDER:
+        raise ValueError(f"{name}: order {n} is above the supported {GRAPH_MAX_ORDER}")
     edges = []
     for ln in rows[1:]:
         parts = ln.split()

@@ -415,7 +415,8 @@ def test_declared_validation_rejects_bad_parameter_sets():
         with pytest.raises(ValueError):
             claims.CLAIMS["tree_density_limit"].spec.bind(**params)
     for params in (dict(order_lo=1, order_hi=2), dict(order_lo=4, order_hi=3),
-                   dict(samples=-1), dict(depth=-1)):
+                   dict(samples=-1), dict(depth=-1),
+                   dict(order_lo=300000, order_hi=300000, samples=1)):
         with pytest.raises(ValueError):
             claims.CLAIMS["leaf_augment_identity"].spec.bind(**params)
 
@@ -465,8 +466,13 @@ def test_tree_counterexamples_name_the_tree_by_its_edges(broken_order5_path):
 
 
 def test_distinct_distributions_orders_and_counts():
+    claims.connected_distributions.cache_clear()
     graphs = claims.distinct_distributions("graphs", 6)
     assert len(graphs) == 34 and list(graphs) == sorted(graphs)
+    # the order-8 opt-in flag does not key a second sweep at any other order
+    assert claims.distinct_distributions("graphs", 6, True) == graphs
+    assert claims.connected_distributions(6)[1].distinct_distributions == 34
+    assert claims.connected_distributions.cache_info().misses == 1
     trees = claims.distinct_distributions("trees", 12)
     first_seen = []
     for dvec, _ in claims.tree_instances(12):

@@ -83,6 +83,14 @@ def test_compute_handles_disconnected_and_parse_errors(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "error" in json.loads(out.strip())
 
+    # an order past GRAPH_MAX_ORDER is refused before any bit row exists
+    src.write_text("1000000000000\n0 1\n")
+    code, out, _ = run_cli(capsys, "compute", str(src), "--edge-list")
+    assert code == EXIT_USAGE
+    assert json.loads(out) == {
+        "graph": str(src),
+        "error": f"{src}: order 1000000000000 is above the supported 16384"}
+
 
 def test_compute_reports_an_order_one_graph_per_record(tmp_path, capsys):
     # a single vertex has no distance distribution: an error line, like a
@@ -179,6 +187,19 @@ def test_family_command(capsys):
     assert out.splitlines() == ["star:5,0,0", "star:5,-0.66666666666666663,0"]
     code, _, err = run_cli(capsys, "family", "star:-1")
     assert code == EXIT_USAGE
+    # closed forms have no order bound
+    code, out, _ = run_cli(capsys, "family", "broom:5,1000000")
+    assert code == EXIT_OK and json.loads(out)["coefficients"][0] == 999999
+
+
+def test_family_graphs_above_the_order_bound_exit_2_before_building(capsys):
+    # no closed form: each would need its graph, of 10^12 or 2^41 vertices
+    for spec in ("broom:3,1000000000000", "path_with_pendants:2,1,1000000000000",
+                 "leaf_augmented:2,40"):
+        code, out, err = run_cli(capsys, "family", spec)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"error: {spec} has more than 16384 vertices; "
+                       "only closed forms go past that order\n")
 
 
 def test_verify_command_exit_codes(tmp_path, capsys):

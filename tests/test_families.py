@@ -7,6 +7,7 @@ import pytest
 
 from wiener_roots.graph_core import distance_distribution, load_fixture
 from wiener_roots.families import (
+    _FAMILIES,
     FamilySpec,
     dense_construct,
     family_graph,
@@ -62,8 +63,11 @@ def test_closed_form_agrees_with_bfs_up_to_order_60():
     specs += [FamilySpec("g_n", (n,)) for n in range(4, 61, 3)]
     specs += [FamilySpec("diameter2", (n, m))
               for n in (5, 9, 14) for m in range(n - 1, comb(n, 2))]
+    assert {spec.name for spec in specs} == \
+        {name for name, family in _FAMILIES.items() if family.counts}
     for spec in specs:
         assert family_polynomial(spec).d == bfs_poly(spec), str(spec)
+        assert _FAMILIES[spec.name].order(*spec.params) == family_graph(spec).n, str(spec)
 
 
 def test_pendant_path_fixtures():
