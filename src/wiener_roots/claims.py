@@ -964,6 +964,10 @@ def _squared_binomial_times(w: WienerPolynomial) -> tuple[int, ...]:
         f"need order_hi <= {GRAPH_MAX_ORDER // 2}"),
        (lambda samples, depth: samples >= 0 and depth >= 0,
         "need samples >= 0 and depth >= 0"),
+       # augmenting the three-vertex path depth times gives order 3 * 2^depth
+       (lambda depth: 3 << depth <= GRAPH_MAX_ORDER,
+        f"need 3 << depth <= {GRAPH_MAX_ORDER}, so depth <= "
+        f"{(GRAPH_MAX_ORDER // 3).bit_length() - 1}"),
        quick=[dict(samples=50)], full=[dict(samples=200)])
 def verify_leaf_augment_identity(samples: int = 200, order_lo: int = 3,
                                  order_hi: int = 15, depth: int = 3) -> Verdict:
@@ -971,7 +975,7 @@ def verify_leaf_augment_identity(samples: int = 200, order_lo: int = 3,
     preservation of all-real (and all-rational) root sets through repeated
     augmentation of the three-vertex path.
 
-    The verifier compares the claimed product against the BFS ground truth on
+    The verifier compares the claimed product against distance_distribution on
     a fixed-seed sample of random trees and reports every mismatch; it does
     not assume the identity.
 

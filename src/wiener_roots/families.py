@@ -2,11 +2,13 @@
 
 Each family is one entry of the table `_FAMILIES`, keyed by its name: its
 arity, the predicate its parameters must meet, its order, its labeled edge
-list and, where a closed form exists, its exact pair counts.  The graph
-serves the BFS cross-check, and the two routes must agree; the test suite
-asserts it across the full parameter grids.  A graph is built only up to
-GRAPH_MAX_ORDER vertices, checked from the declared order before any edge
-exists; closed forms have no such bound.
+list and, where a closed form exists, its exact pair counts.  The graph's
+distance_distribution is the cross-check, and the two routes must agree;
+the test suite asserts it across the full parameter grids.  A graph is
+built only up to GRAPH_MAX_ORDER vertices, checked from the declared order
+before any edge exists; closed forms have no such bound.  A family without
+a closed form gets its counts from the graph, in time that grows with the
+diameter times the edge count: broom:3,16384 takes well under a second.
 
 Family names and parameters:
   complete:n             all pairs adjacent
@@ -159,7 +161,7 @@ def validate_spec(spec: FamilySpec) -> None:
 
 
 def family_polynomial(spec: FamilySpec) -> WienerPolynomial:
-    """Exact Wiener polynomial; closed form where one exists, BFS otherwise."""
+    """Exact Wiener polynomial: the closed form where one exists, else the graph's."""
     family = _family(spec)
     counts = family.counts and family.counts(*spec.params)
     if counts:

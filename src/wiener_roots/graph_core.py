@@ -5,7 +5,8 @@ pairs at distance k, and the degree is the diameter.
 
 Vertices are integers 0..n-1 and each adjacency row is a Python int whose
 bit u says whether {u, v} is an edge.  The distances of one graph come from
-frontier-bitset BFS.  The exhaustive sweeps, over all labeled graphs up to
+one multi-source traversal: every vertex's ball, a bit row, grows by one
+radius per step.  The exhaustive sweeps, over all labeled graphs up to
 order 8 and all free trees up to order 18, compute theirs in numpy batches
 instead.
 
@@ -28,8 +29,8 @@ distance vectors are packed into int64 keys, the connected masks' keys are
 deduplicated by an in-place sort, and only the distinct keys are decoded and
 checked.
 
-Free trees get their distances in batches instead of one BFS each.  A tree
-numbered in preorder, as enumerate_trees numbers it, is its parent row:
+Free trees get their distances in batches instead of one traversal each.  A
+tree numbered in preorder, as enumerate_trees numbers it, is its parent row:
 every vertex v >= 1 has exactly one lower-numbered neighbour.  For a chunk
 of such rows, step v fills row and column v of a (trees, n, n) uint8
 distance array by dist(v, u) = dist(parent(v), u) + 1 for every u < v, and
@@ -245,35 +246,48 @@ def load_fixture(name: str) -> Graph:
 
 
 def distance_distribution(g: Graph) -> WienerPolynomial:
-    """Wiener polynomial: unordered pairs by distance, BFS from every vertex."""
-    if g.n < 2:
+    """Wiener polynomial: unordered pairs by distance, all balls grown at once.
+
+    balls[u] is the set of vertices within distance k of u, as a bit row.  One
+    step takes every ball from radius k to k+1 together: the new ball of u is
+    the union of the old balls of u and of its neighbours.  The rise of the
+    total popcount in that step counts the ordered pairs at distance k+1.  A
+    ball that does not grow is its whole component and is not grown again;
+    the steps end when no ball grows, and the graph is disconnected exactly
+    when the balls then hold fewer than n^2 bits in all.
+    """
+    n = g.n
+    if n < 2:
         raise ValueError("distance distribution needs order >= 2")
-    full = (1 << g.n) - 1
-    counts = [0] * g.n  # ordered pairs by distance; index 0 unused
-    for src in range(g.n):
-        seen = frontier = 1 << src
-        dist = 0
-        while True:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= g.adj[v]
-            nxt &= ~seen
-            if not nxt:
-                break
-            dist += 1
-            counts[dist] += nxt.bit_count()
-            seen |= nxt
-            frontier = nxt
-        if seen != full:
-            raise DisconnectedGraphError(
-                "distance distribution undefined for disconnected graphs"
-            )
-    d = counts[1:]
-    while d and d[-1] == 0:
-        d.pop()
-    w = WienerPolynomial(tuple(x // 2 for x in d))
-    if sum(w.d) != g.n * (g.n - 1) // 2:
-        raise RuntimeError(f"pair counts sum to {sum(w.d)}, expected C({g.n},2)")
+    nbrs = [tuple(_iter_bits(row)) for row in g.adj]
+    balls = [1 << u for u in range(n)]
+    growing = range(n)
+    counts = []  # ordered pairs at distance 1, 2, ...
+    total = n
+    while True:
+        grown = []
+        for u in growing:
+            ball = balls[u]
+            for v in nbrs[u]:
+                ball |= balls[v]
+            if ball != balls[u]:
+                grown.append((u, ball))
+        if not grown:
+            break
+        rise = 0
+        for u, ball in grown:
+            rise += ball.bit_count() - balls[u].bit_count()
+            balls[u] = ball
+        counts.append(rise)
+        total += rise
+        growing = [u for u, _ in grown]
+    if total != n * n:
+        raise DisconnectedGraphError(
+            "distance distribution undefined for disconnected graphs"
+        )
+    w = WienerPolynomial(tuple(x // 2 for x in counts))
+    if sum(w.d) != n * (n - 1) // 2:
+        raise RuntimeError(f"pair counts sum to {sum(w.d)}, expected C({n},2)")
     return w
 
 
@@ -329,7 +343,9 @@ def _tree_chunk_distributions(n: int, rows: list[Sequence[int]]) -> list[tuple[i
     counts = np.bincount(below.ravel(), minlength=m * 256).reshape(m, 256)[:, 1:n]
     if not np.all(counts.sum(axis=1) == n * (n - 1) // 2):
         raise RuntimeError(f"tree pair counts do not sum to C({n},2)")
-    diameters = n - 1 - np.argmax(counts[:, ::-1] > 0, axis=1)
+    # past order 256 the bins stop at distance 255, and a pair at distance 256
+    # wraps to bin 0 and fails the check above
+    diameters = counts.shape[1] - np.argmax(counts[:, ::-1] > 0, axis=1)
     return [tuple(d[:k]) for d, k in zip(counts.tolist(), diameters.tolist())]
 
 
@@ -338,7 +354,7 @@ def tree_distributions(parent_rows: Iterable[Sequence[int]]) -> Iterator[tuple[i
 
     The trees are taken a chunk of _TREE_CHUNK at a time, so memory stays flat
     however many there are; all must have the same order.  Same vectors as
-    distance_distribution(g).d, without a BFS per tree.
+    distance_distribution(g).d, without a traversal per tree.
     """
     rows = iter(parent_rows)
     while chunk := list(itertools.islice(rows, _TREE_CHUNK)):

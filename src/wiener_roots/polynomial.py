@@ -651,8 +651,9 @@ def _aberth_ehrlich(coeffs: Sequence[float], *, sweeps: int = ABERTH_SWEEP_BUDGE
         f"Aberth-Ehrlich did not converge within {sweeps} sweeps", z, residuals)
 
 
-def _newton_polish(coeffs: Sequence[float], z: complex, steps: int = 3) -> complex:
-    dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
+def _newton_polish(coeffs: Sequence[float], dcoeffs: Sequence[float], z: complex,
+                   steps: int = 3) -> complex:
+    """Newton steps on z; dcoeffs is _deriv(coeffs), taken once per polynomial."""
     for _ in range(steps):
         dp = _horner(dcoeffs, z)
         if dp == 0:
@@ -762,6 +763,14 @@ def roots(p: WienerPolynomial) -> tuple[ComplexRoot, ...]:
     roots are solved at their exact multiplicity), each factor of degree at
     least 3 goes through Aberth-Ehrlich plus a Newton polish, and the result
     is conjugate-symmetrized using the exact real-root count of the factor.
+
+    Every root carries its residual on W/x.  Both the closed forms and the
+    symmetrization emit a conjugate pair as z followed by exactly conj(z), and
+    that pair is evaluated once.  For real coefficients, compensated Horner
+    at conj(z) is the conjugate of compensated Horner at z, operation by
+    operation and up to the sign of a zero: negating y negates its Veltkamp
+    split, so every product and TwoSum term keeps or flips its sign exactly.
+    The modulus, and so the residual, is the same bit for bit.
     """
     c = p.d
     deg = len(c) - 1
@@ -777,14 +786,20 @@ def roots(p: WienerPolynomial) -> tuple[ComplexRoot, ...]:
                 entries.append((z, form, mult))
             continue
         fc = [float(x) for x in fac]
-        approx = [_newton_polish(fc, z) for z in _aberth_ehrlich(fc)]
+        dfc = _deriv(fc)
+        approx = [_newton_polish(fc, dfc, z) for z in _aberth_ehrlich(fc)]
         n_real = _count_real_roots(fac)
         for z in _symmetrize(approx, n_real):
             entries.append((z, None, mult))
     out: list[ComplexRoot] = []
     cmax = max(c)  # pair counts are positive, so this is the largest |coefficient|
+    last, residual = None, 0.0
     for z, form, mult in entries:
-        root = ComplexRoot(z.real, z.imag, _residual(c, cmax, z), form)
+        if last is not None and z == last.conjugate():
+            last = None  # second of a conjugate pair: the same residual
+        else:
+            residual, last = _residual(c, cmax, z), z
+        root = ComplexRoot(z.real, z.imag, residual, form)
         out.extend([root] * mult)
     out.sort(key=lambda r: (r.re, r.im))
     if len(out) != deg:

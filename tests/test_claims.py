@@ -415,10 +415,11 @@ def test_declared_validation_rejects_bad_parameter_sets():
         with pytest.raises(ValueError):
             claims.CLAIMS["tree_density_limit"].spec.bind(**params)
     for params in (dict(order_lo=1, order_hi=2), dict(order_lo=4, order_hi=3),
-                   dict(samples=-1), dict(depth=-1),
+                   dict(samples=-1), dict(depth=-1), dict(depth=13),
                    dict(order_lo=300000, order_hi=300000, samples=1)):
         with pytest.raises(ValueError):
             claims.CLAIMS["leaf_augment_identity"].spec.bind(**params)
+    assert claims.CLAIMS["leaf_augment_identity"].spec.bind(depth=12)["depth"] == 12
 
 
 def test_registered_verifiers_keep_their_signatures():

@@ -3,12 +3,13 @@
 import csv
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from wiener_roots.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from wiener_roots.graph_core import from_edge_list
+from wiener_roots.graph_core import fixture_names, from_edge_list, load_fixture
 from conftest import graph6_encode
 
 
@@ -169,6 +170,44 @@ def test_scatter_bytes_pinned(tmp_path, capsys, argv):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCATTER_DIGESTS[argv]
 
 
+def _compute_digest_graphs() -> list[str]:
+    """The four shipped fixtures, then 120 seeded graphs of orders 4..44:
+    random trees of varying reach plus 0..3 chords (long diameters, so high
+    degrees), random dense graphs (short ones, closed forms) and sparse ones,
+    some of them disconnected."""
+    lines = [graph6_encode(load_fixture(name)) for name in fixture_names()]
+    rng = random.Random(1729)
+    for i in range(120):
+        n = rng.randrange(4, 45)
+        if i % 3 == 0:
+            p = rng.choice((0.08, 0.3, 0.6))
+            edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+        else:
+            reach = rng.choice((1, 2, 3, 6, n))
+            edges = [(rng.randrange(max(0, v - reach), v), v) for v in range(1, n)]
+            for _ in range(rng.randrange(4)):
+                u, v = rng.sample(range(n), 2)
+                edges.append((u, v))
+        lines.append(graph6_encode(from_edge_list(n, edges)))
+    return lines
+
+
+# sha256 of `compute` JSON output on _compute_digest_graphs, recorded at
+# 21bb38a, before the distances grew every ball at once and conjugate roots
+# shared one residual: every root's repr is pinned.
+COMPUTE_DIGEST = "12d2e89c0d4e1566dc696428d70fdfa2d3d0646bb4baf6b9ff4cbb827d2f4a0e"
+
+
+def test_compute_output_bytes_pinned(tmp_path, capsys):
+    src = tmp_path / "in.g6"
+    src.write_text("\n".join(_compute_digest_graphs()) + "\n")
+    code, out, _ = run_cli(capsys, "compute", str(src))
+    assert code == EXIT_OK
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert len(records) == 124 and any("error" in r for r in records)
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_DIGEST
+
+
 def test_scatter_order8_graphs_gated(capsys):
     code, _, err = run_cli(capsys, "scatter", "--order", "8")
     assert code == EXIT_USAGE and "--long" in err
@@ -200,6 +239,13 @@ def test_family_graphs_above_the_order_bound_exit_2_before_building(capsys):
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (f"error: {spec} has more than 16384 vertices; "
                        "only closed forms go past that order\n")
+
+
+def test_leaf_augment_depth_above_the_order_bound_exits_2(capsys):
+    # depth 13 would augment the three-vertex path to order 3 * 2^13 = 24576
+    code, out, err = run_cli(capsys, "verify", "leaf_augment_identity", "depth=13")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: need 3 << depth <= 16384, so depth <= 12\n"
 
 
 def test_verify_command_exit_codes(tmp_path, capsys):

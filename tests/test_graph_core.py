@@ -38,6 +38,7 @@ from wiener_roots.graph_core import (
     tree_distributions,
     tree_parent_row,
 )
+from wiener_roots.families import family_graph, family_polynomial, parse_family_spec
 from wiener_roots.polynomial import WienerPolynomial
 
 
@@ -282,6 +283,52 @@ def test_distance_distribution_vs_floyd_warshall():
     for _ in range(120):
         g = random_connected_graph(rng.randrange(2, 9), rng)
         assert distance_distribution(g).d == floyd_warshall_distribution(g)
+
+
+def _bfs_distribution(g: Graph) -> tuple[int, ...] | None:
+    """Pairs by distance from the plain-BFS oracle; None when disconnected."""
+    pairs = _bfs_pair_distances(g)
+    if None in pairs:
+        return None
+    counts = Counter(pairs)
+    return tuple(counts[k] for k in range(1, max(counts) + 1))
+
+
+def test_distance_distribution_matches_bfs_on_every_labeled_graph_through_order_5():
+    for n in range(2, 6):
+        for mask in range(1 << comb(n, 2)):
+            g = _mask_graph(n, mask)
+            want = _bfs_distribution(g)
+            if want is None:
+                with pytest.raises(DisconnectedGraphError):
+                    distance_distribution(g)
+            else:
+                assert distance_distribution(g).d == want, (n, mask)
+
+
+def test_distance_distribution_matches_bfs_on_random_graphs_of_orders_30_to_62():
+    rng = random.Random(62)
+    for _ in range(50):
+        n = rng.randrange(30, 63)
+        # a random tree of random reach, so connected, plus up to n chords
+        reach = rng.choice((1, 2, 4, n))
+        edges = [(rng.randrange(max(0, v - reach), v), v) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n + 1))]
+        g = from_edge_list(n, edges)
+        assert distance_distribution(g).d == _bfs_distribution(g)
+
+
+@pytest.mark.parametrize("spec", ["broom:4,4000", "broom:5,4000", "star:4000",
+                                  "double_star:3,4000"])
+def test_distance_distribution_matches_closed_forms_at_order_4000(spec):
+    spec = parse_family_spec(spec)  # each of these has a closed form
+    assert distance_distribution(family_graph(spec)) == family_polynomial(spec)
+
+
+def test_distance_distribution_of_a_broom_without_closed_form_matches_the_tree_kernel():
+    g = family_graph(parse_family_spec("broom:3,4000"))
+    (want,) = tree_distributions([tree_parent_row(g)])
+    assert distance_distribution(g).d == want == (3999, comb(3998, 2) + 1, 3997)
 
 
 def test_distribution_invariants_validated():
@@ -681,6 +728,13 @@ def test_tree_kernel_order_one_and_empty_input():
     assert list(tree_distributions([])) == []
     with pytest.raises(ValueError, match="needs order >= 2"):
         list(tree_distributions([tree_parent_row(next(enumerate_trees(1)))]))
+
+
+def test_tree_kernel_past_order_256_counts_to_distance_255_and_raises_beyond():
+    # uint8 distances: the path of order 256 has diameter 255, the next does not fit
+    assert next(tree_distributions([tuple(range(255))])) == tuple(range(255, 0, -1))
+    with pytest.raises(RuntimeError, match="do not sum to C"):
+        list(tree_distributions([tuple(range(256))]))
 
 
 _TREE_INVARIANTS = """

@@ -708,3 +708,47 @@ def test_comp_horner_bit_identical_to_error_free_transforms():
         if rng.random() < 0.1:
             z = complex(z.real, 0.0)
         assert repr(_comp_horner(coeffs, z)) == repr(_ref_comp_horner(coeffs, z))
+
+
+def test_comp_horner_at_the_conjugate_is_the_conjugate_bit_for_bit():
+    from wiener_roots.polynomial import _comp_horner
+
+    rng = random.Random(47)
+    for _ in range(1500):
+        coeffs = [rng.randrange(-10 ** rng.randrange(1, 15), 10 ** rng.randrange(1, 15))
+                  for _ in range(rng.randrange(1, 40))]
+        if rng.random() < 0.2:
+            coeffs = [0] * rng.randrange(1, 3) + coeffs
+        modulus, angle = 10 ** rng.uniform(-3, 3), rng.uniform(0, 2 * math.pi)
+        z = modulus * complex(math.cos(angle), math.sin(angle))
+        for point in (z, complex(z.real, 0.0), complex(z.real, -0.0), complex(0.0, z.imag),
+                      complex(-0.0, z.imag), 0j, complex(-0.0, -0.0)):
+            a = _comp_horner(coeffs, point.conjugate())
+            b = _comp_horner(coeffs, point).conjugate()
+            assert repr(a.real) == repr(b.real) and repr(abs(a)) == repr(abs(b))
+            if a.imag or b.imag:
+                assert repr(a) == repr(b), (coeffs, point)
+            # a zero imaginary part may keep its sign: 0.0 + 0.0 is +0.0 both ways
+            assert a.imag == b.imag
+
+
+def test_conjugate_pairs_from_roots_share_one_residual():
+    from wiener_roots.polynomial import _residual
+
+    rng = random.Random(53)
+    polys = [WienerPolynomial(tuple(rng.randrange(1, 60)
+                                    for _ in range(rng.randrange(2, 16))))
+             for _ in range(60)]
+    polys += [WienerPolynomial(tuple(range(n - 1, 0, -1))) for n in (5, 12, 30)]  # paths
+    polys += [FIG5, WienerPolynomial((1, 2, 3, 2, 1)),  # (x^2 + x + 1)^2 after x
+              WienerPolynomial((6, 4, 3, 2)), WienerPolynomial((2, 1, 2, 1))]
+    pairs = 0
+    for p in polys:
+        rs = roots(p)
+        for r in rs:  # the residual each root would get if it were evaluated alone
+            assert repr(r.residual) == repr(_residual(p.d, max(p.d), r.z))
+        for r in (r for r in rs if r.im > 0):
+            (partner,) = {s for s in rs if (s.re, s.im) == (r.re, -r.im)}
+            assert repr(partner.residual) == repr(r.residual)
+            pairs += 1
+    assert pairs > 200
