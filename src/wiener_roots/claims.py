@@ -18,13 +18,14 @@ scan reads it, as does the CLI's scatter.  A tree instance keeps its
 distance vector and its parent row; edges are spelled out (`_edges`) only
 where a report names a tree.
 
-The maximum-modulus scans (`tree_root_bound` and the max_modulus objective
-of `search_extremal`, which `tn_extremal` runs) find roots only for the
-distributions whose Eneström–Kakeya radius max d_k/d_{k+1} reaches the
-modulus that decides the report.  Every root of a distribution lies within
-its radius, so the skipped root sets can neither break a bound nor attain or
-tie a maximum, and the reports are those of an exhaustive scan.  At tree
-orders 5..17 one root set per order is found instead of all of them.
+The extremal scans (`tree_root_bound`, and `search_extremal` for
+`tn_extremal` and `extremal_real_part`) are one pruned scan, `_pruned_maxima`:
+it finds roots only for the distributions whose Eneström–Kakeya radius
+max d_k/d_{k+1} reaches the value that decides the report.  Every root's
+modulus, and so its real part, is at most that radius, so the skipped root
+sets can neither break a bound nor attain or tie a maximum, and the reports
+are those of an exhaustive scan.  For the largest modulus at tree orders
+5..17, one root set per order is found instead of all of them.
 """
 
 from __future__ import annotations
@@ -317,38 +318,46 @@ def _ratio_radii(dvecs: Sequence[tuple[int, ...]]) -> np.ndarray:
     return radii
 
 
-def _max_moduli(dvecs: Iterable[tuple[int, ...]],
-                floor: Callable[[float], float]) -> dict[tuple[int, ...], float]:
-    """The largest root modulus of each distribution in dvecs whose roots can
-    reach floor(top), top being the largest modulus found so far; keyed in
+# The objectives of the pruned scan, both at most the largest |z|.
+_OBJECTIVES = {
+    "max_modulus": lambda rs: max(r.modulus for r in rs),
+    "max_real": lambda rs: max(r.re for r in rs),
+}
+
+
+def _pruned_maxima(dvecs: Iterable[tuple[int, ...]], objective: str,
+                   floor: Callable[[float], float]) -> dict[tuple[int, ...], float]:
+    """The objective's value on each distribution in dvecs that can reach
+    floor(top), top being the largest value found so far; keyed in
     first-occurrence order.
 
     Every root of d_1 + d_2 x + ... + d_D x^(D-1) with all d_k > 0 has
-    |z| <= R = max d_k/d_{k+1} (Eneström–Kakeya).  The radii come from
-    `_ratio_radii`, one numpy expression per length.  The distinct
-    distributions are walked in descending R (a stable argsort, so ties stay
-    in first-occurrence order), and root_set is called only while
-    R(1+2^-20) >= floor(top); the walk stops at the first below it, because
-    no distribution left can reach the floor.  The first distribution is
-    always solved, so the floor never sees an unset top.  Distributions of
-    length 1 have no roots and are skipped.  A computed modulus past
+    Re z <= |z| <= R = max d_k/d_{k+1} (Eneström–Kakeya), so R bounds both
+    objectives.  The radii come from `_ratio_radii`, one numpy expression per
+    length.  The distinct distributions are walked in descending R (a stable
+    argsort, so ties stay in first-occurrence order), and root_set is called
+    only while R(1+2^-20) >= floor(top); the walk stops at the first below
+    it, because no distribution left can reach the floor.  The first
+    distribution is always solved, so the floor never sees an unset top.
+    Distributions of length 1 have no roots and are skipped.  A value past
     R(1+2^-20) raises RuntimeError.
     """
+    stat = _OBJECTIVES[objective]
     unique = [dvec for dvec in dict.fromkeys(dvecs) if len(dvec) > 1]
     radii = _ratio_radii(unique)
     radius = radii.tolist()
     found: dict[tuple[int, ...], float] = {}
-    top = 0.0
+    top = -math.inf
     for i in np.argsort(-radii, kind="stable").tolist():
         dvec = unique[i]
         if found and radius[i] < floor(top):
             break
-        modulus = max(r.modulus for r in root_set(dvec))
-        if not modulus <= radius[i]:
-            raise RuntimeError(f"root modulus {modulus!r} of d={dvec} exceeds its "
+        value = stat(root_set(dvec))
+        if not value <= radius[i]:
+            raise RuntimeError(f"{objective} {value!r} of d={dvec} exceeds its "
                                f"Eneström–Kakeya radius {radius[i]!r}")
-        found[dvec] = modulus
-        top = max(top, modulus)
+        found[dvec] = value
+        top = max(top, value)
     return {dvec: found[dvec] for dvec in unique if dvec in found}
 
 
@@ -480,25 +489,23 @@ def verify_tree_root_bound(n_lo: int, n_hi: int | None = None,
     """All roots of all free trees of order n satisfy |z| <= 2(n-4).
 
     Only the distributions whose Eneström–Kakeya radius reaches the smaller
-    of the largest modulus found and bound + tol are solved (`_max_moduli`):
+    of the largest modulus found and bound + tol are solved (`_pruned_maxima`):
     the roots of every other one can neither break the bound nor attain the
     maximum, so the report is the one an exhaustive scan gives.
     """
     witnesses, bad = [], []
     for n in range(n_lo, n_hi + 1):
         bound = 2 * (n - 4)
-        best, best_d = 0.0, None
-        solved = _max_moduli(distinct_distributions("trees", n),
-                             lambda top: min(top, bound + tol))
-        for dvec in solved:
-            for r in root_set(dvec):
-                if r.modulus > bound + tol:
-                    row = next(row for d, row in tree_instances(n) if d == dvec)
-                    bad.append((f"n={n} edges={_edges(row)}", r.to_json_dict()))
-                if r.modulus > best:
-                    best, best_d = r.modulus, dvec
-        witnesses.append((f"n={n}",
-                          f"max modulus {best:.6f} of bound {bound} at d={best_d}"))
+        solved = _pruned_maxima(distinct_distributions("trees", n), "max_modulus",
+                                lambda top: min(top, bound + tol))
+        best_d = max(solved, key=solved.get)
+        for dvec, modulus in solved.items():
+            if modulus > bound + tol:
+                row = next(row for d, row in tree_instances(n) if d == dvec)
+                bad.extend((f"n={n} edges={_edges(row)}", r.to_json_dict())
+                           for r in root_set(dvec) if r.modulus > bound + tol)
+        witnesses.append((f"n={n}", f"max modulus {solved[best_d]:.6f} "
+                          f"of bound {bound} at d={best_d}"))
     return ("pass" if not bad else "fail"), witnesses, bad
 
 
@@ -834,27 +841,18 @@ def find_purely_imaginary(kind: str, order: int, long_running: bool = False) -> 
 # Extremal searches
 # ---------------------------------------------------------------------------
 
-_OBJECTIVES = {
-    "max_modulus": lambda rs: max(r.modulus for r in rs),
-    "max_real": lambda rs: max(r.re for r in rs),
-    "min_nonzero_modulus": lambda rs: min(r.modulus for r in rs),
-}
-
-
 def search_extremal(order: int, objective: str, kind: str,
                     tol: float = DEFAULT_TOLERANCE) -> ExtremalReport:
-    """Exhaustive scan for the instance(s) attaining a root-statistic extreme.
+    """Exhaustive scan for the instance(s) attaining the largest root modulus
+    or real part (an `_OBJECTIVES` key).
 
-    Each distinct distribution of the class is scored once; those with no
-    nonzero roots (complete graphs) carry no statistic and are skipped.  The
-    argmax holds every instance whose distribution is within tol(1 + |best|)
-    of the best value: each such tree of tree_instances with its edges, in
-    enumeration order, or each such graph distribution, in pool order.
-
-    For max_modulus only the distributions whose Eneström–Kakeya radius
-    reaches best - tol(1 + |best|) are solved (`_max_moduli`); no other
-    instance can be within tol of the best, so the report is the one an
-    exhaustive scan gives.  A tol outside its declared bound raises ValueError.
+    The argmax holds every instance whose distribution is within
+    tol(1 + |best|) of the best value: each such tree of tree_instances with
+    its edges, in enumeration order, or each such graph distribution, in
+    sorted order; complete graphs have no nonzero roots and are skipped.
+    Only the distributions whose Eneström–Kakeya radius reaches that floor
+    are solved (`_pruned_maxima`), so the report is the one an exhaustive
+    scan gives.  A tol outside its declared bound raises ValueError.
     """
     tol_ok, tol_message = _TOLERANCE_BOUNDS["tol"]
     if not tol_ok(tol):
@@ -862,21 +860,18 @@ def search_extremal(order: int, objective: str, kind: str,
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     # distinct_distributions rejects other classes, the sweep an ungated order 8
-    pool = [dvec for dvec in distinct_distributions(kind, order) if len(dvec) > 1]
-    if not pool:
+    scores = _pruned_maxima(distinct_distributions(kind, order), objective,
+                            lambda top: top - tol * (1 + abs(top)))
+    if not scores:
         raise ValueError(f"no instances with nonzero roots at order {order}")
-    if objective == "max_modulus":
-        pool = list(_max_moduli(pool, lambda top: top - tol * (1 + abs(top))))
-    stat = _OBJECTIVES[objective]
-    scores = {dvec: stat(root_set(dvec)) for dvec in pool}
-    best = (min if objective.startswith("min") else max)(scores.values())
+    best = max(scores.values())
     slack = tol * (1 + abs(best))
     top = {dvec for dvec, value in scores.items() if abs(value - best) <= slack}
     if kind == "trees":
         argmax = [{"d": list(dvec), "edges": [list(e) for e in _edges(row)]}
                   for dvec, row in tree_instances(order) if dvec in top]
     else:
-        argmax = [{"d": list(dvec)} for dvec in pool if dvec in top]
+        argmax = [{"d": list(dvec)} for dvec in scores if dvec in top]
     return ExtremalReport(order, objective, kind, best, argmax)
 
 

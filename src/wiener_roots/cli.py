@@ -158,11 +158,10 @@ def cmd_scatter(args: argparse.Namespace) -> int:
 def cmd_family(args: argparse.Namespace) -> int:
     try:
         spec = parse_family_spec(args.spec)
-        w = family_polynomial(spec)
-    except ValueError as exc:
+        record = _record_for(str(spec), family_polynomial(spec))
+    except ValueError as exc:  # a bad spec, or pair counts too large for roots
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    record = _record_for(str(spec), w)
     if args.format == "json":
         _emit([json.dumps(record.to_json_dict(), indent=2)], args.out)
     else:

@@ -64,6 +64,7 @@ class Graph6Error(ValueError):
 
 
 GRAPH6_MAX_ORDER = 62  # single-byte length form only
+_GRAPH6_BITS = {63 + value: format(value, "06b") for value in range(64)}
 GRAPH_MAX_ORDER = 1 << 14  # largest graph built from edges: bit rows of 32 MB at most
 ENUMERATION_MAX_ORDER = 8
 TREE_MAX_ORDER = 18
@@ -169,37 +170,31 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(header):]
     if not line:
         raise Graph6Error("empty graph6 record")
-    codes = [ord(ch) for ch in line]
-    for ch in codes:
-        if not 63 <= ch <= 126:
-            raise Graph6Error(f"character code {ch} outside graph6 range 63..126")
-    n = codes[0] - 63
-    if n == 63:
+    for ch in line:
+        if not "?" <= ch <= "~":
+            raise Graph6Error(f"character code {ord(ch)} outside graph6 range 63..126")
+    n = ord(line[0]) - 63
+    if n > GRAPH6_MAX_ORDER:
         raise Graph6Error("multi-byte order encodings (order > 62) are not supported")
     if n == 0:
         raise Graph6Error("order-0 graph6 records are not supported")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    body = codes[1:]
+    body = line[1:]
     if len(body) != need:
         raise Graph6Error(
             f"order {n} needs {need} payload characters, got {len(body)}"
         )
-    rows = [0] * n
-    idx = 0
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
-    for byte in body:
-        bits = byte - 63
-        for k in range(5, -1, -1):
-            bit = bits >> k & 1
-            if idx < nbits:
-                if bit:
-                    u, v = pairs[idx]
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-            elif bit:
-                raise Graph6Error("nonzero padding bits in final character")
-            idx += 1
+    bits = body.translate(_GRAPH6_BITS)  # six bits per character, high bit first
+    if "1" in bits[nbits:]:
+        raise Graph6Error("nonzero padding bits in final character")
+    # the pairs (0,v), ..., (v-1,v) of column v are v consecutive bits
+    # from v(v-1)/2 on; reversed, they read as v's row of lower neighbours
+    rows = [0] + [int(bits[v * (v - 1) // 2:v * (v + 1) // 2][::-1], 2)
+                  for v in range(1, n)]
+    for v in range(1, n):
+        for u in _iter_bits(rows[v]):  # only lower neighbours so far
+            rows[u] |= 1 << v
     return Graph(n, tuple(rows))
 
 
@@ -618,8 +613,6 @@ def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
     find the last entry above 2, lower it by one, and repeat the block ending
     at its new parent.  Starts at the path and ends at the star.
     """
-    if n == 0:
-        return
     levels = list(range(1, n + 1))
     while True:
         yield levels

@@ -771,36 +771,39 @@ def roots(p: WienerPolynomial) -> tuple[ComplexRoot, ...]:
     operation and up to the sign of a zero: negating y negates its Veltkamp
     split, so every product and TwoSum term keeps or flips its sign exactly.
     The modulus, and so the residual, is the same bit for bit.
+
+    Pair counts too large for the float stage raise ValueError.
     """
     c = p.d
     deg = len(c) - 1
     if deg == 0:
         return ()
     entries: list[tuple[complex, str | None, int]] = []
-    for fac, mult in _square_free_decomposition(c):
-        fdeg = len(fac) - 1
-        if fdeg == 0:
-            continue
-        if fdeg <= 2:
-            for z, form in _closed_form_roots(fac):
-                entries.append((z, form, mult))
-            continue
-        fc = [float(x) for x in fac]
-        dfc = _deriv(fc)
-        approx = [_newton_polish(fc, dfc, z) for z in _aberth_ehrlich(fc)]
-        n_real = _count_real_roots(fac)
-        for z in _symmetrize(approx, n_real):
-            entries.append((z, None, mult))
     out: list[ComplexRoot] = []
     cmax = max(c)  # pair counts are positive, so this is the largest |coefficient|
-    last, residual = None, 0.0
-    for z, form, mult in entries:
-        if last is not None and z == last.conjugate():
-            last = None  # second of a conjugate pair: the same residual
-        else:
-            residual, last = _residual(c, cmax, z), z
-        root = ComplexRoot(z.real, z.imag, residual, form)
-        out.extend([root] * mult)
+    try:
+        for fac, mult in _square_free_decomposition(c):
+            if len(fac) <= 3:  # degree 1 or 2
+                entries.extend((z, form, mult) for z, form in _closed_form_roots(fac))
+                continue
+            fc = [float(x) for x in fac]
+            dfc = _deriv(fc)
+            approx = [_newton_polish(fc, dfc, z) for z in _aberth_ehrlich(fc)]
+            if not all(map(cmath.isfinite, approx)):
+                raise OverflowError("a float iterate overflowed")
+            n_real = _count_real_roots(fac)
+            entries.extend((z, None, mult) for z in _symmetrize(approx, n_real))
+        last, residual = None, 0.0
+        for z, form, mult in entries:
+            if last is not None and z == last.conjugate():
+                last = None  # second of a conjugate pair: the same residual
+            else:
+                residual, last = _residual(c, cmax, z), z
+            root = ComplexRoot(z.real, z.imag, residual, form)
+            out.extend([root] * mult)
+    except OverflowError:
+        raise ValueError("pair counts too large for floating-point root "
+                         "finding") from None
     out.sort(key=lambda r: (r.re, r.im))
     if len(out) != deg:
         raise RootFindingError(

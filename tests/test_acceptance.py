@@ -15,9 +15,12 @@ identity and turn the criterion red.
 """
 
 import ast
+import hashlib
+import json
 import re
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from wiener_roots import claims
 from wiener_roots.claims import (
@@ -38,6 +41,10 @@ from wiener_roots.polynomial import (
     evaluate_gaussian,
     purely_imaginary_roots,
 )
+
+
+# Report digests pinned by the CLI tests, keyed by the verify arguments.
+FULL_TREE_DIGESTS = Path(__file__).with_name("full_tree_digests.json")
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -163,6 +170,13 @@ def test_criterion_11_extremal_real_part():
     _report(11, "largest-real-part trees: paths to 15, pendant-path fixtures "
             "at 16/17; none positive for graphs n<=5",
             r.verdict == "pass" and r.runtime <= 900, _summary(r))
+    # the full-profile report, pinned while every root set was still solved;
+    # read from this run, so the 40 s search is not repeated
+    report = r.to_json_dict()
+    report.pop("runtime_seconds")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    pinned = json.loads(FULL_TREE_DIGESTS.read_text())
+    assert digest == pinned["extremal_real_part tree_lo=6 tree_hi=17 graph_hi=5"]
 
 
 def _poly_mul(a, b):

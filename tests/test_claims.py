@@ -132,14 +132,13 @@ def test_find_purely_imaginary():
 def test_search_extremal_objectives():
     r = search_extremal(10, "max_real", "trees")
     assert len(r.argmax) == 1 and r.argmax[0]["d"] == list(range(9, 0, -1))
-    r = search_extremal(5, "min_nonzero_modulus", "graphs")
-    assert r.best_value == pytest.approx(2 / 3)
-    assert r.argmax == [{"d": [4, 6]}]
+    r = search_extremal(5, "max_real", "graphs")
+    assert r.best_value < 0
     r = search_extremal(9, "max_modulus", "trees")
     assert r.best_value <= 2 * (9 - 4)
     with pytest.raises(ValueError):
         search_extremal(8, "max_real", "graphs")  # gated
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown objective"):
         search_extremal(5, "max_everything", "graphs")
 
 
@@ -166,7 +165,6 @@ def test_extremal_report_value_is_attained():
 _STATISTICS = {
     "max_modulus": lambda rs: max(r.modulus for r in rs),
     "max_real": lambda rs: max(r.re for r in rs),
-    "min_nonzero_modulus": lambda rs: min(r.modulus for r in rs),
 }
 
 
@@ -183,8 +181,7 @@ def _exhaustive_search(n, objective, kind, tol):
         instances = [(dd.d, {}) for dd in dists]
     scored = [(_STATISTICS[objective](claims.root_set(dvec)), {"d": list(dvec), **extra})
               for dvec, extra in instances if len(dvec) > 1]
-    pick = min if objective.startswith("min") else max
-    best = pick(value for value, _ in scored)
+    best = max(value for value, _ in scored)
     argmax = [desc for value, desc in scored if abs(value - best) <= tol * (1 + abs(best))]
     return best, argmax
 
@@ -210,7 +207,7 @@ def test_pruned_modulus_scans_match_the_exhaustive_scan(tol):
 def test_search_extremal_matches_the_per_instance_scan(objective, tol):
     # at tol=1e6 every instance is in the argmax, so the instance order and
     # the ties across distinct distributions are pinned too
-    for kind, orders in (("trees", range(5, 12)), ("graphs", range(3, 7))):
+    for kind, orders in (("trees", range(5, 14)), ("graphs", range(3, 8))):
         for n in orders:
             e = search_extremal(n, objective, kind, tol=tol)
             assert (e.best_value, e.argmax) == _exhaustive_search(n, objective, kind, tol)
@@ -224,30 +221,64 @@ def test_pruned_modulus_scans_solve_few_root_sets():
     assert claims.root_set.cache_info().misses <= 10
 
 
+def _modulus_scan(dvecs, floor):
+    return claims._pruned_maxima(dvecs, "max_modulus", floor)
+
+
 def test_max_moduli_solves_what_can_reach_the_floor():
     # radii 2/3, none, 2 and 2; largest moduli 2/3, sqrt(2) and 1.6506
     dvecs = [(4, 6), (10,), (4, 4, 2), (4, 6), (4, 3, 2, 1)]
-    moduli = claims._max_moduli(dvecs, lambda top: 0.6)
+    moduli = _modulus_scan(dvecs, lambda top: 0.6)
     assert list(moduli) == [(4, 6), (4, 4, 2), (4, 3, 2, 1)]
     assert moduli[(4, 6)] == pytest.approx(2 / 3)
     assert moduli[(4, 4, 2)] == pytest.approx(2 ** 0.5)
-    assert list(claims._max_moduli(dvecs, lambda top: top)) == \
+    assert list(_modulus_scan(dvecs, lambda top: top)) == \
         [(4, 4, 2), (4, 3, 2, 1)]
     # the first distribution by radius, ties in first-occurrence order, is
     # always solved
-    assert list(claims._max_moduli(dvecs, lambda top: 3.0)) == [(4, 4, 2)]
+    assert list(_modulus_scan(dvecs, lambda top: 3.0)) == [(4, 4, 2)]
+    # the same radii bound the largest real parts -2/3, -1 and -0.1747
+    parts = claims._pruned_maxima(dvecs, "max_real", lambda top: 0.6)
+    assert list(parts) == [(4, 6), (4, 4, 2), (4, 3, 2, 1)]
+    assert parts[(4, 6)] == pytest.approx(-2 / 3)
+    assert parts[(4, 4, 2)] == pytest.approx(-1)
+    assert parts[(4, 3, 2, 1)] == pytest.approx(-0.17468540428)
+    # a negative top floors below every radius, so nothing is pruned
+    assert list(claims._pruned_maxima(dvecs, "max_real", lambda top: top)) == \
+        [(4, 6), (4, 4, 2), (4, 3, 2, 1)]
+    assert list(claims._pruned_maxima(dvecs, "max_real", lambda top: 3.0)) == \
+        [(4, 4, 2)]
 
 
 def test_max_moduli_rejects_a_root_beyond_its_radius(monkeypatch):
     # every root of 3 + 2x + x^2 lies within max(3/2, 2/1) = 2
     monkeypatch.setattr(claims, "root_set",
-                        lambda dvec: (ComplexRoot(-3.0, 0.0, 0.0),))
+                        lambda dvec: (ComplexRoot(3.0, 0.0, 0.0),))
+    for objective in _STATISTICS:
+        with pytest.raises(RuntimeError, match="Eneström–Kakeya radius"):
+            claims._pruned_maxima([(3, 2, 1)], objective, lambda top: top)
+
+
+def test_objective_values_lie_within_their_radii():
+    for kind, orders in (("trees", range(2, 14)), ("graphs", range(3, 8))):
+        for n in orders:
+            unique = [dvec for dvec in claims.distinct_distributions(kind, n) if len(dvec) > 1]
+            for dvec, radius in zip(unique, claims._ratio_radii(unique).tolist()):
+                for objective, stat in _STATISTICS.items():
+                    assert stat(claims.root_set(dvec)) <= radius, (dvec, objective)
+
+
+@pytest.mark.parametrize("objective", sorted(_STATISTICS))
+def test_shrunken_radii_make_the_scan_raise(objective, monkeypatch):
+    # a bound 10^3 times too tight must be caught, not silently prune
+    radii = claims._ratio_radii
+    monkeypatch.setattr(claims, "_ratio_radii", lambda dvecs: radii(dvecs) / 1e3)
     with pytest.raises(RuntimeError, match="Eneström–Kakeya radius"):
-        claims._max_moduli([(3, 2, 1)], lambda top: top)
+        search_extremal(10, objective, "trees")
 
 
 def _scalar_radius(dvec):
-    """The Eneström–Kakeya radius as _max_moduli computed it one vector at a time."""
+    """The Eneström–Kakeya radius as the scan computed it one vector at a time."""
     return claims._RADIUS_MARGIN * max(dvec[k] / dvec[k + 1] for k in range(len(dvec) - 1))
 
 
@@ -275,23 +306,22 @@ def test_max_moduli_walks_in_the_scalar_sort_order(monkeypatch):
     monkeypatch.setattr(claims, "root_set", record)
     for pool in _radius_pools():
         walked.clear()
-        claims._max_moduli(pool, lambda top: float("-inf"))
+        _modulus_scan(pool, lambda top: float("-inf"))
         unique = [dvec for dvec in dict.fromkeys(pool) if len(dvec) > 1]
         assert walked == sorted(unique, key=_scalar_radius, reverse=True)
     # ties keep their first-occurrence order
     walked.clear()
-    claims._max_moduli([(1, 2, 1), (4, 2), (2, 1), (6, 3, 3)],
-                       lambda top: float("-inf"))
+    _modulus_scan([(1, 2, 1), (4, 2), (2, 1), (6, 3, 3)], lambda top: float("-inf"))
     assert walked == [(1, 2, 1), (4, 2), (2, 1), (6, 3, 3)]
 
 
 def test_radii_reject_pair_counts_past_exact_floats(monkeypatch):
     monkeypatch.setattr(claims, "root_set", lambda dvec: (ComplexRoot(0.0, 0.0, 0.0),))
-    assert list(claims._max_moduli([(2 ** 53 - 1, 1)], lambda top: top)) == \
+    assert list(_modulus_scan([(2 ** 53 - 1, 1)], lambda top: top)) == \
         [(2 ** 53 - 1, 1)]
     for dvec in ((2 ** 53, 1), (1, 2 ** 53), (3, 2, 2 ** 53 + 1), (2 ** 64, 1)):
         with pytest.raises(ValueError):
-            claims._max_moduli([(3, 2, 1), dvec], lambda top: top)
+            _modulus_scan([(3, 2, 1), dvec], lambda top: top)
 
 
 def test_purely_imaginary_screen_keeps_the_exact_test_for_few(monkeypatch):

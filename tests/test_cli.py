@@ -34,7 +34,9 @@ QUICK_DIGESTS = Path(__file__).with_name("quick_profile_digests.json")
 # full-profile tree_root_bound and tn_extremal reports at tree orders 5..17,
 # recorded at 54614c0, while both scans still found every root set; and of the
 # purely_imaginary reports at tree orders 5..17 and graph orders 2..7,
-# recorded at 0b62d20, while every distribution still took the exact gcd.
+# recorded at 0b62d20, while every distribution still took the exact gcd; and
+# of the full-profile extremal_real_part report, recorded at 046078f while
+# every root set was still solved, and checked by acceptance criterion 11.
 FULL_TREE_DIGESTS = Path(__file__).with_name("full_tree_digests.json")
 
 
@@ -69,6 +71,14 @@ def test_compute_json(tmp_path, capsys, k4_minus_edge_line):
     assert record["annulus"] == {"r": "5", "R": "5"}
     (root,) = record["roots"]
     assert root["re"] == -5.0 and root["exact"] == "-5"
+
+
+def test_compute_csv(tmp_path, capsys, k4_minus_edge_line):
+    src = tmp_path / "in.g6"
+    src.write_text(k4_minus_edge_line + "\n")
+    code, out, _ = run_cli(capsys, "compute", str(src), "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines() == [f"{k4_minus_edge_line},0,0", f"{k4_minus_edge_line},-5,0"]
 
 
 def test_compute_handles_disconnected_and_parse_errors(tmp_path, capsys):
@@ -266,6 +276,14 @@ def test_verify_command_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "max_modulus", "bogus=3")
     assert code == EXIT_USAGE
 
+    # malformed claim parameters: one error line each
+    for token, message in (
+            ("a_hi", "claim parameter 'a_hi' must look like key=value"),
+            ("a_hi=2..3", "parameter 'a_hi' does not take a range"),
+            ("a_hi=x", "parameter 'a_hi' takes int values, not 'x'")):
+        code, out, err = run_cli(capsys, "verify", "density", token)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
     # the knowingly false identity comes back as a verification failure
     code, out, _ = run_cli(capsys, "verify", "leaf_augment_identity", "samples=5")
     assert code == EXIT_VERIFICATION and "fail" in out
@@ -337,7 +355,11 @@ def test_usage_errors(tmp_path, capsys):
                  ("verify", "tree_density_limit", "a=1", "b=2", "ell_max=80",
                   "rel_tol=nan"),
                  ("verify", "tree_density_limit", "a=1", "b=2", "ell_max=80",
-                  "rel_tol=0")):
+                  "rel_tol=0"),
+                 # closed forms whose pair counts (about 10^400) pass the float range
+                 ("family", f"broom:5,{10 ** 200}"),
+                 ("family", f"complete_minus_edge:{10 ** 200}"),
+                 ("verify", "broom_asymptotics", "which=real", f"n_max={10 ** 200}")):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

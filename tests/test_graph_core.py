@@ -239,6 +239,8 @@ def test_parse_graph6_error_cases():
         parse_graph6("A" + chr(40))  # character below 63
     with pytest.raises(Graph6Error):
         parse_graph6("A@")  # nonzero padding: order 2 uses only the top bit
+    with pytest.raises(Graph6Error, match="order-0 graph6 records are not supported"):
+        parse_graph6("?")
 
 
 def test_parse_graph6_roundtrip_random(encode_graph6):
@@ -248,9 +250,12 @@ def test_parse_graph6_roundtrip_random(encode_graph6):
         edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5]
         g = from_edge_list(n, edges)
         assert parse_graph6(encode_graph6(g)) == g
-    # order above the single-byte form boundary still works at 62
-    g62 = from_edge_list(62, [(v, v + 1) for v in range(61)])
-    assert parse_graph6(encode_graph6(g62)) == g62
+    # every order of the single-byte form, empty to complete
+    for n in range(1, graph_core.GRAPH6_MAX_ORDER + 1):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < density]
+            g = from_edge_list(n, edges)
+            assert parse_graph6(encode_graph6(g)) == g
 
 
 # ---------------------------------------------------------------------------

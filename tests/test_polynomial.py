@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from wiener_roots.claims import distinct_distributions
+from wiener_roots.families import FamilySpec, family_polynomial
 from wiener_roots.graph_core import from_edge_list, load_fixture, distance_distribution
 from wiener_roots.polynomial import (
     Annulus,
@@ -140,6 +141,19 @@ def test_roots_quadratic_surds_and_complex():
     rs = roots(WienerPolynomial((10, 4, 1)))  # order-6 pendant clique family
     assert {(round(r.re, 9), round(r.im, 9)) for r in rs} == {
         (-2.0, round(math.sqrt(6), 9)), (-2.0, -round(math.sqrt(6), 9))}
+
+
+def test_roots_reject_pair_counts_too_large_for_floats():
+    # each float stage in turn: a linear and a quadratic closed form, the
+    # Aberth coefficients, and an iterate that overflows to nan (the broom
+    # closed form at 10^150, coefficients up to 5e299)
+    broom = family_polynomial(FamilySpec("broom", (5, 10 ** 150)))
+    for p in (WienerPolynomial((10 ** 400, 1)), WienerPolynomial((10 ** 400, 1, 1)),
+              WienerPolynomial((1, 10 ** 400, 1, 1)), broom):
+        with pytest.raises(ValueError, match="too large for floating-point"):
+            roots(p)
+    (r,) = roots(WienerPolynomial((10 ** 300, 1)))  # still a float
+    assert r.re == -1e300
 
 
 def test_roots_cubic_with_known_factorization():
