@@ -20,12 +20,18 @@ where a report names a tree.
 
 The extremal scans (`tree_root_bound`, and `search_extremal` for
 `tn_extremal` and `extremal_real_part`) are one pruned scan, `_pruned_maxima`:
-it finds roots only for the distributions whose Eneström–Kakeya radius
-max d_k/d_{k+1} reaches the value that decides the report.  Every root's
-modulus, and so its real part, is at most that radius, so the skipped root
-sets can neither break a bound nor attain or tie a maximum, and the reports
-are those of an exhaustive scan.  For the largest modulus at tree orders
-5..17, one root set per order is found instead of all of them.
+it finds roots only for the distributions whose certified upper bound on the
+objective reaches the value that decides the report.  The largest modulus is
+bounded by the Eneström–Kakeya radius max d_k/d_{k+1}, the largest real part
+by the root discs of `polynomial.root_discs` (eigenvalue centres with
+certified Weierstrass radii).  The skipped root sets can neither break a
+bound nor attain or tie a maximum, so the reports are those of an exhaustive
+scan.  At tree orders 5..17, one or a few root sets per order are found for
+each objective instead of all of them.
+
+`path_annulus` is decided by the same root discs: an order whose discs all
+lie in the annulus passes without root finding, and root_set runs only for
+the witness orders and for any order whose discs are inconclusive.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from .polynomial import (
     imaginary_axis_candidates,
     length_groups,
     purely_imaginary_roots,
+    root_discs,
     roots,
 )
 from .families import (
@@ -318,10 +325,38 @@ def _ratio_radii(dvecs: Sequence[tuple[int, ...]]) -> np.ndarray:
     return radii
 
 
-# The objectives of the pruned scan, both at most the largest |z|.
+def _padded_discs(dvecs: Sequence[tuple[int, ...]]):
+    """(positions in dvecs, centres, radii) of each length group's root discs
+    (`root_discs`), for distributions all of length >= 2.
+
+    Each radius is padded by 2^-20 times |z_i| + r_i, far more than the
+    error of a computed root, so a float comparison that holds on a disc's
+    extent holds for the root_set roots inside it too.  A row whose discs
+    fall back keeps radii of inf.
+    """
+    for positions, m in length_groups(dvecs):
+        centres, radii = root_discs(m)
+        yield positions, centres, radii + (np.abs(centres) + radii) * (_RADIUS_MARGIN - 1)
+
+
+def _real_part_bounds(dvecs: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """max_i(Re z_i + r_i) over each distribution's padded root discs, all of
+    length >= 2: at least its largest real part, and inf where the discs
+    fall back."""
+    bounds = np.empty(len(dvecs))
+    for positions, centres, radii in _padded_discs(dvecs):
+        bounds[positions] = (centres.real + radii).max(axis=1)
+    return bounds
+
+
+# The objectives of the pruned scan: each one's value on a root set, its
+# upper bounds for a list of distributions of length >= 2, and their name.
+# The bound functions are looked up when called, so they can be replaced.
 _OBJECTIVES = {
-    "max_modulus": lambda rs: max(r.modulus for r in rs),
-    "max_real": lambda rs: max(r.re for r in rs),
+    "max_modulus": (lambda rs: max(r.modulus for r in rs),
+                    lambda dvecs: _ratio_radii(dvecs), "Eneström–Kakeya radius"),
+    "max_real": (lambda rs: max(r.re for r in rs),
+                 lambda dvecs: _real_part_bounds(dvecs), "disc bound"),
 }
 
 
@@ -331,31 +366,36 @@ def _pruned_maxima(dvecs: Iterable[tuple[int, ...]], objective: str,
     floor(top), top being the largest value found so far; keyed in
     first-occurrence order.
 
-    Every root of d_1 + d_2 x + ... + d_D x^(D-1) with all d_k > 0 has
-    Re z <= |z| <= R = max d_k/d_{k+1} (Eneström–Kakeya), so R bounds both
-    objectives.  The radii come from `_ratio_radii`, one numpy expression per
-    length.  The distinct distributions are walked in descending R (a stable
-    argsort, so ties stay in first-occurrence order), and root_set is called
-    only while R(1+2^-20) >= floor(top); the walk stops at the first below
-    it, because no distribution left can reach the floor.  The first
+    Each objective has its own certified upper bound, computed for all the
+    distinct distributions at once, one numpy pass per length:
+    - max_modulus: the Eneström–Kakeya radius R(1+2^-20) of `_ratio_radii`,
+      since every root of d_1 + d_2 x + ... + d_D x^(D-1) with all d_k > 0
+      has |z| <= R = max d_k/d_{k+1};
+    - max_real: `_real_part_bounds`, the largest Re z_i + r_i over the root
+      discs of `root_discs`, padded by 2^-20 times |z_i| + r_i; a
+      distribution whose discs fall back gets inf and is always solved.
+    The distributions are walked in descending bound (a stable argsort, so
+    ties stay in first-occurrence order), and root_set is called only while
+    the bound is >= floor(top); the walk stops at the first below it,
+    because no distribution left can reach the floor.  The first
     distribution is always solved, so the floor never sees an unset top.
     Distributions of length 1 have no roots and are skipped.  A value past
-    R(1+2^-20) raises RuntimeError.
+    its bound raises RuntimeError.
     """
-    stat = _OBJECTIVES[objective]
+    value_of, bounds_of, bound_name = _OBJECTIVES[objective]
     unique = [dvec for dvec in dict.fromkeys(dvecs) if len(dvec) > 1]
-    radii = _ratio_radii(unique)
-    radius = radii.tolist()
+    bounds = bounds_of(unique)
+    bound = bounds.tolist()
     found: dict[tuple[int, ...], float] = {}
     top = -math.inf
-    for i in np.argsort(-radii, kind="stable").tolist():
+    for i in np.argsort(-bounds, kind="stable").tolist():
         dvec = unique[i]
-        if found and radius[i] < floor(top):
+        if found and bound[i] < floor(top):
             break
-        value = stat(root_set(dvec))
-        if not value <= radius[i]:
+        value = value_of(root_set(dvec))
+        if not value <= bound[i]:
             raise RuntimeError(f"{objective} {value!r} of d={dvec} exceeds its "
-                               f"Eneström–Kakeya radius {radius[i]!r}")
+                               f"{bound_name} {bound[i]!r}")
         found[dvec] = value
         top = max(top, value)
     return {dvec: found[dvec] for dvec in unique if dvec in found}
@@ -598,11 +638,25 @@ def verify_tn_extremal(n_lo: int, n_hi: int | None = None,
        quick=[dict(n_lo=3, n_hi=30)], full=[dict(n_lo=3, n_hi=100)])
 def verify_path_annulus(n_lo: int, n_hi: int | None = None,
                         tol: float = DEFAULT_TOLERANCE) -> Verdict:
-    """Nonzero path roots lie in the exact annulus (n-1)/(n-2) <= |z| <= 2."""
+    """Nonzero path roots lie in the exact annulus (n-1)/(n-2) <= |z| <= 2.
+
+    An order is decided by its padded root discs (`_padded_discs`): when
+    every disc lies in lo - tol <= |z| <= 2 + tol, so do all its roots and
+    all its root_set roots.  root_set runs only for the witness orders n_lo
+    and n_hi and for the orders whose discs are inconclusive, which are
+    checked root by root, so the report is that of checking every root.
+    """
     witnesses, bad = [], []
-    for n in range(n_lo, n_hi + 1):
-        dvec = family_polynomial(FamilySpec("path", (n,))).d
+    orders = range(n_lo, n_hi + 1)
+    dvecs = [family_polynomial(FamilySpec("path", (n,))).d for n in orders]
+    inner, outer = np.empty(len(dvecs)), np.empty(len(dvecs))
+    for positions, centres, radii in _padded_discs(dvecs):
+        inner[positions] = (np.abs(centres) - radii).min(axis=1)
+        outer[positions] = (np.abs(centres) + radii).max(axis=1)
+    for n, dvec, least, most in zip(orders, dvecs, inner.tolist(), outer.tolist()):
         lo = (n - 1) / (n - 2)
+        if n not in (n_lo, n_hi) and lo - tol <= least and most <= 2 + tol:
+            continue
         for r in root_set(dvec):
             if not (lo - tol <= r.modulus <= 2 + tol):
                 bad.append((f"path order {n}", r.to_json_dict()))
@@ -850,7 +904,7 @@ def search_extremal(order: int, objective: str, kind: str,
     tol(1 + |best|) of the best value: each such tree of tree_instances with
     its edges, in enumeration order, or each such graph distribution, in
     sorted order; complete graphs have no nonzero roots and are skipped.
-    Only the distributions whose Eneström–Kakeya radius reaches that floor
+    Only the distributions whose bound on the objective reaches that floor
     are solved (`_pruned_maxima`), so the report is the one an exhaustive
     scan gives.  A tol outside its declared bound raises ValueError.
     """

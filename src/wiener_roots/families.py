@@ -6,9 +6,11 @@ list and, where a closed form exists, its exact pair counts.  The graph's
 distance_distribution is the cross-check, and the two routes must agree;
 the test suite asserts it across the full parameter grids.  A graph is
 built only up to GRAPH_MAX_ORDER vertices, checked from the declared order
-before any edge exists; closed forms have no such bound.  A family without
-a closed form gets its counts from the graph, in time that grows with the
-diameter times the edge count: broom:3,16384 takes well under a second.
+before any edge exists.  Closed forms have no such bound, except the path's:
+it lists one count per distance, so it is refused past GRAPH_MAX_ORDER too.
+A family without a closed form gets its counts from the graph, in time that
+grows with the diameter times the edge count: broom:3,16384 takes well
+under a second.
 
 Family names and parameters:
   complete:n             all pairs adjacent
@@ -83,6 +85,14 @@ def _leaf_pairs(n: int, count: int) -> Edges:
     return list(islice(((u, v) for v in range(2, n) for u in range(1, v)), count))
 
 
+def _path_counts(n: int) -> tuple[int, ...]:
+    """(n-1, ..., 1), one count per distance; ValueError past GRAPH_MAX_ORDER."""
+    if n > GRAPH_MAX_ORDER:
+        raise ValueError(f"path:{n} has more than {GRAPH_MAX_ORDER} vertices; its "
+                         "closed form lists one count per distance")
+    return tuple(range(n - 1, 0, -1))
+
+
 _FAMILIES: dict[str, _Family] = {
     "complete": _Family(
         1, lambda n: n >= 2, lambda n: n, _clique,
@@ -95,7 +105,7 @@ _FAMILIES: dict[str, _Family] = {
         lambda n: (1,) if n == 2 else (n - 1, comb(n - 1, 2))),
     "path": _Family(
         1, lambda n: n >= 2, lambda n: n, _path,
-        lambda n: tuple(range(n - 1, 0, -1))),
+        _path_counts),
     "double_star": _Family(
         2, lambda k, n: n >= 4 and 2 <= k <= n - 2, lambda k, n: n,
         lambda k, n: _path(2, 1, k - 1) + [(1, v) for v in range(k + 1, n)],

@@ -24,7 +24,12 @@ Scans over many distributions screen them first, in batches:
 `imaginary_axis_candidates` runs a pseudo-remainder sequence of the even and
 odd parts modulo 2^31 - 1 on each matrix at once.  A vector it clears has a
 certificate that the integer gcd is constant; only the rest need the exact
-test.
+test.  `root_discs` encloses the roots of every row of a matrix at once:
+eigenvalues of the stacked companion matrices as centres, and Weierstrass
+inclusion radii bounded from above with every rounding error counted.  The
+claims bound the largest real part of each distribution by its discs, and
+decide the path annulus by them; a row the discs cannot certify gets
+infinite radii and goes to `roots`.  `roots` itself does not use them.
 
 Every remainder sequence (Sturm chains, gcds, Yun's loop) runs on integer
 coefficient lists: fraction-free pseudo-remainders reduced to their
@@ -928,3 +933,84 @@ def imaginary_axis_candidates(dvecs: Sequence[Sequence[int]]) -> list:
         cleared &= g[:, 0] != 0
         keep[positions[cleared]] = False
     return [dvec for dvec, kept in zip(dvecs, keep) if kept]
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k*u / (1 - k*u), u the unit roundoff of binary64."""
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+def root_discs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified inclusion discs for the roots of every row of one length group.
+
+    Each row of the int64 matrix m (from `length_groups`) holds the pair
+    counts d_1..d_D of p = d_1 + d_2 x + ... + d_D x^k, k = D - 1 >= 1.
+    Returns (centres, radii), both rows x k: every root of a row's p lies in
+    the union of the discs |z - z_i| <= r_i.
+
+    The centres z_i are `numpy.linalg.eigvals` of the stacked companion
+    matrices, which is backward stable (Edelman & Murakami, Math. Comp. 64,
+    1995).  With the Weierstrass corrections
+    w_i = p(z_i) / (d_D prod_{j != i} (z_i - z_j)), the roots of p are the
+    eigenvalues of diag(z) - w 1^T, so by Gershgorin they lie in the union of
+    the discs |z - z_i| <= k|w_i| (Braess & Hadeler, Numer. Math. 21, 1973;
+    Neumaier, J. Comput. Appl. Math. 156, 2003).  The radii bound k|w_i| from
+    above in floating point: |p(z_i)| is the complex Horner value plus the
+    a-priori bound gamma_4k sum |d| |z_i|^j on its error (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sections 3.6 and 5.1:
+    each step is one complex product, within sqrt(2) gamma_2, and one sum),
+    and a final factor 1 + gamma_(8k+16) covers every other rounding: |z_i|,
+    the sum bound, the differences and their product, the quotient.  The sum
+    bound is at least d_1 >= 1, so underflow in the evaluation stays far
+    below it; the product of the differences is used only when the smallest
+    difference to the power k - 1 is above 2^-1000, so it never underflows.
+
+    A row whose discs cannot be certified gets inf for every radius: a
+    coefficient below 1 or of 2^53 or more (the float conversion would not
+    be exact), coinciding centres, a zero or non-finite product, a NaN, or
+    eigvals failing on its chunk.  The rows are solved in chunks, so the
+    rows x k x k difference array stays near 2^18 entries.
+    """
+    rows, k = m.shape[0], m.shape[1] - 1
+    if k < 1:
+        raise ValueError("root discs need vectors of length 2 or more")
+    centres = np.empty((rows, k), dtype=complex)
+    radii = np.empty((rows, k))
+    step = max(1, (1 << 18) // (k * k))
+    with np.errstate(all="ignore"):
+        for lo in range(0, rows, step):
+            chunk = slice(lo, lo + step)
+            centres[chunk], radii[chunk] = _chunk_discs(m[chunk])
+    return centres, radii
+
+
+def _chunk_discs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`root_discs` on one chunk of rows."""
+    rows, k = m.shape[0], m.shape[1] - 1
+    exact = ((m >= 1) & (m < 2 ** 53)).all(axis=1)
+    c = np.where(exact[:, None], m, 1).astype(float)
+    companion = np.zeros((rows, k, k))
+    companion[:, 0, :] = -c[:, k - 1::-1] / c[:, k:]
+    companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+    try:
+        z = np.linalg.eigvals(companion).astype(complex)
+    except np.linalg.LinAlgError:
+        return np.zeros((rows, k), dtype=complex), np.full((rows, k), np.inf)
+    az = np.abs(z)
+    value = np.broadcast_to(c[:, k:], z.shape).astype(complex)
+    bound = np.broadcast_to(c[:, k:], z.shape).copy()
+    for j in range(k - 1, -1, -1):
+        value = value * z + c[:, j:j + 1]
+        bound = bound * az + c[:, j:j + 1]
+    gaps = np.abs(z[:, :, None] - z[:, None, :])
+    gaps[:, np.arange(k), np.arange(k)] = 1.0
+    smallest = gaps.min(axis=(1, 2)) ** (k - 1)
+    product = c[:, k:] * gaps.prod(axis=2)
+    radii = (k * (np.abs(value) + _gamma(4 * k) * bound) / product
+             * (1 + _gamma(8 * k + 16)))
+    ok = (exact & (smallest > 2.0 ** -1000) & np.isfinite(z).all(axis=1)
+          & np.isfinite(radii).all(axis=1))
+    return np.where(ok[:, None], z, 0), np.where(ok[:, None], radii, np.inf)

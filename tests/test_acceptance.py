@@ -171,7 +171,7 @@ def test_criterion_11_extremal_real_part():
             "at 16/17; none positive for graphs n<=5",
             r.verdict == "pass" and r.runtime <= 900, _summary(r))
     # the full-profile report, pinned while every root set was still solved;
-    # read from this run, so the 40 s search is not repeated
+    # read from this run, so the search is not repeated
     report = r.to_json_dict()
     report.pop("runtime_seconds")
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()

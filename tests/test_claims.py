@@ -4,6 +4,7 @@ import inspect
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wiener_roots import claims
@@ -36,7 +37,7 @@ from wiener_roots.graph_core import (
     enumerate_trees,
     tree_parent_row,
 )
-from wiener_roots.polynomial import ComplexRoot
+from wiener_roots.polynomial import ComplexRoot, length_groups, root_discs
 
 
 def test_report_invariants():
@@ -237,25 +238,27 @@ def test_max_moduli_solves_what_can_reach_the_floor():
     # the first distribution by radius, ties in first-occurrence order, is
     # always solved
     assert list(_modulus_scan(dvecs, lambda top: 3.0)) == [(4, 4, 2)]
-    # the same radii bound the largest real parts -2/3, -1 and -0.1747
-    parts = claims._pruned_maxima(dvecs, "max_real", lambda top: 0.6)
+    # the largest real parts -2/3, -1 and -0.1747 are bounded by their root
+    # discs to within 2^-20, and walked from -0.1747 down
+    parts = claims._pruned_maxima(dvecs, "max_real", lambda top: -2.0)
     assert list(parts) == [(4, 6), (4, 4, 2), (4, 3, 2, 1)]
     assert parts[(4, 6)] == pytest.approx(-2 / 3)
     assert parts[(4, 4, 2)] == pytest.approx(-1)
     assert parts[(4, 3, 2, 1)] == pytest.approx(-0.17468540428)
-    # a negative top floors below every radius, so nothing is pruned
-    assert list(claims._pruned_maxima(dvecs, "max_real", lambda top: top)) == \
-        [(4, 6), (4, 4, 2), (4, 3, 2, 1)]
-    assert list(claims._pruned_maxima(dvecs, "max_real", lambda top: 3.0)) == \
-        [(4, 4, 2)]
+    assert list(claims._pruned_maxima(dvecs, "max_real", lambda top: -0.7)) == \
+        [(4, 6), (4, 3, 2, 1)]
+    for floor in (lambda top: top, lambda top: 0.6):
+        assert list(claims._pruned_maxima(dvecs, "max_real", floor)) == [(4, 3, 2, 1)]
 
 
 def test_max_moduli_rejects_a_root_beyond_its_radius(monkeypatch):
-    # every root of 3 + 2x + x^2 lies within max(3/2, 2/1) = 2
+    # every root of 3 + 2x + x^2 lies within max(3/2, 2/1) = 2, and its real
+    # parts are -1
     monkeypatch.setattr(claims, "root_set",
                         lambda dvec: (ComplexRoot(3.0, 0.0, 0.0),))
-    for objective in _STATISTICS:
-        with pytest.raises(RuntimeError, match="Eneström–Kakeya radius"):
+    for objective, bound_name in (("max_modulus", "Eneström–Kakeya radius"),
+                                  ("max_real", "disc bound")):
+        with pytest.raises(RuntimeError, match=bound_name):
             claims._pruned_maxima([(3, 2, 1)], objective, lambda top: top)
 
 
@@ -270,11 +273,94 @@ def test_objective_values_lie_within_their_radii():
 
 @pytest.mark.parametrize("objective", sorted(_STATISTICS))
 def test_shrunken_radii_make_the_scan_raise(objective, monkeypatch):
-    # a bound 10^3 times too tight must be caught, not silently prune
-    radii = claims._ratio_radii
-    monkeypatch.setattr(claims, "_ratio_radii", lambda dvecs: radii(dvecs) / 1e3)
-    with pytest.raises(RuntimeError, match="Eneström–Kakeya radius"):
+    # a bound 10^3 times too tight must be caught, not silently prune; the
+    # largest bounds at tree order 10 are positive for both objectives
+    name = {"max_modulus": "_ratio_radii", "max_real": "_real_part_bounds"}[objective]
+    bounds = getattr(claims, name)
+    monkeypatch.setattr(claims, name, lambda dvecs: bounds(dvecs) / 1e3)
+    with pytest.raises(RuntimeError, match="exceeds its"):
         search_extremal(10, objective, "trees")
+
+
+def _disc_pools():
+    """Every distinct distribution of length >= 2 at tree orders <= 15 and
+    graph orders <= 7, and the paths of orders 3..100."""
+    for n in range(3, 16):
+        yield claims.distinct_distributions("trees", n)
+    for n in range(3, 8):
+        yield claims.distinct_distributions("graphs", n)
+    yield [family_polynomial(FamilySpec("path", (n,))).d for n in range(3, 101)]
+
+
+def _roots_outside_their_discs(pool, discs):
+    """The (d, root) pairs of the pool whose root_set root lies in none of the
+    discs that discs(matrix) gives for d."""
+    unique = [dvec for dvec in pool if len(dvec) > 1]
+    missed = []
+    for positions, m in length_groups(unique):
+        centres, radii = discs(m)
+        for i, row_centres, row_radii in zip(positions.tolist(), centres, radii):
+            missed += [(unique[i], r.z) for r in claims.root_set(unique[i])
+                       if not (np.abs(r.z - row_centres) <= row_radii).any()]
+    return missed
+
+
+def test_root_discs_hold_every_root_and_bound_the_real_parts():
+    for pool in _disc_pools():
+        assert _roots_outside_their_discs(pool, root_discs) == []
+        unique = [dvec for dvec in pool if len(dvec) > 1]
+        bounds = claims._real_part_bounds(unique)
+        assert np.isfinite(bounds).all()  # no distribution here falls back
+        for dvec, bound in zip(unique, bounds.tolist()):
+            assert max(r.re for r in claims.root_set(dvec)) <= bound, dvec
+
+
+def test_shrunken_root_discs_lose_a_root():
+    # radii 10^3 times too small must leave some root_set root outside
+    def shrunken(m):
+        centres, radii = root_discs(m)
+        return centres, radii / 1e3
+
+    assert any(_roots_outside_their_discs(pool, shrunken) for pool in _disc_pools())
+
+
+def _path_annulus_root_by_root(n_lo, n_hi, tol):
+    """verify_path_annulus's verdict, witnesses and counterexamples from
+    every root of every order, with no discs."""
+    witnesses, bad = [], []
+    for n in range(n_lo, n_hi + 1):
+        rs = claims.root_set(family_polynomial(FamilySpec("path", (n,))).d)
+        lo = (n - 1) / (n - 2)
+        bad += [(f"path order {n}", r.to_json_dict()) for r in rs
+                if not lo - tol <= r.modulus <= 2 + tol]
+        if n in (n_lo, n_hi):
+            mods = sorted(r.modulus for r in rs)
+            witnesses.append((f"path order {n}",
+                              f"moduli in [{mods[0]:.9f}, {mods[-1]:.9f}]"))
+    return ("pass" if not bad else "fail"), witnesses, bad
+
+
+def _outcome(report):
+    return report.verdict, report.witnesses, report.counterexamples
+
+
+def test_path_annulus_falls_back_to_root_sets(monkeypatch):
+    certified = verify_path_annulus(3, 40)
+    assert _outcome(certified) == _path_annulus_root_by_root(3, 40, claims.DEFAULT_TOLERANCE)
+    solved = []
+    root_set = claims.root_set
+    monkeypatch.setattr(claims, "root_set", lambda dvec: solved.append(dvec) or root_set(dvec))
+    verify_path_annulus(3, 40)
+    assert set(solved) == {(2, 1), tuple(range(39, 0, -1))}
+    # with every disc inconclusive, each order is checked root by root
+    monkeypatch.setattr(claims, "root_discs", lambda m: (
+        np.zeros((m.shape[0], m.shape[1] - 1), dtype=complex),
+        np.full((m.shape[0], m.shape[1] - 1), np.inf)))
+    solved.clear()
+    fallback = verify_path_annulus(3, 40)
+    assert _outcome(fallback) == _outcome(certified)
+    assert set(solved) == {family_polynomial(FamilySpec("path", (n,))).d
+                           for n in range(3, 41)}
 
 
 def _scalar_radius(dvec):

@@ -359,7 +359,9 @@ def test_usage_errors(tmp_path, capsys):
                  # closed forms whose pair counts (about 10^400) pass the float range
                  ("family", f"broom:5,{10 ** 200}"),
                  ("family", f"complete_minus_edge:{10 ** 200}"),
-                 ("verify", "broom_asymptotics", "which=real", f"n_max={10 ** 200}")):
+                 ("verify", "broom_asymptotics", "which=real", f"n_max={10 ** 200}"),
+                 # a closed form listing one count per vertex, past GRAPH_MAX_ORDER
+                 ("family", f"path:{10 ** 200}")):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

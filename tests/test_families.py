@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from wiener_roots.graph_core import distance_distribution, load_fixture
+from wiener_roots.graph_core import GRAPH_MAX_ORDER, distance_distribution, load_fixture
 from wiener_roots.families import (
     _FAMILIES,
     FamilySpec,
@@ -98,6 +98,15 @@ def test_validation_rejects_bad_parameters():
     ]:
         with pytest.raises(ValueError):
             validate_spec(bad)
+
+
+def test_path_closed_form_stops_at_the_graph_order_bound():
+    # one count per distance, so a path is listed only as far as a graph is built
+    assert family_polynomial(FamilySpec("path", (GRAPH_MAX_ORDER,))).d == \
+        tuple(range(GRAPH_MAX_ORDER - 1, 0, -1))
+    for n in (GRAPH_MAX_ORDER + 1, 10 ** 200):
+        with pytest.raises(ValueError, match=f"more than {GRAPH_MAX_ORDER} vertices"):
+            family_polynomial(FamilySpec("path", (n,)))
 
 
 def test_parse_family_spec():

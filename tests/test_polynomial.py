@@ -6,7 +6,9 @@ and hand-expanded factorizations for the closed forms.  The integer
 remainder sequences are compared with a Fraction-arithmetic reference, and
 the inlined compensated Horner with one built from explicit TwoSum and
 TwoProduct calls, bit for bit.  The batched modular screen is checked
-against the exact integer gcd of the even and odd parts.
+against the exact integer gcd of the even and odd parts.  The batched root
+discs are checked on their fallbacks here, and against root_set in the
+claims tests.
 """
 
 import math
@@ -32,7 +34,9 @@ from wiener_roots.polynomial import (
     evaluate,
     evaluate_gaussian,
     imaginary_axis_candidates,
+    length_groups,
     purely_imaginary_roots,
+    root_discs,
     roots,
     wiener_index,
 )
@@ -354,6 +358,43 @@ def test_screen_edge_vectors():
     for dvec in kept + cleared:  # one vector at a time, in groups of one
         assert imaginary_axis_candidates([dvec]) == ([dvec] if dvec in kept else [])
     assert imaginary_axis_candidates([]) == []
+
+
+def test_root_discs_fall_back_where_they_cannot_certify(monkeypatch):
+    m = np.array([[3, 2, 1],              # roots -1 +- sqrt(2) i
+                  [2 ** 53 - 1, 2, 1],    # the largest coefficient exact in binary64
+                  [1, 2, 1],              # (1 + x)^2: coinciding centres
+                  [2 ** 53, 2, 1],        # a coefficient not exact in binary64
+                  [3, 0, 1]], dtype=np.int64)  # a coefficient below 1
+    centres, radii = root_discs(m)
+    assert np.isfinite(radii[:2]).all() and np.isinf(radii[2:]).all()
+    exact = np.array([-1 - 2 ** 0.5 * 1j, -1 + 2 ** 0.5 * 1j])
+    assert (np.abs(np.sort_complex(centres[:1]) - exact) <= radii[0]).all()
+    assert radii[0].max() < 1e-14
+    # a degree-1 vector: one disc around -d_1/d_2
+    centres, radii = root_discs(np.array([[4, 6]], dtype=np.int64))
+    assert abs(centres[0, 0] + 2 / 3) <= radii[0, 0] < 1e-15
+    with pytest.raises(ValueError):
+        root_discs(np.array([[5]], dtype=np.int64))
+
+    def no_eigenvalues(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigenvalues)
+    assert np.isinf(root_discs(m[:2])[1]).all()
+
+
+def test_root_discs_are_the_same_in_chunks_and_one_row_at_a_time():
+    # the order-16 tree distributions of length 15 fill several chunks
+    _, m = next((positions, m) for positions, m in
+                length_groups(distinct_distributions("trees", 16)) if m.shape[1] == 15)
+    m = m[:2500]
+    centres, radii = root_discs(m)
+    for i in range(len(m)):
+        one_c, one_r = root_discs(m[i:i + 1])
+        assert np.isfinite(one_r).all() and np.isfinite(radii[i]).all()
+        assert np.allclose(np.sort_complex(one_c), np.sort_complex(centres[i:i + 1]),
+                           rtol=0, atol=1e-9)
 
 
 def test_purely_imaginary_agrees_with_numeric_roots():
