@@ -24,6 +24,7 @@ from .polynomial import (
     evaluate_gaussian,
     purely_imaginary_roots,
     roots,
+    roots_batch,
     wiener_index,
 )
 from .families import (

@@ -74,6 +74,7 @@ from .polynomial import (
     purely_imaginary_roots,
     root_discs,
     roots,
+    roots_batch,
 )
 from .families import (
     FamilySpec,
@@ -590,15 +591,18 @@ def verify_tn_interval(n_lo: int, n_hi: int | None = None) -> Verdict:
     and positive at -(1+1/sqrt(2))n+8; both endpoints are (A - n*sqrt(2))/2
     with A = 2(7-n) or 2(8-n), their signs are evaluated exactly in the
     field extension by sqrt(2), in integers, and a numeric root is then
-    located inside the interval.  Orders below 6 are out of the claim's
-    range and report inconclusive-budget.
+    located inside the interval; the roots of every order come from one
+    roots_batch call.  Orders below 6 are out of the claim's range and
+    report inconclusive-budget.
     """
     witnesses, bad = [], []
     if n_lo < 6:
         return "inconclusive-budget", [
             (f"n={n_lo}", "claim applies to orders 6 and up")], []
-    for n in range(n_lo, n_hi + 1):
-        dvec = family_polynomial(FamilySpec("t_n", (n,))).d
+    orders = range(n_lo, n_hi + 1)
+    dvecs = [family_polynomial(FamilySpec("t_n", (n,))).d for n in orders]
+    root_sets = roots_batch([WienerPolynomial(dvec) for dvec in dvecs])
+    for n, dvec, rts in zip(orders, dvecs, root_sets):
         left_sign = _sqrt2_sign(*_half_sqrt2_eval(dvec, 2 * (7 - n), -n))
         right_sign = _sqrt2_sign(*_half_sqrt2_eval(dvec, 2 * (8 - n), -n))
         if left_sign >= 0:
@@ -607,7 +611,7 @@ def verify_tn_interval(n_lo: int, n_hi: int | None = None) -> Verdict:
             bad.append((f"n={n}", "right endpoint value is not positive"))
         lo = -(1 + 1 / math.sqrt(2)) * n + 7
         hi = lo + 1
-        inside = [r for r in root_set(dvec) if r.im == 0 and lo < r.re < hi]
+        inside = [r for r in rts if r.im == 0 and lo < r.re < hi]
         if not inside:
             bad.append((f"n={n}", f"no numeric real root in ({lo:.6f}, {hi:.6f})"))
         elif n in (n_lo, n_hi):

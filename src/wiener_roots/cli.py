@@ -29,6 +29,7 @@ from .polynomial import (
     WienerPolynomial,
     enestrom_kakeya,
     roots,
+    roots_batch,
     wiener_index,
 )
 
@@ -67,9 +68,10 @@ class OutputRecord:
         return rows
 
 
-def _record_for(desc: str, w: WienerPolynomial) -> OutputRecord:
+def _record_for(desc: str, w: WienerPolynomial,
+                rts: tuple[ComplexRoot, ...]) -> OutputRecord:
     ann = enestrom_kakeya(w) if w.degree >= 2 else None
-    return OutputRecord(desc, w.d, roots(w), ann, wiener_index(w))
+    return OutputRecord(desc, w.d, rts, ann, wiener_index(w))
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -95,31 +97,42 @@ def cmd_compute(args: argparse.Namespace) -> int:
             reason = getattr(exc, "strerror", None) or exc
             print(f"error: cannot read {args.input}: {reason}", file=sys.stderr)
             return EXIT_USAGE
-    lines, had_parse_error = [], False
     if args.edge_list:
         inputs = [(args.input, None)]
     else:
         inputs = [(ln.strip(), i + 1) for i, ln in enumerate(source) if ln.strip()]
+    # One block of output lines per input; the roots of every connected
+    # graph come from one roots_batch call and fill their blocks after it.
+    blocks: list[list[str]] = []
+    solvable: list[tuple[int, str, str, WienerPolynomial]] = []
+    had_parse_error = False
     for token, lineno in inputs:
         desc = token if lineno is None else f"line {lineno}: {token}"
         try:
             g = load_edge_list(source, name=args.input) if args.edge_list \
                 else parse_graph6(token)
         except (Graph6Error, ValueError) as exc:
-            lines.append(json.dumps({"graph": desc, "error": str(exc)}))
+            blocks.append([json.dumps({"graph": desc, "error": str(exc)})])
             had_parse_error = True
             continue
         try:
             w = distance_distribution(g)
         except ValueError as exc:  # disconnected, or a single vertex
-            lines.append(json.dumps({"graph": desc, "error": str(exc)}))
+            blocks.append([json.dumps({"graph": desc, "error": str(exc)})])
             continue
-        record = _record_for(token, w)
-        if args.format == "json":
-            lines.append(json.dumps(record.to_json_dict()))
+        solvable.append((len(blocks), desc, token, w))
+        blocks.append([])
+    solved = roots_batch([w for _, _, _, w in solvable], return_exceptions=True)
+    for (at, desc, token, w), rts in zip(solvable, solved):
+        if isinstance(rts, ValueError):  # a degree past ROOTS_MAX_DEGREE, say
+            blocks[at] = [json.dumps({"graph": desc, "error": str(rts)})]
+        elif isinstance(rts, Exception):
+            raise rts
+        elif args.format == "json":
+            blocks[at] = [json.dumps(_record_for(token, w, rts).to_json_dict())]
         else:
-            lines.extend(record.csv_rows())
-    _emit(lines, args.out)
+            blocks[at] = _record_for(token, w, rts).csv_rows()
+    _emit([line for block in blocks for line in block], args.out)
     return EXIT_USAGE if had_parse_error else EXIT_OK
 
 
@@ -139,11 +152,9 @@ def cmd_scatter(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    points: list[tuple[float, float]] = []
-    for dvec in dvecs:
-        points.append((0.0, 0.0))  # zero is a root of every Wiener polynomial
-        if len(dvec) > 1:
-            points.extend((r.re, r.im) for r in roots(WienerPolynomial(dvec)))
+    points = [(0.0, 0.0)] * len(dvecs)  # zero is a root of every Wiener polynomial
+    for rts in roots_batch([WienerPolynomial(dvec) for dvec in dvecs if len(dvec) > 1]):
+        points.extend((r.re, r.im) for r in rts)
     points.sort()
     lines = ["re,im"] + [f"{_fmt(re)},{_fmt(im)}" for re, im in points]
     _emit(lines, args.out)
@@ -158,7 +169,8 @@ def cmd_scatter(args: argparse.Namespace) -> int:
 def cmd_family(args: argparse.Namespace) -> int:
     try:
         spec = parse_family_spec(args.spec)
-        record = _record_for(str(spec), family_polynomial(spec))
+        w = family_polynomial(spec)
+        record = _record_for(str(spec), w, roots(w))
     except ValueError as exc:  # a bad spec, or pair counts too large for roots
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

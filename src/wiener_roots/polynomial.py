@@ -19,17 +19,29 @@ into clusters.  Purely imaginary roots are detected exactly: split the
 polynomial into even and odd parts, take the integer gcd, and isolate its
 negative real roots with Sturm sequences.
 
-Scans over many distributions screen them first, in batches:
-`length_groups` stacks the vectors of one length into an int64 matrix, and
-`imaginary_axis_candidates` runs a pseudo-remainder sequence of the even and
-odd parts modulo 2^31 - 1 on each matrix at once.  A vector it clears has a
-certificate that the integer gcd is constant; only the rest need the exact
-test.  `root_discs` encloses the roots of every row of a matrix at once:
+Work over many distributions runs in batches.  `length_groups` stacks the
+vectors of one length into an int64 matrix.  `imaginary_axis_candidates`
+runs a pseudo-remainder sequence of the even and odd parts modulo 2^31 - 1
+on each matrix at once: a vector it clears has a certificate that the
+integer gcd is constant, and only the rest need the exact test.
+`root_discs` encloses the roots of every row of a matrix at once:
 eigenvalues of the stacked companion matrices as centres, and Weierstrass
 inclusion radii bounded from above with every rounding error counted.  The
 claims bound the largest real part of each distribution by its discs, and
 decide the path annulus by them; a row the discs cannot certify gets
-infinite radii and goes to `roots`.  `roots` itself does not use them.
+infinite radii and goes to `roots`.
+
+`roots_batch` is the one root pipeline, and `roots` is `roots_batch` of one
+polynomial.  Aberth, the polish and the conjugate symmetrization run one
+polynomial at a time.  The steps around them run once per length group and
+give what the scalar steps give, so every root comes out the same bit for
+bit: the same modular sequence, on W/x and its derivative, certifies most
+polynomials square-free; the same Weierstrass radii, around the polished
+roots, give the real-root count in place of a Sturm chain wherever the
+discs are disjoint and clear of each other's mirror images; and the
+residuals are the compensated Horner scheme evaluated elementwise over all
+the roots.  Rows that no certificate covers, and groups too small for numpy
+to pay, take the scalar steps.
 
 Every remainder sequence (Sturm chains, gcds, Yun's loop) runs on integer
 coefficient lists: fraction-free pseudo-remainders reduced to their
@@ -49,6 +61,10 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 RESIDUAL_THRESHOLD = 1e-9
+# Aberth costs O(k^2) per sweep in Python, and the path roots took 1.2 s at
+# degree 400 and about 5.7 s at degree 800 on one core of a 2-vCPU Xeon, so
+# roots_batch refuses a W/x of higher degree than this.
+ROOTS_MAX_DEGREE = 1024
 ABERTH_SWEEP_BUDGET = 500
 ABERTH_STEP_TOLERANCE = 1e-13
 STURM_REFINE_WIDTH = Fraction(1, 1 << 40)
@@ -229,13 +245,6 @@ def _comp_horner(coeffs: Sequence[int], z: complex) -> complex:
                   er * y + ei * x + (d3 + d4 + f2))
         sr, si = nr, ti
     return complex(sr + er, si + ei)
-
-
-def _horner(coeffs: Sequence[float], z: complex) -> complex:
-    acc = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        acc = acc * z + coeffs[k]
-    return acc
 
 
 def evaluate(p: WienerPolynomial, z: Number):
@@ -617,9 +626,12 @@ def _aberth_ehrlich(coeffs: Sequence[float], *, sweeps: int = ABERTH_SWEEP_BUDGE
     Initial guesses sit on a circle of radius (|c_0|/|c_deg|)^(1/deg) with an
     angular offset so no guess starts on the real axis.  Raises
     RootFindingError when some update still moves after the sweep budget.
+    The Horner loops run over the coefficients reversed once, up front.
     """
     deg = len(coeffs) - 1
     dcoeffs = [k * coeffs[k] for k in range(1, deg + 1)]
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    dlead, drest = dcoeffs[-1], dcoeffs[-2::-1]
     radius = (abs(coeffs[0]) / abs(coeffs[deg])) ** (1.0 / deg)
     offset = math.pi / (2 * deg)
     z = [radius * cmath.exp(1j * (2 * math.pi * k / deg + offset))
@@ -628,22 +640,25 @@ def _aberth_ehrlich(coeffs: Sequence[float], *, sweeps: int = ABERTH_SWEEP_BUDGE
         converged = True
         for i in range(deg):
             zi = z[i]
-            p = _horner(coeffs, zi)
+            p = lead
+            for a in rest:
+                p = p * zi + a
             if p == 0:
                 continue
-            dp = _horner(dcoeffs, zi)
+            dp = dlead
+            for a in drest:
+                dp = dp * zi + a
             if dp == 0:
                 z[i] = zi * 1.0000001 + 1e-12
                 converged = False
                 continue
             w = p / dp
             s = 0j
-            for j in range(deg):
-                if j != i:
-                    diff = zi - z[j]
-                    if diff == 0:
-                        diff = 1e-300
-                    s += 1 / diff
+            for zj in z[:i] + z[i + 1:]:
+                diff = zi - zj
+                if diff == 0:
+                    diff = 1e-300
+                s += 1 / diff
             denom = 1 - w * s
             step = w if denom == 0 else w / denom
             z[i] = zi - step
@@ -651,20 +666,36 @@ def _aberth_ehrlich(coeffs: Sequence[float], *, sweeps: int = ABERTH_SWEEP_BUDGE
                 converged = False
         if converged:
             return z
-    residuals = [abs(_horner(coeffs, zi)) for zi in z]
+    residuals = []
+    for zi in z:
+        p = lead
+        for a in rest:
+            p = p * zi + a
+        residuals.append(abs(p))
     raise RootFindingError(
         f"Aberth-Ehrlich did not converge within {sweeps} sweeps", z, residuals)
 
 
-def _newton_polish(coeffs: Sequence[float], dcoeffs: Sequence[float], z: complex,
-                   steps: int = 3) -> complex:
-    """Newton steps on z; dcoeffs is _deriv(coeffs), taken once per polynomial."""
-    for _ in range(steps):
-        dp = _horner(dcoeffs, z)
-        if dp == 0:
-            break
-        z = z - _horner(coeffs, z) / dp
-    return z
+def _newton_polish(coeffs: Sequence[float], zs: Sequence[complex],
+                   steps: int = 3) -> list[complex]:
+    """Newton steps on each of zs, with Horner loops as in `_aberth_ehrlich`."""
+    dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    dlead, drest = dcoeffs[-1], dcoeffs[-2::-1]
+    out = []
+    for z in zs:
+        for _ in range(steps):
+            dp = dlead
+            for a in drest:
+                dp = dp * z + a
+            if dp == 0:
+                break
+            p = lead
+            for a in rest:
+                p = p * z + a
+            z = z - p / dp
+        out.append(z)
+    return out
 
 
 def _factor_square(n: int) -> tuple[int, int]:
@@ -754,72 +785,209 @@ def _symmetrize(zs: list[complex], n_real: int) -> list[complex]:
     return out
 
 
-def _residual(coeffs: Sequence[int], cmax: int, z: complex) -> float:
-    """|p(z)| relative to cmax * max(1, |z|)^deg, cmax the largest |coefficient|."""
-    scale = cmax * max(1.0, abs(z)) ** (len(coeffs) - 1)
-    return abs(_comp_horner(coeffs, z)) / scale
+_FLOAT_RANGE = "pair counts too large for floating-point root finding"
+
+# numpy's per-call overhead makes a batched step slower than the scalar one
+# on a single row: the screen and the disc counts pay off from two rows of
+# one length on, the elementwise compensated Horner from about 32 points.
+# Smaller groups take the scalar steps, which give the same results.
+_BATCH_MIN_ROWS = 2
+_BATCH_MIN_POINTS = 32
 
 
 def roots(p: WienerPolynomial) -> tuple[ComplexRoot, ...]:
-    """The nonzero Wiener roots (the roots of W/x), exact where the degree permits.
+    """The nonzero Wiener roots (the roots of W/x): `roots_batch` of p alone."""
+    return roots_batch([p])[0]
 
-    W/x of degree 0 has no roots.  Degrees 1 and 2 are solved in closed form.
-    Otherwise the polynomial is split into square-free factors (so multiple
-    roots are solved at their exact multiplicity), each factor of degree at
-    least 3 goes through Aberth-Ehrlich plus a Newton polish, and the result
-    is conjugate-symmetrized using the exact real-root count of the factor.
 
-    Every root carries its residual on W/x.  Both the closed forms and the
-    symmetrization emit a conjugate pair as z followed by exactly conj(z), and
-    that pair is evaluated once.  For real coefficients, compensated Horner
-    at conj(z) is the conjugate of compensated Horner at z, operation by
-    operation and up to the sign of a zero: negating y negates its Veltkamp
-    split, so every product and TwoSum term keeps or flips its sign exactly.
-    The modulus, and so the residual, is the same bit for bit.
+def roots_batch(ps: Sequence[WienerPolynomial], *,
+                return_exceptions: bool = False) -> list:
+    """The nonzero Wiener roots of each polynomial, exact where the degree permits.
 
-    Pair counts too large for the float stage raise ValueError.
+    W/x of degree 0 has no roots, and one of degree above ROOTS_MAX_DEGREE
+    raises ValueError before any iteration.  Degrees 1 and 2 are solved in
+    closed form.  Otherwise the polynomial is split into square-free factors
+    (so multiple roots are solved at their exact multiplicity), each factor
+    of degree at least 3 goes through Aberth-Ehrlich plus a Newton polish,
+    and the result is conjugate-symmetrized using the exact real-root count
+    of the factor.
+
+    Aberth, the polish and the symmetrization run one polynomial at a time.
+    The three steps around them run on all the polynomials at once, one
+    numpy pass per length, and give what the scalar steps give:
+    - `_square_free_screen` certifies a W/x square-free modulo SCREEN_PRIME,
+      and then its one factor is its primitive part, as the exact
+      `_square_free_decomposition` finds; the other rows take that path;
+    - `_real_root_counts` counts each factor's real roots by Weierstrass
+      discs around its polished roots, and by a Sturm chain where the discs
+      do not decide;
+    - `_residuals` evaluates W/x at the roots by `_comp_horner_batch`, bit
+      for bit as `_comp_horner` does.
+    Groups below _BATCH_MIN_ROWS rows or _BATCH_MIN_POINTS points take the
+    scalar steps.
+
+    Every root carries its residual on W/x: |W/x(z)| relative to
+    max(d) * max(1, |z|)^deg.  Both the closed forms and the symmetrization
+    emit a conjugate pair as z followed by exactly conj(z), and that pair is
+    evaluated once.  For real coefficients, compensated Horner at conj(z) is
+    the conjugate of compensated Horner at z, operation by operation and up
+    to the sign of a zero: negating y negates its Veltkamp split, so every
+    product and TwoSum term keeps or flips its sign exactly.  The modulus,
+    and so the residual, is the same bit for bit.
+
+    Pair counts too large for the float stage raise ValueError, and roots
+    that do not converge or fail the residual threshold RootFindingError.
+    When several polynomials fail, the first failing one in input order
+    raises its exception; with return_exceptions, each failing polynomial
+    gets its exception in its place in the list instead.
     """
-    c = p.d
-    deg = len(c) - 1
-    if deg == 0:
-        return ()
-    entries: list[tuple[complex, str | None, int]] = []
-    out: list[ComplexRoot] = []
-    cmax = max(c)  # pair counts are positive, so this is the largest |coefficient|
-    try:
-        for fac, mult in _square_free_decomposition(c):
-            if len(fac) <= 3:  # degree 1 or 2
-                entries.extend((z, form, mult) for z, form in _closed_form_roots(fac))
-                continue
-            fc = [float(x) for x in fac]
-            dfc = _deriv(fc)
-            approx = [_newton_polish(fc, dfc, z) for z in _aberth_ehrlich(fc)]
-            if not all(map(cmath.isfinite, approx)):
-                raise OverflowError("a float iterate overflowed")
-            n_real = _count_real_roots(fac)
-            entries.extend((z, None, mult) for z in _symmetrize(approx, n_real))
-        last, residual = None, 0.0
-        for z, form, mult in entries:
-            if last is not None and z == last.conjugate():
-                last = None  # second of a conjugate pair: the same residual
+    outcomes: list = [None] * len(ps)
+    todo: list[int] = []
+    for i, p in enumerate(ps):
+        deg = len(p.d) - 1
+        if deg == 0:
+            outcomes[i] = ()
+        elif deg > ROOTS_MAX_DEGREE:
+            outcomes[i] = ValueError(f"roots are found for W/x of degree at most "
+                                     f"{ROOTS_MAX_DEGREE}, not {deg}")
+        else:
+            todo.append(i)
+    screened = _square_free_screen([ps[i].d for i in todo]).tolist()
+    # Each solved polynomial's factors: (closed-form roots or an index into
+    # aberth, multiplicity); aberth holds (factor, polished roots) pairs.
+    solved: list[tuple[int, list]] = []
+    aberth: list[tuple[list[int], list[complex]]] = []
+    for i, square_free in zip(todo, screened):
+        c = ps[i].d
+        factors = [(_primitive(c), 1)] if square_free else _square_free_decomposition(c)
+        parts, found = [], []
+        try:
+            for fac, mult in factors:
+                if len(fac) <= 3:  # degree 1 or 2
+                    parts.append((_closed_form_roots(fac), mult))
+                    continue
+                fc = [float(x) for x in fac]
+                approx = _newton_polish(fc, _aberth_ehrlich(fc))
+                if not all(map(cmath.isfinite, approx)):
+                    raise OverflowError("a float iterate overflowed")
+                parts.append((len(aberth) + len(found), mult))
+                found.append((fac, approx))
+        except OverflowError:
+            outcomes[i] = ValueError(_FLOAT_RANGE)
+        except RootFindingError as exc:
+            outcomes[i] = exc
+        else:
+            aberth.extend(found)
+            solved.append((i, parts))
+    n_real = _real_root_counts(aberth)
+    entries_of: list[list[tuple[complex, str | None, int]]] = []
+    for i, parts in solved:
+        entries = []
+        for part, mult in parts:
+            if isinstance(part, int):
+                fac, approx = aberth[part]
+                entries.extend((z, None, mult) for z in _symmetrize(approx, n_real[part]))
             else:
-                residual, last = _residual(c, cmax, z), z
-            root = ComplexRoot(z.real, z.imag, residual, form)
-            out.extend([root] * mult)
-    except OverflowError:
-        raise ValueError("pair counts too large for floating-point root "
-                         "finding") from None
-    out.sort(key=lambda r: (r.re, r.im))
-    if len(out) != deg:
-        raise RootFindingError(
-            "root count does not match the degree",
-            [r.z for r in out], [r.residual for r in out])
-    worst = max(r.residual for r in out)
-    if worst > RESIDUAL_THRESHOLD:
-        raise RootFindingError(
-            f"residual {worst:.3e} exceeds the acceptance threshold",
-            [r.z for r in out], [r.residual for r in out])
-    return tuple(out)
+                entries.extend((z, form, mult) for z, form in part)
+        entries_of.append(entries)
+    residuals_of = _residuals([ps[i].d for i, _ in solved],
+                              [[z for z, _, _ in entries] for entries in entries_of])
+    for (i, _), entries, residuals in zip(solved, entries_of, residuals_of):
+        if residuals is None:
+            outcomes[i] = ValueError(_FLOAT_RANGE)
+            continue
+        out: list[ComplexRoot] = []
+        for (z, form, mult), residual in zip(entries, residuals):
+            out.extend([ComplexRoot(z.real, z.imag, residual, form)] * mult)
+        out.sort(key=lambda r: (r.re, r.im))
+        worst = max(r.residual for r in out)
+        if len(out) != len(ps[i].d) - 1:
+            outcomes[i] = RootFindingError(
+                "root count does not match the degree",
+                [r.z for r in out], [r.residual for r in out])
+        elif worst > RESIDUAL_THRESHOLD:
+            outcomes[i] = RootFindingError(
+                f"residual {worst:.3e} exceeds the acceptance threshold",
+                [r.z for r in out], [r.residual for r in out])
+        else:
+            outcomes[i] = tuple(out)
+    if not return_exceptions:
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+    return outcomes
+
+
+def _residuals(dvecs: Sequence[Sequence[int]], zs_of: Sequence[Sequence[complex]]
+               ) -> list[list[float] | None]:
+    """For each W/x with pair counts dvecs[j], its residual at each of zs_of[j]:
+    |W/x(z)| / (max(d) * max(1, |z|)^deg), or None where a float overflows.
+
+    A z right after exactly conj of the z before it is the second of a
+    conjugate pair and takes the residual of the first, unevaluated.  The
+    scale is the scalar expression, and `_horner_moduli` gives |W/x(z)| for
+    all the points of one length at once.
+    """
+    points_of, shared_of, scales_of = [], [], []
+    by_length: dict[int, list[int]] = {}
+    floats: dict[int, list[float]] = {}
+    for j, (d, zs) in enumerate(zip(dvecs, zs_of)):
+        points: list[complex] = []  # the zs evaluated, in order
+        shared: list[int] = []      # the point whose residual each z takes
+        last = None
+        for z in zs:
+            if last is not None and z == last.conjugate():
+                last = None
+            else:
+                points.append(z)
+                last = z
+            shared.append(len(points) - 1)
+        points_of.append(points)
+        shared_of.append(shared)
+        try:
+            cmax = max(d)  # pair counts are positive: the largest |coefficient|
+            scales_of.append([cmax * max(1.0, abs(z)) ** (len(d) - 1) for z in points])
+            floats[j] = [float(x) for x in d]
+        except OverflowError:
+            scales_of.append(None)
+            continue
+        by_length.setdefault(len(d), []).append(j)
+    out: list = [None] * len(dvecs)
+    for members in by_length.values():
+        moduli = _horner_moduli([floats[j] for j in members for _ in points_of[j]],
+                                [z for j in members for z in points_of[j]])
+        at = 0
+        for j in members:
+            mine = moduli[at:at + len(points_of[j])]
+            at += len(mine)
+            if None not in mine:
+                values = [m / scale for m, scale in zip(mine, scales_of[j])]
+                out[j] = [values[k] for k in shared_of[j]]
+    return out
+
+
+def _horner_moduli(rows: Sequence[Sequence[float]], zs: Sequence[complex]
+                   ) -> list[float | None]:
+    """abs(_comp_horner(rows[i], zs[i])) for each i, or None where abs
+    raises OverflowError (finite parts, an infinite modulus).
+
+    From _BATCH_MIN_POINTS points on, the values come from
+    `_comp_horner_batch` and the moduli from np.hypot, the libm hypot that
+    abs(complex) calls, so both ways give the same bits.
+    """
+    if len(zs) < _BATCH_MIN_POINTS:
+        out: list[float | None] = []
+        for row, z in zip(rows, zs):
+            try:
+                out.append(abs(_comp_horner(row, z)))
+            except OverflowError:
+                out.append(None)
+        return out
+    with np.errstate(all="ignore"):
+        v = _comp_horner_batch(np.array(rows), np.array(zs, dtype=complex))
+        moduli = np.hypot(v.real, v.imag)
+    overflow = np.isinf(moduli) & np.isfinite(v.real) & np.isfinite(v.imag)
+    return [None if o else m for m, o in zip(moduli.tolist(), overflow.tolist())]
 
 
 def purely_imaginary_roots(p: WienerPolynomial) -> tuple[PurelyImaginaryRoot, ...]:
@@ -923,16 +1091,54 @@ def imaginary_axis_candidates(dvecs: Sequence[Sequence[int]]) -> list:
         if m.shape[1] < 2:
             continue
         leading_first = m[:, ::-1]
-        f, g = leading_first[:, 0::2], leading_first[:, 1::2]
-        cleared = (f[:, 0] != 0) & (g[:, 0] != 0)
-        while g.shape[1] > 1:
-            r = f
-            while r.shape[1] >= g.shape[1]:
-                r = _cancel_lead(r, g, q)
-            f, g = g, r
-        cleared &= g[:, 0] != 0
+        cleared = _coprime_mod(leading_first[:, 0::2], leading_first[:, 1::2], q)
         keep[positions[cleared]] = False
     return [dvec for dvec, kept in zip(dvecs, keep) if kept]
+
+
+def _square_free_screen(dvecs: Sequence[Sequence[int]]) -> np.ndarray:
+    """True for each vector d whose W/x is certified square-free modulo q.
+
+    The lockstep sequence of `_coprime_mod` runs on W/x and its derivative
+    modulo q = 2^31 - 1.  A row passes only when lc(W/x) and lc of the
+    derivative are nonzero mod q and the sequence ends in a nonzero
+    constant: then the integer gcd G of W/x and its derivative divides W/x,
+    so q does not divide lc(G), and G mod q keeps the degree of G and
+    divides 1.  G is constant and W/x is square-free.  Length-1 vectors
+    are never certified.
+    """
+    q = SCREEN_PRIME
+    certified = np.zeros(len(dvecs), dtype=bool)
+    if len(dvecs) < _BATCH_MIN_ROWS:
+        return certified
+    for positions, m in length_groups(dvecs, q):
+        length = m.shape[1]
+        if length < 2 or len(positions) < _BATCH_MIN_ROWS:
+            continue
+        leading_first = m[:, ::-1]
+        derivative = leading_first[:, :-1] * np.arange(length - 1, 0, -1) % q
+        certified[positions[_coprime_mod(leading_first, derivative, q)]] = True
+    return certified
+
+
+def _coprime_mod(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
+    """Rows where f and g have nonzero leading coefficients mod q and their
+    lockstep pseudo-remainder sequence ends in a nonzero constant, which
+    certifies gcd(f, g) = 1 over GF(q).
+
+    Rows hold coefficients mod q, leading first, and f is no shorter than g.
+    Each step cancels a leading column with `_cancel_lead`, as if every
+    remainder lost exactly one degree; every row formed lies in the ideal of
+    f and g over GF(q), also where a remainder lost more, so a nonzero
+    constant at the end is a unit of that ideal.
+    """
+    ok = (f[:, 0] != 0) & (g[:, 0] != 0)
+    while g.shape[1] > 1:
+        r = f
+        while r.shape[1] >= g.shape[1]:
+            r = _cancel_lead(r, g, q)
+        f, g = g, r
+    return ok & (g[:, 0] != 0)
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -953,38 +1159,27 @@ def root_discs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The centres z_i are `numpy.linalg.eigvals` of the stacked companion
     matrices, which is backward stable (Edelman & Murakami, Math. Comp. 64,
-    1995).  With the Weierstrass corrections
-    w_i = p(z_i) / (d_D prod_{j != i} (z_i - z_j)), the roots of p are the
-    eigenvalues of diag(z) - w 1^T, so by Gershgorin they lie in the union of
-    the discs |z - z_i| <= k|w_i| (Braess & Hadeler, Numer. Math. 21, 1973;
-    Neumaier, J. Comput. Appl. Math. 156, 2003).  The radii bound k|w_i| from
-    above in floating point: |p(z_i)| is the complex Horner value plus the
-    a-priori bound gamma_4k sum |d| |z_i|^j on its error (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., sections 3.6 and 5.1:
-    each step is one complex product, within sqrt(2) gamma_2, and one sum),
-    and a final factor 1 + gamma_(8k+16) covers every other rounding: |z_i|,
-    the sum bound, the differences and their product, the quotient.  The sum
-    bound is at least d_1 >= 1, so underflow in the evaluation stays far
-    below it; the product of the differences is used only when the smallest
-    difference to the power k - 1 is above 2^-1000, so it never underflows.
-
-    A row whose discs cannot be certified gets inf for every radius: a
-    coefficient below 1 or of 2^53 or more (the float conversion would not
-    be exact), coinciding centres, a zero or non-finite product, a NaN, or
-    eigvals failing on its chunk.  The rows are solved in chunks, so the
-    rows x k x k difference array stays near 2^18 entries.
+    1995), and the radii are `_weierstrass_radii`.  A row whose discs cannot
+    be certified gets inf for every radius: a coefficient below 1 or of 2^53
+    or more (the float conversion would not be exact), a row the radii
+    reject, or eigvals failing on its chunk.  The rows are solved in chunks,
+    so the rows x k x k difference array stays near 2^18 entries.
     """
     rows, k = m.shape[0], m.shape[1] - 1
     if k < 1:
         raise ValueError("root discs need vectors of length 2 or more")
     centres = np.empty((rows, k), dtype=complex)
     radii = np.empty((rows, k))
-    step = max(1, (1 << 18) // (k * k))
     with np.errstate(all="ignore"):
-        for lo in range(0, rows, step):
-            chunk = slice(lo, lo + step)
+        for chunk in _chunks(rows, k):
             centres[chunk], radii[chunk] = _chunk_discs(m[chunk])
     return centres, radii
+
+
+def _chunks(rows: int, k: int) -> list[slice]:
+    """Slices of rows whose rows x k x k arrays stay near 2^18 entries."""
+    step = max(1, (1 << 18) // (k * k))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _chunk_discs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -999,18 +1194,161 @@ def _chunk_discs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.linalg.eigvals(companion).astype(complex)
     except np.linalg.LinAlgError:
         return np.zeros((rows, k), dtype=complex), np.full((rows, k), np.inf)
+    radii = _weierstrass_radii(c, z)
+    ok = exact & np.isfinite(radii).all(axis=1)
+    return np.where(ok[:, None], z, 0), np.where(ok[:, None], radii, np.inf)
+
+
+def _weierstrass_radii(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Upper bounds on the Weierstrass inclusion radii around the centres z.
+
+    Row i of c holds the coefficients of p = c_0 + c_1 x + ... + c_k x^k,
+    low degree first, as floats equal to the integers they stand for, with
+    c_0 != 0; row i of z holds k centres.  With the Weierstrass corrections
+    w_i = p(z_i) / (c_k prod_{j != i} (z_i - z_j)), the roots of p are the
+    eigenvalues of diag(z) - w 1^T, so by Gershgorin they lie in the union of
+    the discs |z - z_i| <= k|w_i|, and a union of m of these discs that
+    meets no other disc holds exactly m roots (Braess & Hadeler, Numer.
+    Math. 21, 1973; Neumaier, J. Comput. Appl. Math. 156, 2003).
+
+    The radii bound k|w_i| from above in floating point: |p(z_i)| is the
+    complex Horner value plus the a-priori bound gamma_4k sum |c_j| |z_i|^j
+    on its error (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sections 3.6 and 5.1: each step is one complex product, within
+    sqrt(2) gamma_2, and one sum), and a final factor 1 + gamma_(8k+16)
+    covers every other rounding: |z_i|, the sum bound, the differences and
+    their product, the quotient.  The sum bound is at least |c_0| >= 1, so
+    underflow in the evaluation stays far below it; the product of the
+    differences is used only when the smallest difference to the power
+    k - 1 is above 2^-1000, so it never underflows.  A row with coinciding
+    centres, a non-finite product or a NaN gets inf for every radius.
+    """
+    k = z.shape[1]
     az = np.abs(z)
     value = np.broadcast_to(c[:, k:], z.shape).astype(complex)
-    bound = np.broadcast_to(c[:, k:], z.shape).copy()
+    bound = np.abs(np.broadcast_to(c[:, k:], z.shape))
     for j in range(k - 1, -1, -1):
         value = value * z + c[:, j:j + 1]
-        bound = bound * az + c[:, j:j + 1]
+        bound = bound * az + np.abs(c[:, j:j + 1])
     gaps = np.abs(z[:, :, None] - z[:, None, :])
     gaps[:, np.arange(k), np.arange(k)] = 1.0
     smallest = gaps.min(axis=(1, 2)) ** (k - 1)
-    product = c[:, k:] * gaps.prod(axis=2)
+    product = np.abs(c[:, k:]) * gaps.prod(axis=2)
     radii = (k * (np.abs(value) + _gamma(4 * k) * bound) / product
              * (1 + _gamma(8 * k + 16)))
-    ok = (exact & (smallest > 2.0 ** -1000) & np.isfinite(z).all(axis=1)
-          & np.isfinite(radii).all(axis=1))
-    return np.where(ok[:, None], z, 0), np.where(ok[:, None], radii, np.inf)
+    ok = ((smallest > 2.0 ** -1000) & np.isfinite(product).all(axis=1)
+          & np.isfinite(z).all(axis=1) & np.isfinite(radii).all(axis=1))
+    return np.where(ok[:, None], radii, np.inf)
+
+
+# A disc test compares distances computed in floating point with sums of
+# radii; this relative margin, and the absolute one for underflow, are far
+# wider than the rounding of either side.
+_DISC_MARGIN = 1 + 2.0 ** -40
+_DISC_FLOOR = 2.0 ** -1000
+
+
+def _disc_real_counts(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The number of real roots of each row's polynomial, decided by the
+    Weierstrass discs around z (`_weierstrass_radii`), or -1 where they do
+    not decide it.
+
+    When the discs are pairwise disjoint, each holds exactly one root.  A
+    disc that misses the real axis then holds a nonreal root.  For a disc
+    that touches it, the conjugate of its root is also a root, inside the
+    mirror image of the disc; when that mirror image meets no other disc,
+    the conjugate lies in the disc itself, so it is the same root, and real.
+    A row whose discs all pass these tests has exactly as many real roots as
+    discs that touch the axis.  The radii and the touching test are widened
+    by _DISC_MARGIN and _DISC_FLOOR, so every float comparison errs toward
+    -1, or toward checking one more mirror image.
+    """
+    reach = _weierstrass_radii(c, z) * _DISC_MARGIN + _DISC_FLOOR
+    k = z.shape[1]
+    pair = reach[:, :, None] + reach[:, None, :]
+    pair[:, np.arange(k), np.arange(k)] = -np.inf  # a disc never fails against itself
+    apart = (np.abs(z[:, :, None] - z[:, None, :]) > pair).all(axis=(1, 2))
+    clear_of_mirrors = (np.abs(z[:, :, None] - z[:, None, :].conj()) > pair).all(axis=2)
+    touching = np.abs(z.imag) <= reach
+    decided = apart & (clear_of_mirrors | ~touching).all(axis=1)
+    return np.where(decided, touching.sum(axis=1), -1)
+
+
+def _real_root_counts(factors: Sequence[tuple[Sequence[int], Sequence[complex]]]
+                      ) -> list[int]:
+    """The number of real roots of each square-free integer factor, given
+    approximations to all of its roots.
+
+    The factors are taken one length at a time, in chunks, through
+    `_disc_real_counts`; a factor whose discs do not decide, or with a
+    coefficient of 2^53 or more in modulus, is counted by `_count_real_roots`.
+    """
+    counts = [-1] * len(factors)
+    by_length: dict[int, list[int]] = {}
+    for i, (fac, _) in enumerate(factors):
+        if all(abs(x) < 2 ** 53 for x in fac):
+            by_length.setdefault(len(fac), []).append(i)
+    for length, members in by_length.items():
+        if len(members) < _BATCH_MIN_ROWS:
+            continue
+        c = np.array([factors[i][0] for i in members], dtype=float)
+        z = np.array([factors[i][1] for i in members], dtype=complex)
+        found = np.empty(len(members), dtype=np.int64)
+        with np.errstate(all="ignore"):
+            for chunk in _chunks(len(members), length - 1):
+                found[chunk] = _disc_real_counts(c[chunk], z[chunk])
+        for i, n in zip(members, found.tolist()):
+            counts[i] = n
+    return [n if n >= 0 else _count_real_roots(fac)
+            for n, (fac, _) in zip(counts, factors)]
+
+
+def _comp_horner_batch(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """`_comp_horner(c[i], z[i])` for every row i of the float matrix c, bit
+    for bit: the same binary64 operations in the same order, elementwise.
+
+    numpy rounds each elementwise add, subtract and multiply to nearest as
+    Python floats do, and never fuses a multiply with an add.
+    """
+    x, y = z.real.copy(), z.imag.copy()
+    t = _SPLITTER * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLITTER * y
+    yh = t - (t - y)
+    yl = y - yh
+    sr, si = c[:, -1].copy(), np.zeros(len(z))
+    er, ei = np.zeros(len(z)), np.zeros(len(z))
+    for k in range(c.shape[1] - 2, -1, -1):
+        t = _SPLITTER * sr
+        rh = t - (t - sr)
+        rl = sr - rh
+        t = _SPLITTER * si
+        ih = t - (t - si)
+        il = si - ih
+        p1 = sr * x
+        d1 = ((rh * xh - p1) + rh * xl + rl * xh) + rl * xl
+        p2 = si * y
+        d2 = ((ih * yh - p2) + ih * yl + il * yh) + il * yl
+        p3 = sr * y
+        d3 = ((rh * yh - p3) + rh * yl + rl * yh) + rl * yl
+        p4 = si * x
+        d4 = ((ih * xh - p4) + ih * xl + il * xh) + il * xl
+        m = -p2
+        tr = p1 + m
+        t = tr - p1
+        f1 = (p1 - (tr - t)) + (m - t)
+        ti = p3 + p4
+        t = ti - p3
+        f2 = (p3 - (ti - t)) + (p4 - t)
+        a = c[:, k]
+        nr = tr + a
+        t = nr - tr
+        g1 = (tr - (nr - t)) + (a - t)
+        er, ei = (er * x - ei * y + (d1 - d2 + f1 + g1),
+                  er * y + ei * x + (d3 + d4 + f2))
+        sr, si = nr, ti
+    out = np.empty(len(z), dtype=complex)
+    out.real = sr + er
+    out.imag = si + ei
+    return out

@@ -40,6 +40,7 @@ from wiener_roots.polynomial import (
     enestrom_kakeya,
     evaluate_gaussian,
     purely_imaginary_roots,
+    roots_batch,
 )
 
 
@@ -277,14 +278,13 @@ def test_criterion_12_leaf_augmentation_identity():
 def test_criterion_13_property_suite():
     violations = []
 
-    def check_root_set(label, dvec, n, imaginary_agreement):
+    def check_root_set(label, dvec, n, rs, imaginary_agreement):
         if sum(dvec) != comb(n, 2):
             violations.append(f"{label}: pair counts sum to {sum(dvec)}")
             return
         w = WienerPolynomial(dvec)
         if w.degree == 1:
             return
-        rs = root_set(dvec)
         multiset = sorted((r.re, r.im) for r in rs)
         if multiset != sorted((r.re, -r.im) for r in rs):
             violations.append(f"{label}: not conjugate-closed")
@@ -310,14 +310,16 @@ def test_criterion_13_property_suite():
                                   f"exact={exact_bs} numeric={numeric_bs}")
 
     checked = 0
+    # each order's root sets come from one roots_batch call
     for n in range(3, 8):
-        dists, _ = connected_distributions(n)
-        for dd in dists:
-            check_root_set(f"graphs n={n} d={dd.d}", dd.d, n, True)
+        dists = [dd.d for dd in connected_distributions(n)[0]]
+        for dvec, rs in zip(dists, roots_batch([WienerPolynomial(d) for d in dists])):
+            check_root_set(f"graphs n={n} d={dvec}", dvec, n, rs, True)
             checked += 1
     for n in range(5, 18):
-        for dvec in distinct_distributions("trees", n):
-            check_root_set(f"trees n={n} d={dvec}", dvec, n, False)
+        dists = distinct_distributions("trees", n)
+        for dvec, rs in zip(dists, roots_batch([WienerPolynomial(d) for d in dists])):
+            check_root_set(f"trees n={n} d={dvec}", dvec, n, rs, False)
             checked += 1
     _report(13, "conjugate closure, annulus containment, nonpositive real "
             "roots, pair-count totals over every enumeration above",

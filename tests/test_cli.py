@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from wiener_roots import polynomial
 from wiener_roots.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from wiener_roots.graph_core import fixture_names, from_edge_list, load_fixture
 from conftest import graph6_encode
@@ -121,6 +122,33 @@ def test_compute_reports_an_order_one_graph_per_record(tmp_path, capsys):
     assert code == EXIT_OK and err == ""
     assert json.loads(out) == {"graph": str(src),
                                "error": "distance distribution needs order >= 2"}
+
+
+def test_compute_reports_a_degree_past_the_root_bound_per_record(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the path of order 1100 has a W/x of degree 1098 > ROOTS_MAX_DEGREE
+    n = 1100
+    src = tmp_path / "path.edges"
+    src.write_text(f"{n}\n" + "".join(f"{v - 1} {v}\n" for v in range(1, n)))
+    code, out, err = run_cli(capsys, "compute", str(src), "--edge-list")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == {
+        "graph": str(src),
+        "error": "roots are found for W/x of degree at most 1024, not 1098"}
+    # graph6 stops at order 62, so among several records a lower bound is
+    # passed: the path of order 5 gets an error line in its place, and the
+    # records around it are still computed
+    monkeypatch.setattr(polynomial, "ROOTS_MAX_DEGREE", 2)
+    path5 = graph6_encode(from_edge_list(5, [(v - 1, v) for v in range(1, 5)]))
+    src = tmp_path / "in.g6"
+    src.write_text(f"Bg\n{path5}\nC~\n")
+    code, out, err = run_cli(capsys, "compute", str(src))
+    first, second, third = (json.loads(ln) for ln in out.strip().splitlines())
+    assert (code, err) == (EXIT_OK, "")
+    assert second == {"graph": f"line 2: {path5}",
+                      "error": "roots are found for W/x of degree at most 2, not 3"}
+    assert first["coefficients"] == [2, 1] and len(first["roots"]) == 1
+    assert third["coefficients"] == [6] and third["roots"] == []
 
 
 def test_compute_edge_list_and_stdin(tmp_path, capsys, monkeypatch):
@@ -361,7 +389,9 @@ def test_usage_errors(tmp_path, capsys):
                  ("family", f"complete_minus_edge:{10 ** 200}"),
                  ("verify", "broom_asymptotics", "which=real", f"n_max={10 ** 200}"),
                  # a closed form listing one count per vertex, past GRAPH_MAX_ORDER
-                 ("family", f"path:{10 ** 200}")):
+                 ("family", f"path:{10 ** 200}"),
+                 # a W/x of degree 16382, past ROOTS_MAX_DEGREE
+                 ("family", "path:16384")):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

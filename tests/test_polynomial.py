@@ -8,9 +8,13 @@ the inlined compensated Horner with one built from explicit TwoSum and
 TwoProduct calls, bit for bit.  The batched modular screen is checked
 against the exact integer gcd of the even and odd parts.  The batched root
 discs are checked on their fallbacks here, and against root_set in the
-claims tests.
+claims tests.  The batched steps of roots_batch are checked against the
+scalar ones they replace: the square-free screen against Yun's
+decomposition, the disc counts against Sturm chains, the elementwise
+compensated Horner bit for bit; and every root bit is pinned by a digest.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -23,6 +27,7 @@ from wiener_roots.families import FamilySpec, family_polynomial
 from wiener_roots.graph_core import from_edge_list, load_fixture, distance_distribution
 from wiener_roots.polynomial import (
     Annulus,
+    ROOTS_MAX_DEGREE,
     RootFindingError,
     WienerPolynomial,
     SCREEN_PRIME,
@@ -38,6 +43,7 @@ from wiener_roots.polynomial import (
     purely_imaginary_roots,
     root_discs,
     roots,
+    roots_batch,
     wiener_index,
 )
 
@@ -787,9 +793,15 @@ def test_comp_horner_at_the_conjugate_is_the_conjugate_bit_for_bit():
             assert a.imag == b.imag
 
 
-def test_conjugate_pairs_from_roots_share_one_residual():
-    from wiener_roots.polynomial import _residual
+def _residual_alone(d, z):
+    """The residual of a root evaluated alone: |W/x(z)| by the scalar
+    compensated Horner, relative to max(d) * max(1, |z|)^deg."""
+    from wiener_roots.polynomial import _comp_horner
 
+    return abs(_comp_horner(d, z)) / (max(d) * max(1.0, abs(z)) ** (len(d) - 1))
+
+
+def test_conjugate_pairs_from_roots_share_one_residual():
     rng = random.Random(53)
     polys = [WienerPolynomial(tuple(rng.randrange(1, 60)
                                     for _ in range(rng.randrange(2, 16))))
@@ -798,12 +810,244 @@ def test_conjugate_pairs_from_roots_share_one_residual():
     polys += [FIG5, WienerPolynomial((1, 2, 3, 2, 1)),  # (x^2 + x + 1)^2 after x
               WienerPolynomial((6, 4, 3, 2)), WienerPolynomial((2, 1, 2, 1))]
     pairs = 0
+    # one at a time, and in one batch, whose larger length groups take the
+    # elementwise compensated Horner
+    assert roots_batch(polys) == [roots(p) for p in polys]
     for p in polys:
         rs = roots(p)
-        for r in rs:  # the residual each root would get if it were evaluated alone
-            assert repr(r.residual) == repr(_residual(p.d, max(p.d), r.z))
+        for r in rs:
+            assert repr(r.residual) == repr(_residual_alone(p.d, r.z))
         for r in (r for r in rs if r.im > 0):
             (partner,) = {s for s in rs if (s.re, s.im) == (r.re, -r.im)}
             assert repr(partner.residual) == repr(r.residual)
             pairs += 1
     assert pairs > 200
+
+
+# ---------------------------------------------------------------------------
+# The root output, pinned
+# ---------------------------------------------------------------------------
+
+
+def _root_pin_inputs():
+    """Every distinct distribution at tree orders <= 13 and graph orders <= 7,
+    the paths of orders 3..100 and T_n for n = 6..1000."""
+    dvecs = []
+    for n in range(2, 14):
+        dvecs += distinct_distributions("trees", n)
+    for n in range(2, 8):
+        dvecs += distinct_distributions("graphs", n)
+    dvecs += [family_polynomial(FamilySpec("path", (n,))).d for n in range(3, 101)]
+    dvecs += [family_polynomial(FamilySpec("t_n", (n,))).d for n in range(6, 1001)]
+    return dvecs
+
+
+# sha256 over (d, [(re, im, residual, exact form) of each root]) of every
+# _root_pin_inputs distribution, recorded at 8fe517e, before the root
+# pipeline was batched: every bit of every root and residual is pinned.
+ROOT_DIGEST = "689a20612f7af82201886476a63eadfb5e54eb5c3fa2908c901239dcd9b96c97"
+
+
+def _root_digest(dvecs, root_sets) -> str:
+    h = hashlib.sha256()
+    for d, rs in zip(dvecs, root_sets):
+        h.update(repr((d, [(r.re, r.im, r.residual, r.exact_form) for r in rs])).encode())
+    return h.hexdigest()
+
+
+def test_root_output_is_pinned():
+    dvecs = _root_pin_inputs()
+    ps = [WienerPolynomial(d) for d in dvecs]
+    assert len(dvecs) == 3362
+    assert _root_digest(dvecs, [roots(p) for p in ps]) == ROOT_DIGEST  # one at a time
+    assert _root_digest(dvecs, roots_batch(ps)) == ROOT_DIGEST        # in one batch
+
+
+def _bits(root_set) -> str:
+    return repr([(r.re, r.im, r.residual, r.exact_form) for r in root_set])
+
+
+def test_roots_batch_of_a_shuffled_mixed_list_is_roots_of_each():
+    rng = random.Random(59)
+    pool = [d for n in range(2, 12) for d in distinct_distributions("trees", n)]
+    pool += [d for n in range(2, 7) for d in distinct_distributions("graphs", n)]
+    pool += [family_polynomial(FamilySpec("path", (n,))).d for n in range(3, 40)]
+    pool += [FIG5.d, (2, 9, 16, 14, 6, 1), (1, 2, 3, 2, 1), (7,), (5, 1)] * 3
+    rng.shuffle(pool)
+    ps = [WienerPolynomial(d) for d in pool]
+    assert [_bits(rs) for rs in roots_batch(ps)] == [_bits(roots(p)) for p in ps]
+    assert roots_batch([]) == []
+
+
+def test_roots_refuse_a_degree_past_the_bound_before_iterating(monkeypatch):
+    from wiener_roots import polynomial
+
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("Aberth ran")
+
+    monkeypatch.setattr(polynomial, "_aberth_ehrlich", no_iteration)
+    too_long = WienerPolynomial(tuple(range(ROOTS_MAX_DEGREE + 2, 0, -1)))
+    message = f"degree at most {ROOTS_MAX_DEGREE}, not {ROOTS_MAX_DEGREE + 1}"
+    with pytest.raises(ValueError, match=message):
+        roots(too_long)
+    quadratic = WienerPolynomial((3, 2, 1))
+    with pytest.raises(ValueError, match=message):
+        roots_batch([quadratic, too_long, quadratic])
+    first, error, last = roots_batch([quadratic, too_long, quadratic],
+                                     return_exceptions=True)
+    assert first == last == roots(quadratic) and isinstance(error, ValueError)
+
+
+def test_roots_batch_raises_the_first_failure_in_input_order(monkeypatch):
+    from wiener_roots import polynomial
+
+    aberth = polynomial._aberth_ehrlich
+    monkeypatch.setattr(polynomial, "_aberth_ehrlich",
+                        lambda coeffs: aberth(coeffs, sweeps=1))
+    cubic = WienerPolynomial((9, 7, 5, 3, 1))
+    too_long = WienerPolynomial(tuple(range(ROOTS_MAX_DEGREE + 2, 0, -1)))
+    too_large = WienerPolynomial((1, 10 ** 400, 1, 1))
+    quadratic = WienerPolynomial((3, 2, 1))
+    with pytest.raises(RootFindingError):
+        roots_batch([quadratic, cubic, too_long, too_large])
+    with pytest.raises(ValueError, match="degree at most"):
+        roots_batch([quadratic, too_long, cubic, too_large])
+    with pytest.raises(ValueError, match="too large for floating-point"):
+        roots_batch([too_large, cubic, too_long])
+    outcomes = roots_batch([cubic, quadratic, too_large], return_exceptions=True)
+    assert [type(o) for o in outcomes] == [RootFindingError, tuple, ValueError]
+
+
+# ---------------------------------------------------------------------------
+# The batched certificates: square-free screen and real-root counts by discs
+# ---------------------------------------------------------------------------
+
+
+def test_screen_never_certifies_a_polynomial_with_a_square():
+    from wiener_roots.polynomial import _square_free_decomposition, _square_free_screen
+
+    rng = random.Random(41)
+    cases = list(PLANTED) + [_random_integer_poly(rng) for _ in range(240)]
+    squares = [c for c in cases if any(m > 1 for _, m in _square_free_decomposition(c))]
+    assert len(squares) > 100
+    assert all(_square_free_decomposition(c) != [(c, 1)] for c in PLANTED[:2])
+    # each twice, so that no length group is too small for the batched screen
+    assert not _square_free_screen([c for c in squares for _ in range(2)]).any()
+    assert not _square_free_screen([(1, 2, 1), (1, 2, 1)]).any()  # (1 + x)^2
+
+
+def test_screen_certifies_only_square_free_polynomials():
+    from wiener_roots.polynomial import (_primitive, _square_free_decomposition,
+                                         _square_free_screen)
+
+    pool = [d for n in range(2, 15) for d in distinct_distributions("trees", n)]
+    pool += [d for n in range(2, 8) for d in distinct_distributions("graphs", n)]
+    pool += [family_polynomial(FamilySpec("path", (n,))).d for n in range(3, 101)]
+    pool += [(1, 1, SCREEN_PRIME), (1, 2, 3, SCREEN_PRIME), (2 ** 64 + 1, 3, 1)]
+    certified = _square_free_screen(pool).tolist()
+    for dvec, sure in zip(pool, certified):
+        if sure:
+            assert _square_free_decomposition(dvec) == [(_primitive(dvec), 1)], dvec
+    assert certified[-3:] == [False, False, True]  # leading coefficients divisible by q
+    assert sum(certified) >= 0.95 * len(pool)
+    assert not _square_free_screen([FIG5.d]).any()  # a group of one is left to Yun
+
+
+def _recorded_disc_counts(monkeypatch, pools):
+    """roots_batch over each pool, with every (coefficient row, count) that
+    the disc count returns."""
+    from wiener_roots import polynomial
+
+    seen = []
+    counts = polynomial._disc_real_counts
+
+    def recording(c, z):
+        found = counts(c, z)
+        seen.extend(zip(c.tolist(), found.tolist()))
+        return found
+
+    monkeypatch.setattr(polynomial, "_disc_real_counts", recording)
+    for pool in pools:
+        roots_batch([WienerPolynomial(dvec) for dvec in pool])
+    return seen
+
+
+def test_disc_counts_agree_with_sturm_chains(monkeypatch):
+    from wiener_roots.polynomial import _count_real_roots
+
+    pools = [distinct_distributions("trees", n) for n in range(4, 16)]
+    pools += [distinct_distributions("graphs", n) for n in range(4, 8)]
+    pools.append([family_polynomial(FamilySpec("path", (n,))).d for n in range(3, 101)])
+    pools.append([family_polynomial(FamilySpec("t_n", (n,))).d for n in range(6, 1001)])
+    seen = _recorded_disc_counts(monkeypatch, pools)
+    decided = [(row, n) for row, n in seen if n >= 0]
+    assert len(seen) > 10000 and len(decided) >= 0.99 * len(seen)
+    for row, n in decided:
+        assert n == _count_real_roots([int(x) for x in row]), row
+
+
+def test_disc_counts_need_disjoint_discs_clear_of_mirror_images():
+    from wiener_roots.polynomial import _disc_real_counts
+
+    c = np.array([[-10.0, 1.0, -10.0, 1.0]])  # (x - 10)(x^2 + 1)
+    # at the roots, and with the real root's centre just off the axis: its
+    # disc, of radius about 3e-6, must still reach the axis
+    for centres in ([10, 1j, -1j], [10 + 1e-6j, 1j, -1j], [10 - 1e-6j, 1j, -1j]):
+        assert _disc_real_counts(c, np.array([centres])).tolist() == [1]
+    # the disc around 0.6i has radius about 1.2: it touches the axis and
+    # misses the disc around -i, but its root is i, inside the mirror image
+    # of that disc, so the discs do not decide the count
+    assert _disc_real_counts(c, np.array([[10, 0.6j, -1j]])).tolist() == [-1]
+    # overlapping discs never decide
+    assert _disc_real_counts(c, np.array([[10, 0.5j, 0.4j]])).tolist() == [-1]
+
+
+def test_forced_fallbacks_give_the_same_roots(monkeypatch):
+    from wiener_roots import polynomial
+
+    pool = [d for n in range(9, 13) for d in distinct_distributions("trees", n)]
+    pool += [d for n in range(5, 8) for d in distinct_distributions("graphs", n)]
+    pool += [family_polynomial(FamilySpec("path", (n,))).d for n in range(3, 60)]
+    ps = [WienerPolynomial(d) for d in pool]
+    expected = [_bits(rs) for rs in roots_batch(ps)]
+    calls = {"aberth": 0, "sturm": 0, "yun": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, attr in (("aberth", "_aberth_ehrlich"), ("sturm", "_count_real_roots"),
+                       ("yun", "_square_free_decomposition")):
+        monkeypatch.setattr(polynomial, attr, counted(name, getattr(polynomial, attr)))
+    # infinite radii: every factor solved by Aberth is counted by a Sturm chain
+    monkeypatch.setattr(polynomial, "_weierstrass_radii",
+                        lambda c, z: np.full(z.shape, np.inf))
+    assert [_bits(rs) for rs in roots_batch(ps)] == expected
+    assert calls["sturm"] == calls["aberth"] > 900
+    # no row certified by the screen: every W/x through Yun's decomposition
+    monkeypatch.setattr(polynomial, "_square_free_screen",
+                        lambda dvecs: np.zeros(len(dvecs), dtype=bool))
+    calls["yun"] = 0
+    assert [_bits(rs) for rs in roots_batch(ps)] == expected
+    assert calls["yun"] == sum(len(d) > 1 for d in pool)
+
+
+def test_batched_compensated_horner_is_the_scalar_one_bit_for_bit():
+    from wiener_roots.polynomial import _comp_horner, _comp_horner_batch
+
+    rng = random.Random(61)
+    for length in (1, 2, 5, 17, 40):
+        rows, points = [], []
+        for _ in range(200):
+            rows.append([float(rng.randrange(-10 ** rng.randrange(1, 15),
+                                             10 ** rng.randrange(1, 15)))
+                         for _ in range(length)])
+            modulus, angle = 10 ** rng.uniform(-3, 3), rng.uniform(0, 2 * math.pi)
+            z = modulus * complex(math.cos(angle), math.sin(angle))
+            points.append(rng.choice((z, z.conjugate(), complex(z.real, 0.0),
+                                      complex(0.0, z.imag), 0j)))
+        batch = _comp_horner_batch(np.array(rows), np.array(points)).tolist()
+        assert [repr(v) for v in batch] == \
+            [repr(_comp_horner(row, z)) for row, z in zip(rows, points)]
