@@ -29,9 +29,10 @@ bound nor attain or tie a maximum, so the reports are those of an exhaustive
 scan.  At tree orders 5..17, one or a few root sets per order are found for
 each objective instead of all of them.
 
-`path_annulus` is decided by the same root discs: an order whose discs all
-lie in the annulus passes without root finding, and root_set runs only for
-the witness orders and for any order whose discs are inconclusive.
+`path_annulus` is decided in exact arithmetic: the Eneström–Kakeya annulus
+of a path's W/x is the claimed annulus itself, so an order passes without
+root finding, and root_set runs only for the witness orders and for any
+order that certificate does not cover.
 """
 
 from __future__ import annotations
@@ -326,26 +327,19 @@ def _ratio_radii(dvecs: Sequence[tuple[int, ...]]) -> np.ndarray:
     return radii
 
 
-def _padded_discs(dvecs: Sequence[tuple[int, ...]]):
-    """(positions in dvecs, centres, radii) of each length group's root discs
-    (`root_discs`), for distributions all of length >= 2.
+def _real_part_bounds(dvecs: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """max_i(Re z_i + r_i) over each distribution's root discs (`root_discs`),
+    all of length >= 2: at least its largest real part, and inf where the
+    discs fall back.
 
     Each radius is padded by 2^-20 times |z_i| + r_i, far more than the
-    error of a computed root, so a float comparison that holds on a disc's
-    extent holds for the root_set roots inside it too.  A row whose discs
-    fall back keeps radii of inf.
+    error of a computed root, so the bound holds for the root_set roots
+    inside the discs too.
     """
+    bounds = np.empty(len(dvecs))
     for positions, m in length_groups(dvecs):
         centres, radii = root_discs(m)
-        yield positions, centres, radii + (np.abs(centres) + radii) * (_RADIUS_MARGIN - 1)
-
-
-def _real_part_bounds(dvecs: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """max_i(Re z_i + r_i) over each distribution's padded root discs, all of
-    length >= 2: at least its largest real part, and inf where the discs
-    fall back."""
-    bounds = np.empty(len(dvecs))
-    for positions, centres, radii in _padded_discs(dvecs):
+        radii = radii + (np.abs(centres) + radii) * (_RADIUS_MARGIN - 1)
         bounds[positions] = (centres.real + radii).max(axis=1)
     return bounds
 
@@ -644,23 +638,22 @@ def verify_path_annulus(n_lo: int, n_hi: int | None = None,
                         tol: float = DEFAULT_TOLERANCE) -> Verdict:
     """Nonzero path roots lie in the exact annulus (n-1)/(n-2) <= |z| <= 2.
 
-    An order is decided by its padded root discs (`_padded_discs`): when
-    every disc lies in lo - tol <= |z| <= 2 + tol, so do all its roots and
-    all its root_set roots.  root_set runs only for the witness orders n_lo
-    and n_hi and for the orders whose discs are inconclusive, which are
-    checked root by root, so the report is that of checking every root.
+    W/x of the path P_n has the pair counts n-1, n-2, ..., 1, so its
+    Eneström–Kakeya annulus (`enestrom_kakeya`) is exactly that one
+    (Anderson, Saff & Varga, Linear Algebra Appl. 28, 1979).  An order is
+    certified when the annulus lies in [(n-1)/(n-2), 2], compared in exact
+    Fractions.  root_set runs only for the witness orders n_lo and n_hi
+    and for any order the certificate does not cover, which are checked
+    root by root.
     """
     witnesses, bad = [], []
-    orders = range(n_lo, n_hi + 1)
-    dvecs = [family_polynomial(FamilySpec("path", (n,))).d for n in orders]
-    inner, outer = np.empty(len(dvecs)), np.empty(len(dvecs))
-    for positions, centres, radii in _padded_discs(dvecs):
-        inner[positions] = (np.abs(centres) - radii).min(axis=1)
-        outer[positions] = (np.abs(centres) + radii).max(axis=1)
-    for n, dvec, least, most in zip(orders, dvecs, inner.tolist(), outer.tolist()):
+    for n in range(n_lo, n_hi + 1):
+        dvec = family_polynomial(FamilySpec("path", (n,))).d
         lo = (n - 1) / (n - 2)
-        if n not in (n_lo, n_hi) and lo - tol <= least and most <= 2 + tol:
-            continue
+        if n not in (n_lo, n_hi):
+            ann = enestrom_kakeya(WienerPolynomial(dvec))
+            if Fraction(n - 1, n - 2) <= ann.r and ann.R <= 2:
+                continue
         for r in root_set(dvec):
             if not (lo - tol <= r.modulus <= 2 + tol):
                 bad.append((f"path order {n}", r.to_json_dict()))

@@ -14,12 +14,14 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from . import claims
 from .families import parse_family_spec, family_polynomial
 from .graph_core import (
+    Graph,
     Graph6Error,
-    distance_distribution,
+    distance_distributions,
     load_edge_list,
     parse_graph6,
 )
@@ -75,11 +77,15 @@ def _record_for(desc: str, w: WienerPolynomial,
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+    """Write the lines to out, or to stdout, each ended by a newline (a lone
+    newline for no lines), without joining them into one more copy of the
+    whole output."""
+    ended = (line + "\n" for line in lines or [""])
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(ended)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(ended)
 
 
 # ---------------------------------------------------------------------------
@@ -101,27 +107,33 @@ def cmd_compute(args: argparse.Namespace) -> int:
         inputs = [(args.input, None)]
     else:
         inputs = [(ln.strip(), i + 1) for i, ln in enumerate(source) if ln.strip()]
-    # One block of output lines per input; the roots of every connected
-    # graph come from one roots_batch call and fill their blocks after it.
+    # One block of output lines per input.  The graphs are parsed one at a
+    # time as distance_distributions reads them, so none is kept after its
+    # distances; the roots of every connected graph come from one
+    # roots_batch call, and each result fills its block.
     blocks: list[list[str]] = []
+    read: list[tuple[int, str, str]] = []  # (block, desc, token) of each graph parsed
+
+    def parsed_graphs() -> Iterator[Graph]:
+        for token, lineno in inputs:
+            desc = token if lineno is None else f"line {lineno}: {token}"
+            try:
+                g = load_edge_list(source, name=args.input) if args.edge_list \
+                    else parse_graph6(token)
+            except (Graph6Error, ValueError) as exc:
+                blocks.append([json.dumps({"graph": desc, "error": str(exc)})])
+                continue
+            read.append((len(blocks), desc, token))
+            blocks.append([])
+            yield g
+
+    dists = distance_distributions(parsed_graphs())
     solvable: list[tuple[int, str, str, WienerPolynomial]] = []
-    had_parse_error = False
-    for token, lineno in inputs:
-        desc = token if lineno is None else f"line {lineno}: {token}"
-        try:
-            g = load_edge_list(source, name=args.input) if args.edge_list \
-                else parse_graph6(token)
-        except (Graph6Error, ValueError) as exc:
-            blocks.append([json.dumps({"graph": desc, "error": str(exc)})])
-            had_parse_error = True
-            continue
-        try:
-            w = distance_distribution(g)
-        except ValueError as exc:  # disconnected, or a single vertex
-            blocks.append([json.dumps({"graph": desc, "error": str(exc)})])
-            continue
-        solvable.append((len(blocks), desc, token, w))
-        blocks.append([])
+    for (at, desc, token), w in zip(read, dists):
+        if isinstance(w, ValueError):  # disconnected, or a single vertex
+            blocks[at] = [json.dumps({"graph": desc, "error": str(w)})]
+        else:
+            solvable.append((at, desc, token, w))
     solved = roots_batch([w for _, _, _, w in solvable], return_exceptions=True)
     for (at, desc, token, w), rts in zip(solvable, solved):
         if isinstance(rts, ValueError):  # a degree past ROOTS_MAX_DEGREE, say
@@ -133,7 +145,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         else:
             blocks[at] = _record_for(token, w, rts).csv_rows()
     _emit([line for block in blocks for line in block], args.out)
-    return EXIT_USAGE if had_parse_error else EXIT_OK
+    return EXIT_USAGE if len(read) < len(inputs) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,119 @@ def distance_distribution(g: Graph) -> WienerPolynomial:
     return w
 
 
+_WORD_ORDER = 64  # one ball per uint64 word
+# Words per _ball_growth batch: its index arrays and gathered balls stay
+# near 100 KB however many graphs there are.
+_BALL_CHUNK = 1 << 12
+_M1, _M2, _M4 = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333,
+                                         0x0F0F0F0F0F0F0F0F))
+_BYTES_ONE = np.uint64(0x0101010101010101)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64, by the SWAR sums of Hacker's Delight, section 5-1."""
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return (x * _BYTES_ONE) >> np.uint64(56)
+
+
+def distance_distributions(graphs: Iterable[Graph]) -> list[WienerPolynomial | ValueError]:
+    """distance_distribution of each graph, or the ValueError it raises, in order.
+
+    The graphs of order 2..64 are grown together by `_ball_growth`, each
+    ball one uint64 word, in batches of at most _BALL_CHUNK vertices; a
+    graph of any other order goes to distance_distribution itself.  Only
+    the current batch is held, so the input can be a generator that parses
+    one graph at a time.
+    """
+    out: list = []
+    batch: list[Graph] = []
+    at: list[int] = []  # the position in out of each graph in the batch
+    words = 0
+    for g in graphs:
+        if not 2 <= g.n <= _WORD_ORDER:
+            try:
+                out.append(distance_distribution(g))
+            except ValueError as exc:
+                out.append(exc)
+            continue
+        if words + g.n > _BALL_CHUNK:
+            for i, result in zip(at, _ball_growth(batch)):
+                out[i] = result
+            batch, at, words = [], [], 0
+        batch.append(g)
+        at.append(len(out))
+        out.append(None)
+        words += g.n
+    for i, result in zip(at, _ball_growth(batch)):
+        out[i] = result
+    return out
+
+
+def _ball_growth(graphs: Sequence[Graph]) -> list[WienerPolynomial | ValueError]:
+    """distance_distribution of each graph, or its ValueError, for graphs of
+    order 2..64 grown all at once.
+
+    Every ball is one uint64 word, and the words of all the graphs are laid
+    end to end.  Each vertex's closed neighbourhood is one segment of an
+    index array, itself first, so one np.bitwise_or.reduceat over the
+    gathered balls grows every ball by one radius, and np.add.reduceat over
+    the popcounts of the new bits gives each graph's ordered pairs at the
+    next distance.  A graph none of whose balls grows stays as it is, so
+    the steps end when no ball of any graph grows, and each graph's counts
+    are its nonzero ones.  The neighbour indices are peeled off the
+    adjacency words lowest bit first, one pass per neighbour rank.
+    """
+    if not graphs:
+        return []
+    orders = np.array([g.n for g in graphs])
+    adj = np.fromiter(itertools.chain.from_iterable(g.adj for g in graphs),
+                      dtype=np.uint64, count=int(orders.sum()))
+    first = np.cumsum(orders) - orders  # each graph's first vertex
+    base = np.repeat(first, orders)     # and each vertex's
+    vertex = np.arange(len(adj))
+    balls = np.left_shift(np.uint64(1), (vertex - base).astype(np.uint64))
+    degree = _popcount(adj).astype(np.intp)
+    segment = np.cumsum(degree + 1) - (degree + 1)
+    closed = np.empty(len(adj) + int(degree.sum()), dtype=np.intp)
+    closed[segment] = vertex
+    slot, rest = segment + 1, adj.copy()
+    peel = np.flatnonzero(rest)
+    while peel.size:
+        word = rest[peel]
+        low = word & (~word + np.uint64(1))
+        # low is a power of two, so its float conversion and exponent are exact
+        closed[slot[peel]] = base[peel] + np.frexp(low.astype(float))[1] - 1
+        slot[peel] += 1
+        rest[peel] = word ^ low
+        peel = peel[rest[peel] != 0]
+    rises = []  # ordered pairs of each graph at distance 1, 2, ...
+    for _ in range(_WORD_ORDER):  # diameters are at most 63
+        grown = np.bitwise_or.reduceat(balls[closed], segment)
+        rise = np.add.reduceat(_popcount(grown ^ balls), first)
+        if not rise.any():
+            break
+        rises.append(rise)
+        balls = grown
+    else:
+        raise RuntimeError(f"balls still grow after {_WORD_ORDER} steps")
+    table = np.array(rises, dtype=np.int64).reshape(len(rises), len(graphs))
+    outcomes: list = []
+    steps = np.count_nonzero(table, axis=0).tolist()
+    for n, column, k in zip(orders.tolist(), table.T.tolist(), steps):
+        counts = column[:k]
+        if n + sum(counts) != n * n:
+            outcomes.append(DisconnectedGraphError(
+                "distance distribution undefined for disconnected graphs"))
+            continue
+        w = WienerPolynomial(tuple(x // 2 for x in counts))
+        if sum(w.d) != n * (n - 1) // 2:
+            raise RuntimeError(f"pair counts sum to {sum(w.d)}, expected C({n},2)")
+        outcomes.append(w)
+    return outcomes
+
+
 def diameter(g: Graph) -> int:
     """Length of the longest shortest path (0 for the one-vertex graph)."""
     if g.n == 1:

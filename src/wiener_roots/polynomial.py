@@ -27,21 +27,22 @@ integer gcd is constant, and only the rest need the exact test.
 `root_discs` encloses the roots of every row of a matrix at once:
 eigenvalues of the stacked companion matrices as centres, and Weierstrass
 inclusion radii bounded from above with every rounding error counted.  The
-claims bound the largest real part of each distribution by its discs, and
-decide the path annulus by them; a row the discs cannot certify gets
-infinite radii and goes to `roots`.
+claims bound the largest real part of each distribution by its discs; a
+row the discs cannot certify gets infinite radii and goes to `roots`.
 
 `roots_batch` is the one root pipeline, and `roots` is `roots_batch` of one
-polynomial.  Aberth, the polish and the conjugate symmetrization run one
-polynomial at a time.  The steps around them run once per length group and
-give what the scalar steps give, so every root comes out the same bit for
-bit: the same modular sequence, on W/x and its derivative, certifies most
-polynomials square-free; the same Weierstrass radii, around the polished
-roots, give the real-root count in place of a Sturm chain wherever the
-discs are disjoint and clear of each other's mirror images; and the
-residuals are the compensated Horner scheme evaluated elementwise over all
-the roots.  Rows that no certificate covers, and groups too small for numpy
-to pay, take the scalar steps.
+polynomial.  Aberth and the conjugate symmetrization run one polynomial at
+a time.  The steps around them run once per length group and give what the
+scalar steps give, so every root comes out the same bit for bit: the same
+modular sequence, on W/x and its derivative, certifies most polynomials
+square-free; the Newton polish runs on all the Aberth roots of one factor
+length at once, in CPython's complex arithmetic written out in float64;
+the same Weierstrass radii, around the polished roots, give the real-root
+count in place of a Sturm chain wherever the discs are disjoint and clear
+of each other's mirror images; and the residuals are the compensated
+Horner scheme evaluated elementwise over all the roots.  Rows that no
+certificate covers, and groups too small for numpy to pay, take the scalar
+steps.
 
 Every remainder sequence (Sturm chains, gcds, Yun's loop) runs on integer
 coefficient lists: fraction-free pseudo-remainders reduced to their
@@ -276,12 +277,23 @@ def wiener_index(w: WienerPolynomial) -> int:
 
 
 def enestrom_kakeya(p: WienerPolynomial) -> Annulus:
-    """Exact annulus of the nonzero roots: extreme ratios d_k/d_{k+1}."""
+    """Exact annulus of the nonzero roots: extreme ratios d_k/d_{k+1}.
+
+    Pair counts are positive, so a/b < e/f exactly when a*f < e*b: the
+    extreme ratios are found by integer cross-multiplication, and only
+    those two become Fractions.
+    """
     c = p.d
     if len(c) < 2:
         raise ValueError("a W/x of degree 0 (complete graphs) has no annulus")
-    ratios = [Fraction(c[i], c[i + 1]) for i in range(len(c) - 1)]
-    return Annulus(min(ratios), max(ratios))
+    pairs = zip(c, c[1:])
+    lo = hi = next(pairs)
+    for a, b in pairs:
+        if a * lo[1] < lo[0] * b:
+            lo = (a, b)
+        elif a * hi[1] > hi[0] * b:
+            hi = (a, b)
+    return Annulus(Fraction(*lo), Fraction(*hi))
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +710,90 @@ def _newton_polish(coeffs: Sequence[float], zs: Sequence[complex],
     return out
 
 
+def _newton_polish_batch(found: Sequence[tuple[list[float], list[complex]]]
+                         ) -> list[list[complex]]:
+    """`_newton_polish(coeffs, zs)` for each (coeffs, zs) pair, bit for bit.
+
+    The factors of one length are polished together by `_newton_polish_rows`
+    once they have _BATCH_MIN_POINTS roots in all; smaller groups take the
+    scalar polish.
+    """
+    out: list = [None] * len(found)
+    by_length: dict[int, list[int]] = {}
+    for i, (coeffs, _) in enumerate(found):
+        by_length.setdefault(len(coeffs), []).append(i)
+    for length, members in by_length.items():
+        if len(members) * (length - 1) < _BATCH_MIN_POINTS:
+            for i in members:
+                out[i] = _newton_polish(*found[i])
+            continue
+        c = np.array([found[i][0] for i in members])
+        z = np.array([found[i][1] for i in members], dtype=complex)
+        for i, zs in zip(members, _newton_polish_rows(c, z).tolist()):
+            out[i] = zs
+    return out
+
+
+def _newton_polish_rows(c: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
+    """`_newton_polish(c[i], z[i])` for every row i of the float matrix c.
+
+    numpy's complex multiply and divide round differently from CPython's,
+    so the complex arithmetic is written out in binary64 as CPython 3.11
+    does it (`_Py_c_prod`, `_Py_c_sum`, `_Py_c_quot`): `_horner_parts` for
+    the values, `_smith_quotient` for the step.  A point stops for good at
+    the first step where its derivative value is 0, as the scalar loop
+    breaks there.
+    """
+    dc = c[:, 1:] * np.arange(1, c.shape[1])
+    x, y = z.real.copy(), z.imag.copy()
+    live = np.ones(z.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            dr, di = _horner_parts(dc, x, y)
+            live &= (dr != 0) | (di != 0)
+            pr, pi = _horner_parts(c, x, y)
+            qr, qi = _smith_quotient(pr, pi, dr, di)
+            x = np.where(live, x - qr, x)
+            y = np.where(live, y - qi, y)
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = x, y
+    return out
+
+
+def _horner_parts(c: np.ndarray, x: np.ndarray, y: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of `p = lead; p = p * z + a` over the
+    coefficients of row i of c, highest first, at every point x + yi of row i.
+
+    The float lead enters the first product as lead + 0i, a product is
+    (pr x - pi y) + (pr y + pi x)i, and adding a float coefficient adds 0.0
+    to the imaginary part, as CPython's complex arithmetic does.
+    """
+    pr = np.broadcast_to(c[:, -1:], x.shape)
+    pi = np.zeros(x.shape)
+    for j in range(c.shape[1] - 2, -1, -1):
+        pr, pi = (pr * x - pi * y) + c[:, j:j + 1], (pr * y + pi * x) + 0.0
+    return pr, pi
+
+
+def _smith_quotient(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(ar + ai i) / (br + bi i) by Smith's algorithm, as CPython's `_Py_c_quot`
+    computes it: divided through by the larger part of the divisor, and NaN
+    where neither part is the larger (a NaN part).  A zero divisor is never
+    used: `_newton_polish_rows` stops a point before it divides by 0."""
+    by_real = np.abs(br) >= np.abs(bi)
+    by_imag = np.abs(bi) >= np.abs(br)
+    ratio = bi / br
+    denom = br + bi * ratio
+    real_r, real_i = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+    ratio = br / bi
+    denom = br * ratio + bi
+    imag_r, imag_i = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+    return (np.where(by_real, real_r, np.where(by_imag, imag_r, np.nan)),
+            np.where(by_real, real_i, np.where(by_imag, imag_i, np.nan)))
+
+
 def _factor_square(n: int) -> tuple[int, int]:
     """Write |n| = s^2 * r with r square-free over small primes; returns (s, r)."""
     n = abs(n)
@@ -790,7 +886,10 @@ _FLOAT_RANGE = "pair counts too large for floating-point root finding"
 # numpy's per-call overhead makes a batched step slower than the scalar one
 # on a single row: the screen and the disc counts pay off from two rows of
 # one length on, the elementwise compensated Horner from about 32 points.
-# Smaller groups take the scalar steps, which give the same results.
+# The Newton polish takes the same point bound, though it breaks even near
+# 64 points on one core of a 2-vCPU Xeon; a group between the two loses
+# under half a millisecond.  Smaller groups take the scalar steps, which
+# give the same results.
 _BATCH_MIN_ROWS = 2
 _BATCH_MIN_POINTS = 32
 
@@ -812,12 +911,14 @@ def roots_batch(ps: Sequence[WienerPolynomial], *,
     and the result is conjugate-symmetrized using the exact real-root count
     of the factor.
 
-    Aberth, the polish and the symmetrization run one polynomial at a time.
-    The three steps around them run on all the polynomials at once, one
-    numpy pass per length, and give what the scalar steps give:
+    Aberth and the symmetrization run one polynomial at a time.  The four
+    steps around them run on all the polynomials at once, one numpy pass
+    per length, and give what the scalar steps give:
     - `_square_free_screen` certifies a W/x square-free modulo SCREEN_PRIME,
       and then its one factor is its primitive part, as the exact
       `_square_free_decomposition` finds; the other rows take that path;
+    - `_newton_polish_batch` polishes the Aberth roots of all the factors
+      of one length together, bit for bit as `_newton_polish` does;
     - `_real_root_counts` counts each factor's real roots by Weierstrass
       discs around its polished roots, and by a Sturm chain where the discs
       do not decide;
@@ -853,40 +954,52 @@ def roots_batch(ps: Sequence[WienerPolynomial], *,
         else:
             todo.append(i)
     screened = _square_free_screen([ps[i].d for i in todo]).tolist()
-    # Each solved polynomial's factors: (closed-form roots or an index into
-    # aberth, multiplicity); aberth holds (factor, polished roots) pairs.
-    solved: list[tuple[int, list]] = []
-    aberth: list[tuple[list[int], list[complex]]] = []
+    # Each polynomial's factors: (closed-form roots or an index into
+    # unpolished, multiplicity), and the failure that stopped it, if any;
+    # unpolished holds (factor, float factor, Aberth roots) triples.
+    pending: list[tuple[int, list, Exception | None]] = []
+    unpolished: list[tuple[list[int], list[float], list[complex]]] = []
     for i, square_free in zip(todo, screened):
         c = ps[i].d
         factors = [(_primitive(c), 1)] if square_free else _square_free_decomposition(c)
-        parts, found = [], []
+        parts: list = []
+        failure: Exception | None = None
         try:
             for fac, mult in factors:
                 if len(fac) <= 3:  # degree 1 or 2
                     parts.append((_closed_form_roots(fac), mult))
                     continue
                 fc = [float(x) for x in fac]
-                approx = _newton_polish(fc, _aberth_ehrlich(fc))
-                if not all(map(cmath.isfinite, approx)):
-                    raise OverflowError("a float iterate overflowed")
-                parts.append((len(aberth) + len(found), mult))
-                found.append((fac, approx))
+                zs = _aberth_ehrlich(fc)
+                parts.append((len(unpolished), mult))
+                unpolished.append((fac, fc, zs))
         except OverflowError:
-            outcomes[i] = ValueError(_FLOAT_RANGE)
+            failure = ValueError(_FLOAT_RANGE)
         except RootFindingError as exc:
-            outcomes[i] = exc
+            failure = exc
+        pending.append((i, parts, failure))
+    polished = _newton_polish_batch([(fc, zs) for _, fc, zs in unpolished])
+    # The factors fail in order: one whose polished roots leave the float
+    # range fails its polynomial before the failure that stopped a later one.
+    solved: list[tuple[int, list]] = []
+    for i, parts, failure in pending:
+        if not all(cmath.isfinite(z) for part, _ in parts if isinstance(part, int)
+                   for z in polished[part]):
+            outcomes[i] = ValueError(_FLOAT_RANGE)
+        elif failure is not None:
+            outcomes[i] = failure
         else:
-            aberth.extend(found)
             solved.append((i, parts))
-    n_real = _real_root_counts(aberth)
+    counted = [part for _, parts in solved for part, _ in parts if isinstance(part, int)]
+    n_real = dict(zip(counted, _real_root_counts(
+        [(unpolished[k][0], polished[k]) for k in counted])))
     entries_of: list[list[tuple[complex, str | None, int]]] = []
     for i, parts in solved:
         entries = []
         for part, mult in parts:
             if isinstance(part, int):
-                fac, approx = aberth[part]
-                entries.extend((z, None, mult) for z in _symmetrize(approx, n_real[part]))
+                entries.extend((z, None, mult)
+                               for z in _symmetrize(polished[part], n_real[part]))
             else:
                 entries.extend((z, form, mult) for z, form in part)
         entries_of.append(entries)

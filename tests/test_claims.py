@@ -37,7 +37,15 @@ from wiener_roots.graph_core import (
     enumerate_trees,
     tree_parent_row,
 )
-from wiener_roots.polynomial import ComplexRoot, length_groups, root_discs
+from wiener_roots.polynomial import (
+    Annulus,
+    ComplexRoot,
+    WienerPolynomial,
+    enestrom_kakeya,
+    length_groups,
+    root_discs,
+    roots_batch,
+)
 
 
 def test_report_invariants():
@@ -292,27 +300,33 @@ def _disc_pools():
     yield [family_polynomial(FamilySpec("path", (n,))).d for n in range(3, 101)]
 
 
-def _roots_outside_their_discs(pool, discs):
-    """The (d, root) pairs of the pool whose root_set root lies in none of the
-    discs that discs(matrix) gives for d."""
+def _pool_root_sets(pool):
+    """The distributions of length >= 2 in the pool, and their root sets
+    from one roots_batch call (the root_set roots, bit for bit)."""
     unique = [dvec for dvec in pool if len(dvec) > 1]
+    return unique, roots_batch([WienerPolynomial(dvec) for dvec in unique])
+
+
+def _roots_outside_their_discs(unique, root_sets, discs):
+    """The (d, root) pairs whose root lies in none of the discs that
+    discs(matrix) gives for d."""
     missed = []
     for positions, m in length_groups(unique):
         centres, radii = discs(m)
         for i, row_centres, row_radii in zip(positions.tolist(), centres, radii):
-            missed += [(unique[i], r.z) for r in claims.root_set(unique[i])
+            missed += [(unique[i], r.z) for r in root_sets[i]
                        if not (np.abs(r.z - row_centres) <= row_radii).any()]
     return missed
 
 
 def test_root_discs_hold_every_root_and_bound_the_real_parts():
     for pool in _disc_pools():
-        assert _roots_outside_their_discs(pool, root_discs) == []
-        unique = [dvec for dvec in pool if len(dvec) > 1]
+        unique, root_sets = _pool_root_sets(pool)
+        assert _roots_outside_their_discs(unique, root_sets, root_discs) == []
         bounds = claims._real_part_bounds(unique)
         assert np.isfinite(bounds).all()  # no distribution here falls back
-        for dvec, bound in zip(unique, bounds.tolist()):
-            assert max(r.re for r in claims.root_set(dvec)) <= bound, dvec
+        for dvec, rs, bound in zip(unique, root_sets, bounds.tolist()):
+            assert max(r.re for r in rs) <= bound, dvec
 
 
 def test_shrunken_root_discs_lose_a_root():
@@ -321,7 +335,8 @@ def test_shrunken_root_discs_lose_a_root():
         centres, radii = root_discs(m)
         return centres, radii / 1e3
 
-    assert any(_roots_outside_their_discs(pool, shrunken) for pool in _disc_pools())
+    assert any(_roots_outside_their_discs(*_pool_root_sets(pool), shrunken)
+               for pool in _disc_pools())
 
 
 def _path_annulus_root_by_root(n_lo, n_hi, tol):
@@ -352,15 +367,21 @@ def test_path_annulus_falls_back_to_root_sets(monkeypatch):
     monkeypatch.setattr(claims, "root_set", lambda dvec: solved.append(dvec) or root_set(dvec))
     verify_path_annulus(3, 40)
     assert set(solved) == {(2, 1), tuple(range(39, 0, -1))}
-    # with every disc inconclusive, each order is checked root by root
-    monkeypatch.setattr(claims, "root_discs", lambda m: (
-        np.zeros((m.shape[0], m.shape[1] - 1), dtype=complex),
-        np.full((m.shape[0], m.shape[1] - 1), np.inf)))
+    # with an annulus wider than the claim's, no order is certified, and
+    # each one is checked root by root
+    monkeypatch.setattr(claims, "enestrom_kakeya",
+                        lambda p: Annulus(Fraction(1, 2), Fraction(3)))
     solved.clear()
     fallback = verify_path_annulus(3, 40)
     assert _outcome(fallback) == _outcome(certified)
     assert set(solved) == {family_polynomial(FamilySpec("path", (n,))).d
                            for n in range(3, 41)}
+
+
+def test_path_annulus_certificate_is_the_claimed_annulus():
+    for n in range(3, 1001):
+        ann = enestrom_kakeya(family_polynomial(FamilySpec("path", (n,))))
+        assert (ann.r, ann.R) == (Fraction(n - 1, n - 2), 2), n
 
 
 def _scalar_radius(dvec):

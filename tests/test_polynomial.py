@@ -15,9 +15,11 @@ compensated Horner bit for bit; and every root bit is pinned by a digest.
 """
 
 import hashlib
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -861,6 +863,53 @@ def test_root_output_is_pinned():
     assert len(dvecs) == 3362
     assert _root_digest(dvecs, [roots(p) for p in ps]) == ROOT_DIGEST  # one at a time
     assert _root_digest(dvecs, roots_batch(ps)) == ROOT_DIGEST        # in one batch
+
+
+def _benchmark_compute_distributions(seed: int) -> list[tuple[int, ...]]:
+    """Distance vectors of the seeded `compute` inputs of the benchmark's
+    large-degree workload (perfbench/graphgen.py)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "graphgen.py"
+    spec = importlib.util.spec_from_file_location("graphgen", path)
+    graphgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(graphgen)
+    return [distance_distribution(from_edge_list(n, edges)).d
+            for n, edges in graphgen.graphs(seed)]
+
+
+def _hex_parts(zs) -> list[tuple[str, str]]:
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+def test_batched_newton_polish_is_the_scalar_one_bit_for_bit(monkeypatch):
+    from wiener_roots import polynomial
+    from wiener_roots.polynomial import _newton_polish, _newton_polish_rows
+
+    found = []  # (float factor, Aberth roots) of every factor roots_batch polishes
+    batch = polynomial._newton_polish_batch
+    monkeypatch.setattr(polynomial, "_newton_polish_batch",
+                        lambda pairs: found.extend(pairs) or batch(pairs))
+    dvecs = _root_pin_inputs() + _benchmark_compute_distributions(0)
+    roots_batch([WienerPolynomial(d) for d in dvecs])
+    assert sum(len(zs) for _, zs in found) > 20000
+    # z^3 - 3z + 7: one step takes 2 to 1 exactly, where the derivative is 0,
+    # so that point stops after one step, and the point 1 before any
+    stalled = ([7.0, -3.0, 0.0, 1.0], [2 + 0j, 1 + 0j, 0.5 + 0.5j])
+    assert _newton_polish(*stalled)[:2] == [1 + 0j, 1 + 0j]
+    found.append(stalled)
+    # points on the real axis, where CPython's sums turn products of -0.0
+    # into 0.0 and the signs of the zeros reach the result
+    axis = [complex(-1.5, -0.0), complex(0.5, -0.0), complex(-0.25, 0.0)]
+    found += [([1.0, 1.0, 1.0, 1.0], axis), ([2.0, -5.0, 0.5, 3.0], axis)]
+    by_length: dict[int, list] = {}
+    for coeffs, zs in found:
+        by_length.setdefault(len(coeffs), []).append((coeffs, zs))
+    for group in by_length.values():
+        rows = _newton_polish_rows(np.array([c for c, _ in group]),
+                                   np.array([zs for _, zs in group], dtype=complex))
+        assert [_hex_parts(zs) for zs in rows.tolist()] == \
+            [_hex_parts(_newton_polish(c, zs)) for c, zs in group]
+    assert [_hex_parts(zs) for zs in batch(found)] == \
+        [_hex_parts(_newton_polish(c, zs)) for c, zs in found]
 
 
 def _bits(root_set) -> str:
