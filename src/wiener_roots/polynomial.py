@@ -32,17 +32,16 @@ row the discs cannot certify gets infinite radii and goes to `roots`.
 
 `roots_batch` is the one root pipeline, and `roots` is `roots_batch` of one
 polynomial.  Aberth and the conjugate symmetrization run one polynomial at
-a time.  The steps around them run once per length group and give what the
-scalar steps give, so every root comes out the same bit for bit: the same
-modular sequence, on W/x and its derivative, certifies most polynomials
-square-free; the Newton polish runs on all the Aberth roots of one factor
-length at once, in CPython's complex arithmetic written out in float64;
-the same Weierstrass radii, around the polished roots, give the real-root
-count in place of a Sturm chain wherever the discs are disjoint and clear
-of each other's mirror images; and the residuals are the compensated
-Horner scheme evaluated elementwise over all the roots.  Rows that no
-certificate covers, and groups too small for numpy to pay, take the scalar
-steps.
+a time.  Each step around them has one implementation, which runs once per
+length group however small the group: the same modular sequence, on W/x
+and its derivative, certifies most polynomials square-free; the Newton
+polish runs on all the Aberth roots of one factor length at once, in
+CPython's complex arithmetic written out in float64; the same Weierstrass
+radii, around the polished roots, give the real-root count wherever the
+discs are disjoint and clear of each other's mirror images; and the
+residuals are the compensated Horner scheme evaluated elementwise over all
+the roots.  Rows that no certificate covers take the exact steps: Yun's
+decomposition and a Sturm chain.
 
 Every remainder sequence (Sturm chains, gcds, Yun's loop) runs on integer
 coefficient lists: fraction-free pseudo-remainders reduced to their
@@ -197,64 +196,14 @@ class GaussianValue(NamedTuple):
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def _comp_horner(coeffs: Sequence[int], z: complex) -> complex:
-    """Compensated Horner evaluation at a complex point, real integer coefficients.
-
-    Error-free transforms (Knuth's TwoSum, Dekker's TwoProduct with
-    Veltkamp splitting) capture the rounding error of every multiply and
-    add; the error polynomial is accumulated to first order alongside the
-    main recurrence, giving results accurate as if computed in doubled
-    precision.  The transforms are written out inline and the splits of
-    z.real and z.imag are taken once, outside the loop.
-    """
-    x, y = z.real, z.imag
-    c = _SPLITTER * x
-    xh = c - (c - x)
-    xl = x - xh
-    c = _SPLITTER * y
-    yh = c - (c - y)
-    yl = y - yh
-    sr, si = float(coeffs[-1]), 0.0
-    er, ei = 0.0, 0.0
-    for k in range(len(coeffs) - 2, -1, -1):
-        c = _SPLITTER * sr
-        rh = c - (c - sr)
-        rl = sr - rh
-        c = _SPLITTER * si
-        ih = c - (c - si)
-        il = si - ih
-        p1 = sr * x
-        d1 = ((rh * xh - p1) + rh * xl + rl * xh) + rl * xl
-        p2 = si * y
-        d2 = ((ih * yh - p2) + ih * yl + il * yh) + il * yl
-        p3 = sr * y
-        d3 = ((rh * yh - p3) + rh * yl + rl * yh) + rl * yl
-        p4 = si * x
-        d4 = ((ih * xh - p4) + ih * xl + il * xh) + il * xl
-        m = -p2
-        tr = p1 + m
-        t = tr - p1
-        f1 = (p1 - (tr - t)) + (m - t)
-        ti = p3 + p4
-        t = ti - p3
-        f2 = (p3 - (ti - t)) + (p4 - t)
-        a = float(coeffs[k])
-        nr = tr + a
-        t = nr - tr
-        g1 = (tr - (nr - t)) + (a - t)
-        er, ei = (er * x - ei * y + (d1 - d2 + f1 + g1),
-                  er * y + ei * x + (d3 + d4 + f2))
-        sr, si = nr, ti
-    return complex(sr + er, si + ei)
-
-
 def evaluate(p: WienerPolynomial, z: Number):
     """W(z): exact for rational z, compensated Horner for floats."""
     coeffs = (0,) + p.d
-    if isinstance(z, complex):
-        return _comp_horner(coeffs, z)
-    if isinstance(z, float):
-        return _comp_horner(coeffs, complex(z, 0.0)).real
+    if isinstance(z, (complex, float)):
+        with np.errstate(all="ignore"):
+            value = complex(_comp_horner_batch(np.array([[float(x) for x in coeffs]]),
+                                               np.array([z], dtype=complex))[0])
+        return value if isinstance(z, complex) else value.real
     if isinstance(z, (int, Fraction)):
         return _eval_frac(coeffs, Fraction(z))
     raise TypeError(f"cannot evaluate at {type(z)!r}")
@@ -388,42 +337,6 @@ def _int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [-x for x in fa] if fa and fa[-1] < 0 else fa
 
 
-_GCD_PRIMES = (2305843009213693951, 2147483647, 1000000007)
-
-
-def _gcd_degree_mod(a: Sequence[int], b: Sequence[int], q: int) -> int | None:
-    """Degree of gcd(a, b) over GF(q), or None if a leading coefficient drops."""
-    if a[-1] % q == 0 or b[-1] % q == 0:
-        return None
-    fa = _trim([x % q for x in a])
-    fb = _trim([x % q for x in b])
-    while fb:
-        inv = pow(fb[-1], -1, q)
-        r = list(fa)
-        db = len(fb) - 1
-        while r and len(r) - 1 >= db:
-            factor = r[-1] * inv % q
-            shift = len(r) - 1 - db
-            for i in range(db):
-                r[shift + i] = (r[shift + i] - factor * fb[i]) % q
-            r.pop()
-            _trim(r)
-        fa, fb = fb, r
-    return len(fa) - 1 if fa else 0
-
-
-def _certified_square_free(c: Sequence[int]) -> bool:
-    """True only with a sound modular certificate gcd(c, c') = 1."""
-    dc = _trim(_deriv(c))
-    if not dc:
-        return False
-    for q in _GCD_PRIMES:
-        d = _gcd_degree_mod(c, dc, q)
-        if d is not None:
-            return d == 0
-    return False
-
-
 def _square_free_decomposition(c: Sequence[int]) -> list[tuple[list[int], int]]:
     """Yun decomposition into primitive square-free factors with multiplicities.
 
@@ -433,8 +346,6 @@ def _square_free_decomposition(c: Sequence[int]) -> list[tuple[list[int], int]]:
     work = _trim(list(c))
     if len(work) <= 1:
         return []
-    if _certified_square_free(work):
-        return [(_primitive(work), 1)]
     fp = _deriv(work)
     a = _int_poly_gcd(work, fp)
     if len(a) <= 1:
@@ -688,45 +599,13 @@ def _aberth_ehrlich(coeffs: Sequence[float], *, sweeps: int = ABERTH_SWEEP_BUDGE
         f"Aberth-Ehrlich did not converge within {sweeps} sweeps", z, residuals)
 
 
-def _newton_polish(coeffs: Sequence[float], zs: Sequence[complex],
-                   steps: int = 3) -> list[complex]:
-    """Newton steps on each of zs, with Horner loops as in `_aberth_ehrlich`."""
-    dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
-    lead, rest = coeffs[-1], coeffs[-2::-1]
-    dlead, drest = dcoeffs[-1], dcoeffs[-2::-1]
-    out = []
-    for z in zs:
-        for _ in range(steps):
-            dp = dlead
-            for a in drest:
-                dp = dp * z + a
-            if dp == 0:
-                break
-            p = lead
-            for a in rest:
-                p = p * z + a
-            z = z - p / dp
-        out.append(z)
-    return out
-
-
 def _newton_polish_batch(found: Sequence[tuple[list[float], list[complex]]]
                          ) -> list[list[complex]]:
-    """`_newton_polish(coeffs, zs)` for each (coeffs, zs) pair, bit for bit.
-
-    The factors of one length are polished together by `_newton_polish_rows`
-    once they have _BATCH_MIN_POINTS roots in all; smaller groups take the
-    scalar polish.
-    """
+    """The polished roots for each (float coefficients, Aberth roots) pair:
+    the pairs of one coefficient length go through `_newton_polish_rows`
+    together, however few they are."""
     out: list = [None] * len(found)
-    by_length: dict[int, list[int]] = {}
-    for i, (coeffs, _) in enumerate(found):
-        by_length.setdefault(len(coeffs), []).append(i)
-    for length, members in by_length.items():
-        if len(members) * (length - 1) < _BATCH_MIN_POINTS:
-            for i in members:
-                out[i] = _newton_polish(*found[i])
-            continue
+    for members in _length_classes([coeffs for coeffs, _ in found]):
         c = np.array([found[i][0] for i in members])
         z = np.array([found[i][1] for i in members], dtype=complex)
         for i, zs in zip(members, _newton_polish_rows(c, z).tolist()):
@@ -735,14 +614,17 @@ def _newton_polish_batch(found: Sequence[tuple[list[float], list[complex]]]
 
 
 def _newton_polish_rows(c: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
-    """`_newton_polish(c[i], z[i])` for every row i of the float matrix c.
+    """Newton steps on every point of row i of z, for the polynomial whose
+    float coefficients, low degree first, are row i of c.
 
-    numpy's complex multiply and divide round differently from CPython's,
-    so the complex arithmetic is written out in binary64 as CPython 3.11
-    does it (`_Py_c_prod`, `_Py_c_sum`, `_Py_c_quot`): `_horner_parts` for
-    the values, `_smith_quotient` for the step.  A point stops for good at
-    the first step where its derivative value is 0, as the scalar loop
-    breaks there.
+    Each step computes the values as CPython's complex arithmetic computes
+    `p = lead; p = p * z + a` over the coefficients, highest first, for p
+    and its derivative, and then z - p / p'.  numpy's complex multiply and
+    divide round differently from CPython's, so the complex arithmetic is
+    written out in binary64 as CPython 3.11 does it (`_Py_c_prod`,
+    `_Py_c_sum`, `_Py_c_quot`): `_horner_parts` for the values,
+    `_smith_quotient` for the step.  A point stops for good at the first
+    step where its derivative value is 0.
     """
     dc = c[:, 1:] * np.arange(1, c.shape[1])
     x, y = z.real.copy(), z.imag.copy()
@@ -883,16 +765,6 @@ def _symmetrize(zs: list[complex], n_real: int) -> list[complex]:
 
 _FLOAT_RANGE = "pair counts too large for floating-point root finding"
 
-# numpy's per-call overhead makes a batched step slower than the scalar one
-# on a single row: the screen and the disc counts pay off from two rows of
-# one length on, the elementwise compensated Horner from about 32 points.
-# The Newton polish takes the same point bound, though it breaks even near
-# 64 points on one core of a 2-vCPU Xeon; a group between the two loses
-# under half a millisecond.  Smaller groups take the scalar steps, which
-# give the same results.
-_BATCH_MIN_ROWS = 2
-_BATCH_MIN_POINTS = 32
-
 
 def roots(p: WienerPolynomial) -> tuple[ComplexRoot, ...]:
     """The nonzero Wiener roots (the roots of W/x): `roots_batch` of p alone."""
@@ -913,19 +785,17 @@ def roots_batch(ps: Sequence[WienerPolynomial], *,
 
     Aberth and the symmetrization run one polynomial at a time.  The four
     steps around them run on all the polynomials at once, one numpy pass
-    per length, and give what the scalar steps give:
+    per length, also when a length has a single row:
     - `_square_free_screen` certifies a W/x square-free modulo SCREEN_PRIME,
       and then its one factor is its primitive part, as the exact
       `_square_free_decomposition` finds; the other rows take that path;
     - `_newton_polish_batch` polishes the Aberth roots of all the factors
-      of one length together, bit for bit as `_newton_polish` does;
+      of one length together;
     - `_real_root_counts` counts each factor's real roots by Weierstrass
       discs around its polished roots, and by a Sturm chain where the discs
       do not decide;
-    - `_residuals` evaluates W/x at the roots by `_comp_horner_batch`, bit
-      for bit as `_comp_horner` does.
-    Groups below _BATCH_MIN_ROWS rows or _BATCH_MIN_POINTS points take the
-    scalar steps.
+    - `_residuals` evaluates W/x at the roots by `_comp_horner_batch`.
+    A polynomial's roots do not depend on the others in its batch.
 
     Every root carries its residual on W/x: |W/x(z)| relative to
     max(d) * max(1, |z|)^deg.  Both the closed forms and the symmetrization
@@ -1038,13 +908,12 @@ def _residuals(dvecs: Sequence[Sequence[int]], zs_of: Sequence[Sequence[complex]
 
     A z right after exactly conj of the z before it is the second of a
     conjugate pair and takes the residual of the first, unevaluated.  The
-    scale is the scalar expression, and `_horner_moduli` gives |W/x(z)| for
-    all the points of one length at once.
+    scale is computed in Python floats, and `_horner_moduli` gives |W/x(z)|
+    for all the points of one length at once.
     """
     points_of, shared_of, scales_of = [], [], []
-    by_length: dict[int, list[int]] = {}
-    floats: dict[int, list[float]] = {}
-    for j, (d, zs) in enumerate(zip(dvecs, zs_of)):
+    floats: list[list[float] | None] = []  # None where d leaves the float range
+    for d, zs in zip(dvecs, zs_of):
         points: list[complex] = []  # the zs evaluated, in order
         shared: list[int] = []      # the point whose residual each z takes
         last = None
@@ -1060,13 +929,12 @@ def _residuals(dvecs: Sequence[Sequence[int]], zs_of: Sequence[Sequence[complex]
         try:
             cmax = max(d)  # pair counts are positive: the largest |coefficient|
             scales_of.append([cmax * max(1.0, abs(z)) ** (len(d) - 1) for z in points])
-            floats[j] = [float(x) for x in d]
+            floats.append([float(x) for x in d])
         except OverflowError:
             scales_of.append(None)
-            continue
-        by_length.setdefault(len(d), []).append(j)
+            floats.append(None)
     out: list = [None] * len(dvecs)
-    for members in by_length.values():
+    for members in _length_classes(floats):
         moduli = _horner_moduli([floats[j] for j in members for _ in points_of[j]],
                                 [z for j in members for z in points_of[j]])
         at = 0
@@ -1081,21 +949,14 @@ def _residuals(dvecs: Sequence[Sequence[int]], zs_of: Sequence[Sequence[complex]
 
 def _horner_moduli(rows: Sequence[Sequence[float]], zs: Sequence[complex]
                    ) -> list[float | None]:
-    """abs(_comp_horner(rows[i], zs[i])) for each i, or None where abs
-    raises OverflowError (finite parts, an infinite modulus).
+    """|p_i(zs[i])| for each i, p_i the polynomial with float coefficients
+    rows[i], low degree first, or None where the value has finite parts and
+    an infinite modulus, where abs(complex) would raise OverflowError.
 
-    From _BATCH_MIN_POINTS points on, the values come from
-    `_comp_horner_batch` and the moduli from np.hypot, the libm hypot that
-    abs(complex) calls, so both ways give the same bits.
+    The rows have one length.  The values come from `_comp_horner_batch`,
+    however few the points, and the moduli from np.hypot, the libm hypot
+    that abs(complex) calls.
     """
-    if len(zs) < _BATCH_MIN_POINTS:
-        out: list[float | None] = []
-        for row, z in zip(rows, zs):
-            try:
-                out.append(abs(_comp_horner(row, z)))
-            except OverflowError:
-                out.append(None)
-        return out
     with np.errstate(all="ignore"):
         v = _comp_horner_batch(np.array(rows), np.array(zs, dtype=complex))
         moduli = np.hypot(v.real, v.imag)
@@ -1145,6 +1006,16 @@ def purely_imaginary_roots(p: WienerPolynomial) -> tuple[PurelyImaginaryRoot, ..
 SCREEN_PRIME = 2147483647
 
 
+def _length_classes(seqs: Sequence[Sequence | None]) -> list[list[int]]:
+    """The positions of the sequences of each length, in order, the lengths
+    in order of first occurrence; a None entry is in no class."""
+    classes: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        if seq is not None:
+            classes.setdefault(len(seq), []).append(i)
+    return list(classes.values())
+
+
 def length_groups(dvecs: Sequence[Sequence[int]], modulus: int | None = None
                   ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(positions in dvecs, int64 matrix of those vectors) for each vector length.
@@ -1153,11 +1024,8 @@ def length_groups(dvecs: Sequence[Sequence[int]], modulus: int | None = None
     coefficient outside int64 is reduced in Python first, so none wraps.
     Without one, such a coefficient raises ValueError.
     """
-    by_length: dict[int, list[int]] = {}
-    for i, dvec in enumerate(dvecs):
-        by_length.setdefault(len(dvec), []).append(i)
     groups = []
-    for positions in by_length.values():
+    for positions in _length_classes(dvecs):
         rows = [dvecs[i] for i in positions]
         try:
             m = np.array(rows, dtype=np.int64)
@@ -1213,20 +1081,30 @@ def _square_free_screen(dvecs: Sequence[Sequence[int]]) -> np.ndarray:
     """True for each vector d whose W/x is certified square-free modulo q.
 
     The lockstep sequence of `_coprime_mod` runs on W/x and its derivative
-    modulo q = 2^31 - 1.  A row passes only when lc(W/x) and lc of the
-    derivative are nonzero mod q and the sequence ends in a nonzero
-    constant: then the integer gcd G of W/x and its derivative divides W/x,
-    so q does not divide lc(G), and G mod q keeps the degree of G and
-    divides 1.  G is constant and W/x is square-free.  Length-1 vectors
-    are never certified.
+    modulo q = 2^31 - 1, on every length group, however small.  A row
+    passes only when lc(W/x) and lc of the derivative are nonzero mod q and
+    the sequence ends in a nonzero constant: then the integer gcd G of W/x
+    and its derivative divides W/x, so q does not divide lc(G), and G mod q
+    keeps the degree of G and divides 1.  G is constant and W/x is
+    square-free.
+
+    The rows it rejects are length-1 vectors, a leading coefficient that q
+    divides, every W/x with a repeated factor, and square-free rows whose
+    remainder sequence loses more than one degree in some step, as the
+    paths (n - 1, ..., 1) with n >= 7 do: the lockstep cancels one column
+    a step, so it meets a zero leading coefficient and ends in zero.  Such
+    a drop is a property of the remainder sequence over the rationals, not
+    of q: 2^31 - 1, 10^9 + 7 and 2^31 - 19 each reject the same 94 of the
+    98 paths of orders 3..100, so more primes would certify none of these
+    rows.  `roots_batch` sends the rejected rows to the exact
+    `_square_free_decomposition`, Yun's loop on integer gcds, which decides
+    each of them.
     """
     q = SCREEN_PRIME
     certified = np.zeros(len(dvecs), dtype=bool)
-    if len(dvecs) < _BATCH_MIN_ROWS:
-        return certified
     for positions, m in length_groups(dvecs, q):
         length = m.shape[1]
-        if length < 2 or len(positions) < _BATCH_MIN_ROWS:
+        if length < 2:
             continue
         leading_first = m[:, ::-1]
         derivative = leading_first[:, :-1] * np.arange(length - 1, 0, -1) % q
@@ -1392,23 +1270,18 @@ def _real_root_counts(factors: Sequence[tuple[Sequence[int], Sequence[complex]]]
     """The number of real roots of each square-free integer factor, given
     approximations to all of its roots.
 
-    The factors are taken one length at a time, in chunks, through
-    `_disc_real_counts`; a factor whose discs do not decide, or with a
+    The factors are taken one length at a time, however few, in chunks,
+    through `_disc_real_counts`; a factor whose discs do not decide, or with a
     coefficient of 2^53 or more in modulus, is counted by `_count_real_roots`.
     """
     counts = [-1] * len(factors)
-    by_length: dict[int, list[int]] = {}
-    for i, (fac, _) in enumerate(factors):
-        if all(abs(x) < 2 ** 53 for x in fac):
-            by_length.setdefault(len(fac), []).append(i)
-    for length, members in by_length.items():
-        if len(members) < _BATCH_MIN_ROWS:
-            continue
+    exact = [fac if all(abs(x) < 2 ** 53 for x in fac) else None for fac, _ in factors]
+    for members in _length_classes(exact):
         c = np.array([factors[i][0] for i in members], dtype=float)
         z = np.array([factors[i][1] for i in members], dtype=complex)
         found = np.empty(len(members), dtype=np.int64)
         with np.errstate(all="ignore"):
-            for chunk in _chunks(len(members), length - 1):
+            for chunk in _chunks(len(members), c.shape[1] - 1):
                 found[chunk] = _disc_real_counts(c[chunk], z[chunk])
         for i, n in zip(members, found.tolist()):
             counts[i] = n
@@ -1417,11 +1290,18 @@ def _real_root_counts(factors: Sequence[tuple[Sequence[int], Sequence[complex]]]
 
 
 def _comp_horner_batch(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """`_comp_horner(c[i], z[i])` for every row i of the float matrix c, bit
-    for bit: the same binary64 operations in the same order, elementwise.
+    """Compensated Horner evaluation of every row i of the float matrix c,
+    the coefficients low degree first, at the point z[i].
 
-    numpy rounds each elementwise add, subtract and multiply to nearest as
-    Python floats do, and never fuses a multiply with an add.
+    Error-free transforms (Knuth's TwoSum, Dekker's TwoProduct with
+    Veltkamp splitting) capture the rounding error of every multiply and
+    add; the error polynomial is accumulated to first order alongside the
+    main recurrence, giving results accurate as if computed in doubled
+    precision.  The transforms are written out inline, and the splits of
+    z.real and z.imag are taken once, outside the loop.  numpy rounds each
+    elementwise add, subtract and multiply to nearest as Python floats do,
+    and never fuses a multiply with an add, so each row gets the bits of
+    the same recurrence in Python floats, however many rows there are.
     """
     x, y = z.real.copy(), z.imag.copy()
     t = _SPLITTER * x

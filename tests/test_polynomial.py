@@ -8,10 +8,11 @@ the inlined compensated Horner with one built from explicit TwoSum and
 TwoProduct calls, bit for bit.  The batched modular screen is checked
 against the exact integer gcd of the even and odd parts.  The batched root
 discs are checked on their fallbacks here, and against root_set in the
-claims tests.  The batched steps of roots_batch are checked against the
-scalar ones they replace: the square-free screen against Yun's
+claims tests.  The batched steps of roots_batch are checked against
+exact or scalar oracles: the square-free screen against Yun's
 decomposition, the disc counts against Sturm chains, the elementwise
-compensated Horner bit for bit; and every root bit is pinned by a digest.
+compensated Horner and the Newton polish bit for bit against loops in
+Python floats; and every root bit is pinned by a digest.
 """
 
 import hashlib
@@ -520,15 +521,14 @@ def test_simplest_rational_is_minimal_denominator():
 
 
 def test_count_real_roots_matches_numpy():
-    from wiener_roots.polynomial import (_count_real_roots,
-                                         _certified_square_free)
+    from wiener_roots.polynomial import _count_real_roots, _square_free_decomposition
 
     rng = random.Random(37)
     checked = 0
     for _ in range(80):
         deg = rng.randrange(1, 9)
         coeffs = [rng.randrange(-20, 21) for _ in range(deg)] + [rng.randrange(1, 21)]
-        if not _certified_square_free(coeffs):
+        if [m for _, m in _square_free_decomposition(coeffs)] != [1]:
             continue
         ours = _count_real_roots(coeffs)
         numeric = np.roots(list(reversed(coeffs)))
@@ -615,12 +615,8 @@ def _ref_int_gcd(a, b):
 
 
 def _ref_square_free(c):
-    from wiener_roots.polynomial import _certified_square_free
-
     if len(c) <= 1:
         return []
-    if _certified_square_free(c):
-        return [(_ref_int(c), 1)]
     fp = _ref_deriv(c)
     a = _ref_gcd(c, fp)
     if len(a) <= 1:
@@ -759,10 +755,24 @@ def _ref_comp_horner(coeffs, z):
     return complex(sr + er, si + ei)
 
 
-def test_comp_horner_bit_identical_to_error_free_transforms():
-    from wiener_roots.polynomial import _comp_horner
+def _comp_horner_each(rows, points):
+    """`_comp_horner_batch` of each integer row at its point, as Python
+    complex numbers; the rows of one length go through one call."""
+    from wiener_roots.polynomial import _comp_horner_batch, _length_classes
 
+    out = [None] * len(rows)
+    for members in _length_classes(rows):
+        values = _comp_horner_batch(
+            np.array([[float(x) for x in rows[i]] for i in members]),
+            np.array([points[i] for i in members], dtype=complex))
+        for i, value in zip(members, values.tolist()):
+            out[i] = value
+    return out
+
+
+def test_comp_horner_bit_identical_to_error_free_transforms():
     rng = random.Random(43)
+    cases = []
     for _ in range(2000):
         coeffs = [rng.randrange(1, 10 ** rng.randrange(1, 12))
                   for _ in range(rng.randrange(1, 40))]
@@ -770,13 +780,15 @@ def test_comp_horner_bit_identical_to_error_free_transforms():
         z = modulus * complex(math.cos(angle), math.sin(angle))
         if rng.random() < 0.1:
             z = complex(z.real, 0.0)
-        assert repr(_comp_horner(coeffs, z)) == repr(_ref_comp_horner(coeffs, z))
+        cases.append((coeffs, z))
+    values = _comp_horner_each([c for c, _ in cases], [z for _, z in cases])
+    for (coeffs, z), value in zip(cases, values):
+        assert repr(value) == repr(_ref_comp_horner(coeffs, z))
 
 
 def test_comp_horner_at_the_conjugate_is_the_conjugate_bit_for_bit():
-    from wiener_roots.polynomial import _comp_horner
-
     rng = random.Random(47)
+    cases = []
     for _ in range(1500):
         coeffs = [rng.randrange(-10 ** rng.randrange(1, 15), 10 ** rng.randrange(1, 15))
                   for _ in range(rng.randrange(1, 40))]
@@ -786,21 +798,24 @@ def test_comp_horner_at_the_conjugate_is_the_conjugate_bit_for_bit():
         z = modulus * complex(math.cos(angle), math.sin(angle))
         for point in (z, complex(z.real, 0.0), complex(z.real, -0.0), complex(0.0, z.imag),
                       complex(-0.0, z.imag), 0j, complex(-0.0, -0.0)):
-            a = _comp_horner(coeffs, point.conjugate())
-            b = _comp_horner(coeffs, point).conjugate()
-            assert repr(a.real) == repr(b.real) and repr(abs(a)) == repr(abs(b))
-            if a.imag or b.imag:
-                assert repr(a) == repr(b), (coeffs, point)
-            # a zero imaginary part may keep its sign: 0.0 + 0.0 is +0.0 both ways
-            assert a.imag == b.imag
+            cases.append((coeffs, point))
+    # each case at the conjugate of its point, then at the point
+    values = _comp_horner_each([c for c, _ in cases for _ in range(2)],
+                               [w for _, point in cases for w in (point.conjugate(), point)])
+    for k, (coeffs, point) in enumerate(cases):
+        a, b = values[2 * k], values[2 * k + 1].conjugate()
+        assert repr(a.real) == repr(b.real) and repr(abs(a)) == repr(abs(b))
+        if a.imag or b.imag:
+            assert repr(a) == repr(b), (coeffs, point)
+        # a zero imaginary part may keep its sign: 0.0 + 0.0 is +0.0 both ways
+        assert a.imag == b.imag
 
 
 def _residual_alone(d, z):
-    """The residual of a root evaluated alone: |W/x(z)| by the scalar
-    compensated Horner, relative to max(d) * max(1, |z|)^deg."""
-    from wiener_roots.polynomial import _comp_horner
-
-    return abs(_comp_horner(d, z)) / (max(d) * max(1.0, abs(z)) ** (len(d) - 1))
+    """The residual of a root evaluated alone: |W/x(z)| by the compensated
+    Horner scheme on one row, relative to max(d) * max(1, |z|)^deg."""
+    (value,) = _comp_horner_each([d], [z])
+    return abs(value) / (max(d) * max(1.0, abs(z)) ** (len(d) - 1))
 
 
 def test_conjugate_pairs_from_roots_share_one_residual():
@@ -812,8 +827,7 @@ def test_conjugate_pairs_from_roots_share_one_residual():
     polys += [FIG5, WienerPolynomial((1, 2, 3, 2, 1)),  # (x^2 + x + 1)^2 after x
               WienerPolynomial((6, 4, 3, 2)), WienerPolynomial((2, 1, 2, 1))]
     pairs = 0
-    # one at a time, and in one batch, whose larger length groups take the
-    # elementwise compensated Horner
+    # one at a time, and in one batch
     assert roots_batch(polys) == [roots(p) for p in polys]
     for p in polys:
         rs = roots(p)
@@ -857,14 +871,6 @@ def _root_digest(dvecs, root_sets) -> str:
     return h.hexdigest()
 
 
-def test_root_output_is_pinned():
-    dvecs = _root_pin_inputs()
-    ps = [WienerPolynomial(d) for d in dvecs]
-    assert len(dvecs) == 3362
-    assert _root_digest(dvecs, [roots(p) for p in ps]) == ROOT_DIGEST  # one at a time
-    assert _root_digest(dvecs, roots_batch(ps)) == ROOT_DIGEST        # in one batch
-
-
 def _benchmark_compute_distributions(seed: int) -> list[tuple[int, ...]]:
     """Distance vectors of the seeded `compute` inputs of the benchmark's
     large-degree workload (perfbench/graphgen.py)."""
@@ -876,40 +882,82 @@ def _benchmark_compute_distributions(seed: int) -> list[tuple[int, ...]]:
             for n, edges in graphgen.graphs(seed)]
 
 
+@pytest.fixture(scope="module")
+def pinned_batch():
+    """One `roots_batch` call over `_root_pin_inputs()` followed by the
+    distributions of `_benchmark_compute_distributions(0)`: (the vectors,
+    their root sets, the (float factor, Aberth roots) pair of every factor
+    the call polishes)."""
+    from wiener_roots import polynomial
+
+    found = []
+    batch = polynomial._newton_polish_batch
+    dvecs = _root_pin_inputs() + _benchmark_compute_distributions(0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomial, "_newton_polish_batch",
+                      lambda pairs: found.extend(pairs) or batch(pairs))
+        root_sets = roots_batch([WienerPolynomial(d) for d in dvecs])
+    return dvecs, root_sets, found
+
+
+def test_root_output_is_pinned(pinned_batch):
+    dvecs = _root_pin_inputs()
+    assert len(dvecs) == 3362
+    assert _root_digest(dvecs, [roots(WienerPolynomial(d)) for d in dvecs]) \
+        == ROOT_DIGEST  # one at a time
+    batched, root_sets, _ = pinned_batch
+    assert batched[:len(dvecs)] == dvecs
+    assert _root_digest(dvecs, root_sets[:len(dvecs)]) == ROOT_DIGEST  # in one batch
+
+
 def _hex_parts(zs) -> list[tuple[str, str]]:
     return [(z.real.hex(), z.imag.hex()) for z in zs]
 
 
-def test_batched_newton_polish_is_the_scalar_one_bit_for_bit(monkeypatch):
-    from wiener_roots import polynomial
-    from wiener_roots.polynomial import _newton_polish, _newton_polish_rows
+def _ref_newton_polish(coeffs, zs, steps=3):
+    """Newton steps on each of zs, with Horner loops as in `_aberth_ehrlich`."""
+    dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    dlead, drest = dcoeffs[-1], dcoeffs[-2::-1]
+    out = []
+    for z in zs:
+        for _ in range(steps):
+            dp = dlead
+            for a in drest:
+                dp = dp * z + a
+            if dp == 0:
+                break
+            p = lead
+            for a in rest:
+                p = p * z + a
+            z = z - p / dp
+        out.append(z)
+    return out
 
-    found = []  # (float factor, Aberth roots) of every factor roots_batch polishes
-    batch = polynomial._newton_polish_batch
-    monkeypatch.setattr(polynomial, "_newton_polish_batch",
-                        lambda pairs: found.extend(pairs) or batch(pairs))
-    dvecs = _root_pin_inputs() + _benchmark_compute_distributions(0)
-    roots_batch([WienerPolynomial(d) for d in dvecs])
+
+def test_batched_newton_polish_is_the_scalar_one_bit_for_bit(pinned_batch):
+    from wiener_roots.polynomial import (_length_classes, _newton_polish_batch,
+                                         _newton_polish_rows)
+
+    found = list(pinned_batch[2])  # every factor that roots_batch polishes
     assert sum(len(zs) for _, zs in found) > 20000
     # z^3 - 3z + 7: one step takes 2 to 1 exactly, where the derivative is 0,
     # so that point stops after one step, and the point 1 before any
     stalled = ([7.0, -3.0, 0.0, 1.0], [2 + 0j, 1 + 0j, 0.5 + 0.5j])
-    assert _newton_polish(*stalled)[:2] == [1 + 0j, 1 + 0j]
+    assert _ref_newton_polish(*stalled)[:2] == [1 + 0j, 1 + 0j]
     found.append(stalled)
     # points on the real axis, where CPython's sums turn products of -0.0
     # into 0.0 and the signs of the zeros reach the result
     axis = [complex(-1.5, -0.0), complex(0.5, -0.0), complex(-0.25, 0.0)]
     found += [([1.0, 1.0, 1.0, 1.0], axis), ([2.0, -5.0, 0.5, 3.0], axis)]
-    by_length: dict[int, list] = {}
-    for coeffs, zs in found:
-        by_length.setdefault(len(coeffs), []).append((coeffs, zs))
-    for group in by_length.values():
+    for members in _length_classes([coeffs for coeffs, _ in found]):
+        group = [found[i] for i in members]
         rows = _newton_polish_rows(np.array([c for c, _ in group]),
                                    np.array([zs for _, zs in group], dtype=complex))
         assert [_hex_parts(zs) for zs in rows.tolist()] == \
-            [_hex_parts(_newton_polish(c, zs)) for c, zs in group]
-    assert [_hex_parts(zs) for zs in batch(found)] == \
-        [_hex_parts(_newton_polish(c, zs)) for c, zs in found]
+            [_hex_parts(_ref_newton_polish(c, zs)) for c, zs in group]
+    assert [_hex_parts(zs) for zs in _newton_polish_batch(found)] == \
+        [_hex_parts(_ref_newton_polish(c, zs)) for c, zs in found]
 
 
 def _bits(root_set) -> str:
@@ -980,9 +1028,11 @@ def test_screen_never_certifies_a_polynomial_with_a_square():
     squares = [c for c in cases if any(m > 1 for _, m in _square_free_decomposition(c))]
     assert len(squares) > 100
     assert all(_square_free_decomposition(c) != [(c, 1)] for c in PLANTED[:2])
-    # each twice, so that no length group is too small for the batched screen
+    # each alone, and each twice, in groups of one and of two rows
+    assert not any(_square_free_screen([c]).any() for c in squares)
     assert not _square_free_screen([c for c in squares for _ in range(2)]).any()
     assert not _square_free_screen([(1, 2, 1), (1, 2, 1)]).any()  # (1 + x)^2
+    assert not _square_free_screen([(1, 2, 1)]).any()
 
 
 def test_screen_certifies_only_square_free_polynomials():
@@ -999,7 +1049,27 @@ def test_screen_certifies_only_square_free_polynomials():
             assert _square_free_decomposition(dvec) == [(_primitive(dvec), 1)], dvec
     assert certified[-3:] == [False, False, True]  # leading coefficients divisible by q
     assert sum(certified) >= 0.95 * len(pool)
-    assert not _square_free_screen([FIG5.d]).any()  # a group of one is left to Yun
+    assert _square_free_screen([FIG5.d]).all()  # a group of one is screened too
+
+
+def _counting(calls, name, fn):
+    """fn, adding one to calls[name] at each call."""
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def test_a_lone_roots_call_runs_each_batched_step_once(monkeypatch):
+    from wiener_roots import polynomial
+
+    steps = ("_square_free_screen", "_newton_polish_rows", "_disc_real_counts",
+             "_comp_horner_batch")
+    calls = dict.fromkeys(steps, 0)
+    for name in steps:
+        monkeypatch.setattr(polynomial, name, _counting(calls, name, getattr(polynomial, name)))
+    assert len(roots(FIG5)) == 3  # W/x = 6 + 4x + 3x^2 + 2x^3, solved by Aberth
+    assert calls == dict.fromkeys(steps, 1)
 
 
 def _recorded_disc_counts(monkeypatch, pools):
@@ -1060,16 +1130,9 @@ def test_forced_fallbacks_give_the_same_roots(monkeypatch):
     ps = [WienerPolynomial(d) for d in pool]
     expected = [_bits(rs) for rs in roots_batch(ps)]
     calls = {"aberth": 0, "sturm": 0, "yun": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
     for name, attr in (("aberth", "_aberth_ehrlich"), ("sturm", "_count_real_roots"),
                        ("yun", "_square_free_decomposition")):
-        monkeypatch.setattr(polynomial, attr, counted(name, getattr(polynomial, attr)))
+        monkeypatch.setattr(polynomial, attr, _counting(calls, name, getattr(polynomial, attr)))
     # infinite radii: every factor solved by Aberth is counted by a Sturm chain
     monkeypatch.setattr(polynomial, "_weierstrass_radii",
                         lambda c, z: np.full(z.shape, np.inf))
@@ -1084,7 +1147,7 @@ def test_forced_fallbacks_give_the_same_roots(monkeypatch):
 
 
 def test_batched_compensated_horner_is_the_scalar_one_bit_for_bit():
-    from wiener_roots.polynomial import _comp_horner, _comp_horner_batch
+    from wiener_roots.polynomial import _comp_horner_batch
 
     rng = random.Random(61)
     for length in (1, 2, 5, 17, 40):
@@ -1099,4 +1162,4 @@ def test_batched_compensated_horner_is_the_scalar_one_bit_for_bit():
                                       complex(0.0, z.imag), 0j)))
         batch = _comp_horner_batch(np.array(rows), np.array(points)).tolist()
         assert [repr(v) for v in batch] == \
-            [repr(_comp_horner(row, z)) for row, z in zip(rows, points)]
+            [repr(_ref_comp_horner(row, z)) for row, z in zip(rows, points)]
