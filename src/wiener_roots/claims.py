@@ -409,7 +409,8 @@ def _extreme_modulus(largest: bool, n_lo: int, n_hi: int, tol: float) -> Verdict
     with its rational root -d_1/d_2, can attain the bound, and
     every higher-degree distribution must keep its exact extreme-ratio bound
     strictly inside it.  `beyond(a, b)` says a lies strictly past b in the
-    claim's direction.
+    claim's direction.  The roots of each order come from one roots_batch
+    call.
     """
     beyond = operator.gt if largest else operator.lt
     sign, verb = (">", "reaches") if largest else ("<", "not above")
@@ -424,9 +425,9 @@ def _extreme_modulus(largest: bool, n_lo: int, n_hi: int, tol: float) -> Verdict
             attainer = (n - 1, comb(n - 1, 2))
             limit = float(bound) - tol
         attainers = []
-        for dvec in distinct_distributions("graphs", n):
-            if len(dvec) == 1:
-                continue
+        dvecs = [dvec for dvec in distinct_distributions("graphs", n) if len(dvec) > 1]
+        root_sets = roots_batch([WienerPolynomial(dvec) for dvec in dvecs])
+        for dvec, rs in zip(dvecs, root_sets):
             if len(dvec) == 2:
                 value = Fraction(dvec[0], dvec[1])
                 if value == bound:
@@ -439,7 +440,7 @@ def _extreme_modulus(largest: bool, n_lo: int, n_hi: int, tol: float) -> Verdict
                 ratio = ann.R if largest else ann.r
                 if not beyond(bound, ratio):
                     bad.append((f"n={n} d={dvec}", f"ratio bound {ratio} {verb} {bound}"))
-            for r in root_set(dvec):
+            for r in rs:
                 if beyond(r.modulus, limit):
                     bad.append((f"n={n} d={dvec}", r.to_json_dict()))
         if attainers != [attainer]:

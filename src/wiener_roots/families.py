@@ -1,16 +1,18 @@
 """Named graph families: closed-form Wiener polynomials and constructors.
 
 Each family is one entry of the table `_FAMILIES`, keyed by its name: its
-arity, the predicate its parameters must meet, its order, its labeled edge
-list and, where a closed form exists, its exact pair counts.  The graph's
-distance_distribution is the cross-check, and the two routes must agree;
-the test suite asserts it across the full parameter grids.  A graph is
-built only up to GRAPH_MAX_ORDER vertices, checked from the declared order
-before any edge exists.  Closed forms have no such bound, except the path's:
-it lists one count per distance, so it is refused past GRAPH_MAX_ORDER too.
-A family without a closed form gets its counts from the graph, in time that
-grows with the diameter times the edge count: broom:3,16384 takes well
-under a second.
+arity, the predicate its parameters must meet, its order, its labeled
+edges and, where a closed form exists, its exact pair counts.  The edges of
+the dense families are generated one at a time, so a graph never holds its
+edge list: the bit rows of K_n take n^2/8 bytes, a list of its edge tuples
+about 40 n^2.  The graph's distance_distribution is the cross-check, and
+the two routes must agree; the test suite asserts it across the full
+parameter grids.  A graph is built only up to GRAPH_MAX_ORDER vertices,
+checked from the declared order before any edge exists.  Closed forms have
+no such bound, except the path's: it lists one count per distance, so it is
+refused past GRAPH_MAX_ORDER too.  A family without a closed form gets its
+counts from the graph, in time that grows with the diameter times the edge
+count: broom:3,16384 takes well under a second.
 
 Family names and parameters:
   complete:n             all pairs adjacent
@@ -35,14 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import comb
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .graph_core import GRAPH_MAX_ORDER, Graph, distance_distribution, from_edge_list
 from .polynomial import WienerPolynomial
 
-Edges = list[tuple[int, int]]
+Edges = Iterable[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -62,27 +64,28 @@ class _Family(NamedTuple):
     arity: int
     valid: Callable[..., bool]  # the parameter domain
     order: Callable[..., int]  # exact, or past GRAPH_MAX_ORDER whenever the order is
-    edges: Callable[..., Edges]  # of the labeled graph on vertices 0..order-1
+    edges: Callable[..., Edges]  # of the labeled graph on 0..order-1, read once
     # the closed-form pair counts d_1..d_D; None, or None for some parameters,
     # where there is none
     counts: Optional[Callable[..., Optional[tuple[int, ...]]]] = None
 
 
-def _clique(n: int) -> Edges:
-    """The pairs of K_n by larger end, so (0, 1) comes first."""
-    return [(u, v) for v in range(n) for u in range(v)]
+def _clique(n: int) -> Iterator[tuple[int, int]]:
+    """The pairs of K_n by larger end, so (0, 1) comes first, one at a time."""
+    return ((u, v) for v in range(n) for u in range(v))
 
 
-def _path(length: int, attach: int = 1, leaves: int = 0) -> Edges:
+def _path(length: int, attach: int = 1, leaves: int = 0) -> list[tuple[int, int]]:
     """The path 0, ..., length-1, plus the leaves length, length+1, ... on
     vertex attach-1."""
     return ([(v, v + 1) for v in range(length - 1)]
             + [(attach - 1, length + j) for j in range(leaves)])
 
 
-def _leaf_pairs(n: int, count: int) -> Edges:
-    """The first `count` pairs of the leaves 1..n-1 of a star, by larger end."""
-    return list(islice(((u, v) for v in range(2, n) for u in range(1, v)), count))
+def _leaf_pairs(n: int, count: int) -> Iterator[tuple[int, int]]:
+    """The first `count` pairs of the leaves 1..n-1 of a star, by larger end,
+    one at a time."""
+    return islice(((u, v) for v in range(2, n) for u in range(1, v)), count)
 
 
 def _path_counts(n: int) -> tuple[int, ...]:
@@ -98,7 +101,7 @@ _FAMILIES: dict[str, _Family] = {
         1, lambda n: n >= 2, lambda n: n, _clique,
         lambda n: (comb(n, 2),)),
     "complete_minus_edge": _Family(
-        1, lambda n: n >= 3, lambda n: n, lambda n: _clique(n)[1:],
+        1, lambda n: n >= 3, lambda n: n, lambda n: islice(_clique(n), 1, None),
         lambda n: (comb(n, 2) - 1, 1)),
     "star": _Family(
         1, lambda n: n >= 2, lambda n: n, lambda n: _path(1, 1, n - 1),
@@ -120,11 +123,11 @@ _FAMILIES: dict[str, _Family] = {
         lambda n: (n - 1, comb(n - 3, 2) + 2, 2 * (n - 4), 1)),
     "g_n": _Family(
         1, lambda n: n >= 4, lambda n: n,
-        lambda n: _clique(n - 1)[1:] + [(0, n - 1)],
+        lambda n: chain(islice(_clique(n - 1), 1, None), [(0, n - 1)]),
         lambda n: (comb(n - 1, 2), n - 2, 1)),
     "diameter2": _Family(
         2, lambda n, m: n >= 3 and n - 1 <= m < comb(n, 2), lambda n, m: n,
-        lambda n, m: _path(1, 1, n - 1) + _leaf_pairs(n, m - (n - 1)),
+        lambda n, m: chain(_path(1, 1, n - 1), _leaf_pairs(n, m - (n - 1))),
         lambda n, m: (m, comb(n, 2) - m)),
     "path_with_pendants": _Family(
         3, lambda p, a, leaves: p >= 2 and 1 <= a <= p and leaves >= 0,
@@ -133,8 +136,8 @@ _FAMILIES: dict[str, _Family] = {
         2, lambda m, k: m >= 2 and k >= 0,
         # k saturates at 64: any larger order is past the bound anyway
         lambda m, k: m << min(k, 64),
-        lambda m, k: _path(m) + [(v, (m << r) + v) for r in range(k)
-                                 for v in range(m << r)]),
+        lambda m, k: chain(_path(m), ((v, (m << r) + v) for r in range(k)
+                                      for v in range(m << r)))),
 }
 
 

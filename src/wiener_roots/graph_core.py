@@ -149,8 +149,9 @@ class EnumerationStats:
 # ---------------------------------------------------------------------------
 
 
-def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
-    """Build a graph on n vertices from 0-indexed edge pairs (duplicates collapse)."""
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a graph on n vertices from 0-indexed edge pairs (duplicates collapse),
+    read in one pass."""
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -31,17 +31,18 @@ claims bound the largest real part of each distribution by its discs; a
 row the discs cannot certify gets infinite radii and goes to `roots`.
 
 `roots_batch` is the one root pipeline, and `roots` is `roots_batch` of one
-polynomial.  Aberth and the conjugate symmetrization run one polynomial at
-a time.  Each step around them has one implementation, which runs once per
-length group however small the group: the same modular sequence, on W/x
-and its derivative, certifies most polynomials square-free; the Newton
-polish runs on all the Aberth roots of one factor length at once, in
-CPython's complex arithmetic written out in float64; the same Weierstrass
-radii, around the polished roots, give the real-root count wherever the
-discs are disjoint and clear of each other's mirror images; and the
-residuals are the compensated Horner scheme evaluated elementwise over all
-the roots.  Rows that no certificate covers take the exact steps: Yun's
-decomposition and a Sturm chain.
+polynomial.  Aberth runs one factor at a time.  Each step around it has one
+implementation, which runs once per length group however small the group.
+The same modular sequence, on W/x and its derivative, certifies most
+polynomials square-free.  Then comes one pass per factor length
+(`_factor_roots`): the Newton polish of the Aberth roots, in CPython's
+complex arithmetic written out in float64; the real-root count from the
+same Weierstrass radii around the polished roots, wherever the discs are
+disjoint and clear of each other's mirror images; and the conjugate
+symmetrization.  Last comes one pass per W/x length: the residuals are the
+compensated Horner scheme evaluated elementwise over all the roots.  Rows
+that no certificate covers take the exact steps: Yun's decomposition and a
+Sturm chain.
 
 Every remainder sequence (Sturm chains, gcds, Yun's loop) runs on integer
 coefficient lists: fraction-free pseudo-remainders reduced to their
@@ -599,20 +600,6 @@ def _aberth_ehrlich(coeffs: Sequence[float], *, sweeps: int = ABERTH_SWEEP_BUDGE
         f"Aberth-Ehrlich did not converge within {sweeps} sweeps", z, residuals)
 
 
-def _newton_polish_batch(found: Sequence[tuple[list[float], list[complex]]]
-                         ) -> list[list[complex]]:
-    """The polished roots for each (float coefficients, Aberth roots) pair:
-    the pairs of one coefficient length go through `_newton_polish_rows`
-    together, however few they are."""
-    out: list = [None] * len(found)
-    for members in _length_classes([coeffs for coeffs, _ in found]):
-        c = np.array([found[i][0] for i in members])
-        z = np.array([found[i][1] for i in members], dtype=complex)
-        for i, zs in zip(members, _newton_polish_rows(c, z).tolist()):
-            out[i] = zs
-    return out
-
-
 def _newton_polish_rows(c: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
     """Newton steps on every point of row i of z, for the polynomial whose
     float coefficients, low degree first, are row i of c.
@@ -766,6 +753,56 @@ def _symmetrize(zs: list[complex], n_real: int) -> list[complex]:
 _FLOAT_RANGE = "pair counts too large for floating-point root finding"
 
 
+def _factor_roots(factors: Sequence[Sequence[int]]) -> list:
+    """For each square-free integer factor, its roots as (z, exact form or
+    None) pairs, or the exception that stopped it.
+
+    Degrees 1 and 2 are solved in closed form.  Every factor of degree 3 or
+    more goes through Aberth-Ehrlich, one factor at a time, and then the
+    factors of one length go through each later step together, however few
+    they are: the Newton polish (`_newton_polish_rows`); the finiteness
+    check; the real-root count by Weierstrass discs around the polished
+    roots (`_disc_real_counts`, in chunks, on the finite rows whose
+    coefficients are all below 2^53), and by a Sturm chain wherever the
+    discs do not decide; and the conjugate symmetrization.  A factor whose
+    float conversion overflows, or whose polished roots leave the float
+    range, fails with ValueError; one whose Aberth does not converge, with
+    its RootFindingError.
+    """
+    out: list = [None] * len(factors)
+    found: list = [None] * len(factors)   # Aberth roots, degree 3 and up
+    floats: list = [None] * len(factors)  # those factors as floats
+    for i, fac in enumerate(factors):
+        try:
+            if len(fac) <= 3:  # degree 1 or 2
+                out[i] = _closed_form_roots(fac)
+            else:
+                fc = [float(x) for x in fac]
+                found[i] = _aberth_ehrlich(fc)
+                floats[i] = fc
+        except OverflowError:
+            out[i] = ValueError(_FLOAT_RANGE)
+        except RootFindingError as exc:
+            out[i] = exc
+    for members in _length_classes(floats):
+        c = np.array([floats[i] for i in members])
+        z = _newton_polish_rows(c, np.array([found[i] for i in members], dtype=complex))
+        finite = np.isfinite(z).all(axis=1)
+        counted = np.flatnonzero(finite & (np.abs(c) < 2.0 ** 53).all(axis=1))
+        n_real = np.full(len(members), -1)
+        with np.errstate(all="ignore"):
+            for chunk in _chunks(len(counted), c.shape[1] - 1):
+                rows = counted[chunk]
+                n_real[rows] = _disc_real_counts(c[rows], z[rows])
+        for i, zs, ok, n in zip(members, z.tolist(), finite.tolist(), n_real.tolist()):
+            if not ok:
+                out[i] = ValueError(_FLOAT_RANGE)
+            else:
+                n = n if n >= 0 else _count_real_roots(factors[i])
+                out[i] = [(w, None) for w in _symmetrize(zs, n)]
+    return out
+
+
 def roots(p: WienerPolynomial) -> tuple[ComplexRoot, ...]:
     """The nonzero Wiener roots (the roots of W/x): `roots_batch` of p alone."""
     return roots_batch([p])[0]
@@ -776,26 +813,20 @@ def roots_batch(ps: Sequence[WienerPolynomial], *,
     """The nonzero Wiener roots of each polynomial, exact where the degree permits.
 
     W/x of degree 0 has no roots, and one of degree above ROOTS_MAX_DEGREE
-    raises ValueError before any iteration.  Degrees 1 and 2 are solved in
-    closed form.  Otherwise the polynomial is split into square-free factors
-    (so multiple roots are solved at their exact multiplicity), each factor
-    of degree at least 3 goes through Aberth-Ehrlich plus a Newton polish,
-    and the result is conjugate-symmetrized using the exact real-root count
-    of the factor.
+    raises ValueError before any iteration.  Every other W/x is split into
+    square-free factors, so multiple roots are solved at their exact
+    multiplicity: `_square_free_screen` certifies most rows square-free
+    modulo SCREEN_PRIME, in one pass per length, and then the one factor is
+    the primitive part of W/x, as the exact `_square_free_decomposition`
+    finds; the other rows take that path.
 
-    Aberth and the symmetrization run one polynomial at a time.  The four
-    steps around them run on all the polynomials at once, one numpy pass
-    per length, also when a length has a single row:
-    - `_square_free_screen` certifies a W/x square-free modulo SCREEN_PRIME,
-      and then its one factor is its primitive part, as the exact
-      `_square_free_decomposition` finds; the other rows take that path;
-    - `_newton_polish_batch` polishes the Aberth roots of all the factors
-      of one length together;
-    - `_real_root_counts` counts each factor's real roots by Weierstrass
-      discs around its polished roots, and by a Sturm chain where the discs
-      do not decide;
-    - `_residuals` evaluates W/x at the roots by `_comp_horner_batch`.
-    A polynomial's roots do not depend on the others in its batch.
+    Two passes per length group follow, however small the group.  The
+    first runs over factor lengths: `_factor_roots` solves all the factors
+    of all the polynomials together.  A polynomial takes the failure of its
+    first failing factor, in factor order.  The second runs over W/x
+    lengths: `_residuals` evaluates each W/x at its roots by
+    `_comp_horner_batch`.  A polynomial's roots do not depend on the others
+    in its batch.
 
     Every root carries its residual on W/x: |W/x(z)| relative to
     max(d) * max(1, |z|)^deg.  Both the closed forms and the symmetrization
@@ -824,58 +855,21 @@ def roots_batch(ps: Sequence[WienerPolynomial], *,
         else:
             todo.append(i)
     screened = _square_free_screen([ps[i].d for i in todo]).tolist()
-    # Each polynomial's factors: (closed-form roots or an index into
-    # unpolished, multiplicity), and the failure that stopped it, if any;
-    # unpolished holds (factor, float factor, Aberth roots) triples.
-    pending: list[tuple[int, list, Exception | None]] = []
-    unpolished: list[tuple[list[int], list[float], list[complex]]] = []
-    for i, square_free in zip(todo, screened):
-        c = ps[i].d
-        factors = [(_primitive(c), 1)] if square_free else _square_free_decomposition(c)
-        parts: list = []
-        failure: Exception | None = None
-        try:
-            for fac, mult in factors:
-                if len(fac) <= 3:  # degree 1 or 2
-                    parts.append((_closed_form_roots(fac), mult))
-                    continue
-                fc = [float(x) for x in fac]
-                zs = _aberth_ehrlich(fc)
-                parts.append((len(unpolished), mult))
-                unpolished.append((fac, fc, zs))
-        except OverflowError:
-            failure = ValueError(_FLOAT_RANGE)
-        except RootFindingError as exc:
-            failure = exc
-        pending.append((i, parts, failure))
-    polished = _newton_polish_batch([(fc, zs) for _, fc, zs in unpolished])
-    # The factors fail in order: one whose polished roots leave the float
-    # range fails its polynomial before the failure that stopped a later one.
-    solved: list[tuple[int, list]] = []
-    for i, parts, failure in pending:
-        if not all(cmath.isfinite(z) for part, _ in parts if isinstance(part, int)
-                   for z in polished[part]):
-            outcomes[i] = ValueError(_FLOAT_RANGE)
-        elif failure is not None:
+    factors_of = [[(_primitive(ps[i].d), 1)] if square_free
+                  else _square_free_decomposition(ps[i].d)
+                  for i, square_free in zip(todo, screened)]
+    found = iter(_factor_roots([fac for factors in factors_of for fac, _ in factors]))
+    solved: list[tuple[int, list[tuple[complex, str | None, int]]]] = []
+    for i, factors in zip(todo, factors_of):
+        parts = [(next(found), mult) for _, mult in factors]
+        failure = next((part for part, _ in parts if isinstance(part, Exception)), None)
+        if failure is not None:
             outcomes[i] = failure
         else:
-            solved.append((i, parts))
-    counted = [part for _, parts in solved for part, _ in parts if isinstance(part, int)]
-    n_real = dict(zip(counted, _real_root_counts(
-        [(unpolished[k][0], polished[k]) for k in counted])))
-    entries_of: list[list[tuple[complex, str | None, int]]] = []
-    for i, parts in solved:
-        entries = []
-        for part, mult in parts:
-            if isinstance(part, int):
-                entries.extend((z, None, mult)
-                               for z in _symmetrize(polished[part], n_real[part]))
-            else:
-                entries.extend((z, form, mult) for z, form in part)
-        entries_of.append(entries)
+            solved.append((i, [(z, form, mult) for part, mult in parts for z, form in part]))
     residuals_of = _residuals([ps[i].d for i, _ in solved],
-                              [[z for z, _, _ in entries] for entries in entries_of])
-    for (i, _), entries, residuals in zip(solved, entries_of, residuals_of):
+                              [[z for z, _, _ in entries] for _, entries in solved])
+    for (i, entries), residuals in zip(solved, residuals_of):
         if residuals is None:
             outcomes[i] = ValueError(_FLOAT_RANGE)
             continue
@@ -908,8 +902,11 @@ def _residuals(dvecs: Sequence[Sequence[int]], zs_of: Sequence[Sequence[complex]
 
     A z right after exactly conj of the z before it is the second of a
     conjugate pair and takes the residual of the first, unevaluated.  The
-    scale is computed in Python floats, and `_horner_moduli` gives |W/x(z)|
-    for all the points of one length at once.
+    scale is computed in Python floats.  |W/x(z)| comes from one
+    `_comp_horner_batch` call over all the points of one length, however
+    few, and np.hypot, the libm hypot that abs(complex) calls; a value with
+    finite parts and an infinite modulus, where abs(complex) would raise
+    OverflowError, counts as an overflow.
     """
     points_of, shared_of, scales_of = [], [], []
     floats: list[list[float] | None] = []  # None where d leaves the float range
@@ -935,33 +932,21 @@ def _residuals(dvecs: Sequence[Sequence[int]], zs_of: Sequence[Sequence[complex]
             floats.append(None)
     out: list = [None] * len(dvecs)
     for members in _length_classes(floats):
-        moduli = _horner_moduli([floats[j] for j in members for _ in points_of[j]],
-                                [z for j in members for z in points_of[j]])
+        rows = np.array([floats[j] for j in members for _ in points_of[j]])
+        zs = np.array([z for j in members for z in points_of[j]], dtype=complex)
+        with np.errstate(all="ignore"):
+            v = _comp_horner_batch(rows, zs)
+            moduli = np.hypot(v.real, v.imag)
+        overflow = (np.isinf(moduli) & np.isfinite(v.real) & np.isfinite(v.imag)).tolist()
+        moduli = moduli.tolist()
         at = 0
         for j in members:
-            mine = moduli[at:at + len(points_of[j])]
-            at += len(mine)
-            if None not in mine:
-                values = [m / scale for m, scale in zip(mine, scales_of[j])]
+            end = at + len(points_of[j])
+            if not any(overflow[at:end]):
+                values = [m / scale for m, scale in zip(moduli[at:end], scales_of[j])]
                 out[j] = [values[k] for k in shared_of[j]]
+            at = end
     return out
-
-
-def _horner_moduli(rows: Sequence[Sequence[float]], zs: Sequence[complex]
-                   ) -> list[float | None]:
-    """|p_i(zs[i])| for each i, p_i the polynomial with float coefficients
-    rows[i], low degree first, or None where the value has finite parts and
-    an infinite modulus, where abs(complex) would raise OverflowError.
-
-    The rows have one length.  The values come from `_comp_horner_batch`,
-    however few the points, and the moduli from np.hypot, the libm hypot
-    that abs(complex) calls.
-    """
-    with np.errstate(all="ignore"):
-        v = _comp_horner_batch(np.array(rows), np.array(zs, dtype=complex))
-        moduli = np.hypot(v.real, v.imag)
-    overflow = np.isinf(moduli) & np.isfinite(v.real) & np.isfinite(v.imag)
-    return [None if o else m for m, o in zip(moduli.tolist(), overflow.tolist())]
 
 
 def purely_imaginary_roots(p: WienerPolynomial) -> tuple[PurelyImaginaryRoot, ...]:
@@ -1263,30 +1248,6 @@ def _disc_real_counts(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     touching = np.abs(z.imag) <= reach
     decided = apart & (clear_of_mirrors | ~touching).all(axis=1)
     return np.where(decided, touching.sum(axis=1), -1)
-
-
-def _real_root_counts(factors: Sequence[tuple[Sequence[int], Sequence[complex]]]
-                      ) -> list[int]:
-    """The number of real roots of each square-free integer factor, given
-    approximations to all of its roots.
-
-    The factors are taken one length at a time, however few, in chunks,
-    through `_disc_real_counts`; a factor whose discs do not decide, or with a
-    coefficient of 2^53 or more in modulus, is counted by `_count_real_roots`.
-    """
-    counts = [-1] * len(factors)
-    exact = [fac if all(abs(x) < 2 ** 53 for x in fac) else None for fac, _ in factors]
-    for members in _length_classes(exact):
-        c = np.array([factors[i][0] for i in members], dtype=float)
-        z = np.array([factors[i][1] for i in members], dtype=complex)
-        found = np.empty(len(members), dtype=np.int64)
-        with np.errstate(all="ignore"):
-            for chunk in _chunks(len(members), c.shape[1] - 1):
-                found[chunk] = _disc_real_counts(c[chunk], z[chunk])
-        for i, n in zip(members, found.tolist()):
-            counts[i] = n
-    return [n if n >= 0 else _count_real_roots(fac)
-            for n, (fac, _) in zip(counts, factors)]
 
 
 def _comp_horner_batch(c: np.ndarray, z: np.ndarray) -> np.ndarray:

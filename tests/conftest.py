@@ -1,8 +1,14 @@
 """Shared test helpers."""
 
+from typing import NamedTuple
+
 import pytest
 
+from wiener_roots import polynomial
+from wiener_roots.claims import distinct_distributions
+from wiener_roots.families import FamilySpec, family_polynomial
 from wiener_roots.graph_core import Graph
+from wiener_roots.polynomial import WienerPolynomial, roots_batch
 
 
 def graph6_encode(g: Graph) -> str:
@@ -22,3 +28,47 @@ def graph6_encode(g: Graph) -> str:
 @pytest.fixture
 def encode_graph6():
     return graph6_encode
+
+
+class SolvedPool(NamedTuple):
+    """One pool of distributions solved by one `roots_batch` call."""
+
+    dvecs: list          # the pool's distributions of length >= 2, in order
+    root_sets: list      # their root sets, the root_set roots bit for bit
+    disc_counts: list    # every (coefficient row, count) `_disc_real_counts` gave
+
+
+@pytest.fixture(scope="session")
+def solved_pool():
+    """solved_pool(kind, *orders), solved once per test session.
+
+    kind "trees" or "graphs" with one order n is the distinct distributions
+    of order n; a family name with orders lo, hi is that family at the
+    orders lo..hi.
+    """
+    solved = {}
+
+    def solve(kind, *orders):
+        if (kind, orders) not in solved:
+            if kind in ("trees", "graphs"):
+                pool = distinct_distributions(kind, *orders)
+            else:
+                lo, hi = orders
+                pool = [family_polynomial(FamilySpec(kind, (n,))).d
+                        for n in range(lo, hi + 1)]
+            dvecs = [dvec for dvec in pool if len(dvec) > 1]
+            seen = []
+            counts = polynomial._disc_real_counts
+
+            def recording(c, z):
+                found = counts(c, z)
+                seen.extend(zip(c.tolist(), found.tolist()))
+                return found
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(polynomial, "_disc_real_counts", recording)
+                root_sets = roots_batch([WienerPolynomial(dvec) for dvec in dvecs])
+            solved[kind, orders] = SolvedPool(dvecs, root_sets, seen)
+        return solved[kind, orders]
+
+    return solve

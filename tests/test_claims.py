@@ -40,11 +40,9 @@ from wiener_roots.graph_core import (
 from wiener_roots.polynomial import (
     Annulus,
     ComplexRoot,
-    WienerPolynomial,
     enestrom_kakeya,
     length_groups,
     root_discs,
-    roots_batch,
 )
 
 
@@ -291,20 +289,10 @@ def test_shrunken_radii_make_the_scan_raise(objective, monkeypatch):
 
 
 def _disc_pools():
-    """Every distinct distribution of length >= 2 at tree orders <= 15 and
-    graph orders <= 7, and the paths of orders 3..100."""
-    for n in range(3, 16):
-        yield claims.distinct_distributions("trees", n)
-    for n in range(3, 8):
-        yield claims.distinct_distributions("graphs", n)
-    yield [family_polynomial(FamilySpec("path", (n,))).d for n in range(3, 101)]
-
-
-def _pool_root_sets(pool):
-    """The distributions of length >= 2 in the pool, and their root sets
-    from one roots_batch call (the root_set roots, bit for bit)."""
-    unique = [dvec for dvec in pool if len(dvec) > 1]
-    return unique, roots_batch([WienerPolynomial(dvec) for dvec in unique])
+    """Every distinct distribution at tree orders <= 15 and graph orders
+    <= 7, and the paths of orders 3..100, as `solved_pool` keys."""
+    return ([("trees", n) for n in range(3, 16)] + [("graphs", n) for n in range(3, 8)]
+            + [("path", 3, 100)])
 
 
 def _roots_outside_their_discs(unique, root_sets, discs):
@@ -319,9 +307,9 @@ def _roots_outside_their_discs(unique, root_sets, discs):
     return missed
 
 
-def test_root_discs_hold_every_root_and_bound_the_real_parts():
+def test_root_discs_hold_every_root_and_bound_the_real_parts(solved_pool):
     for pool in _disc_pools():
-        unique, root_sets = _pool_root_sets(pool)
+        unique, root_sets, _ = solved_pool(*pool)
         assert _roots_outside_their_discs(unique, root_sets, root_discs) == []
         bounds = claims._real_part_bounds(unique)
         assert np.isfinite(bounds).all()  # no distribution here falls back
@@ -329,13 +317,13 @@ def test_root_discs_hold_every_root_and_bound_the_real_parts():
             assert max(r.re for r in rs) <= bound, dvec
 
 
-def test_shrunken_root_discs_lose_a_root():
+def test_shrunken_root_discs_lose_a_root(solved_pool):
     # radii 10^3 times too small must leave some root_set root outside
     def shrunken(m):
         centres, radii = root_discs(m)
         return centres, radii / 1e3
 
-    assert any(_roots_outside_their_discs(*_pool_root_sets(pool), shrunken)
+    assert any(_roots_outside_their_discs(*solved_pool(*pool)[:2], shrunken)
                for pool in _disc_pools())
 
 

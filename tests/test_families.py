@@ -1,5 +1,6 @@
 """Family constructors: closed forms against the BFS ground truth."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -68,6 +69,30 @@ def test_closed_form_agrees_with_bfs_up_to_order_60():
     for spec in specs:
         assert family_polynomial(spec).d == bfs_poly(spec), str(spec)
         assert _FAMILIES[spec.name].order(*spec.params) == family_graph(spec).n, str(spec)
+
+
+def _traced_peak(fn):
+    """fn() and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_families_stream_their_edges():
+    # a list of the 523,776 edges of K_1024 takes tens of MB; streamed, the
+    # edges take no memory of their own
+    for spec in (FamilySpec("complete", (1024,)), FamilySpec("complete_minus_edge", (1024,)),
+                 FamilySpec("g_n", (1024,)), FamilySpec("diameter2", (1024, 400000))):
+        count, peak = _traced_peak(
+            lambda: sum(1 for _ in _FAMILIES[spec.name].edges(*spec.params)))
+        assert count == _FAMILIES[spec.name].counts(*spec.params)[0], str(spec)
+        assert peak < 1_000_000, (str(spec), peak)
+    # the whole build: the bit rows of K_256 take about 20 KB, its edge list
+    # 2 MB (tracemalloc traces every bigint of the rows, so K_1024 takes 16 s)
+    graph, peak = _traced_peak(lambda: family_graph(FamilySpec("complete", (256,))))
+    assert graph.edge_count == 256 * 255 // 2 and peak < 1_000_000, peak
 
 
 def test_pendant_path_fixtures():

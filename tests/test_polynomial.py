@@ -891,11 +891,11 @@ def pinned_batch():
     from wiener_roots import polynomial
 
     found = []
-    batch = polynomial._newton_polish_batch
+    aberth = polynomial._aberth_ehrlich
     dvecs = _root_pin_inputs() + _benchmark_compute_distributions(0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(polynomial, "_newton_polish_batch",
-                      lambda pairs: found.extend(pairs) or batch(pairs))
+        patch.setattr(polynomial, "_aberth_ehrlich",
+                      lambda coeffs: found.append((coeffs, aberth(coeffs))) or found[-1][1])
         root_sets = roots_batch([WienerPolynomial(d) for d in dvecs])
     return dvecs, root_sets, found
 
@@ -936,8 +936,7 @@ def _ref_newton_polish(coeffs, zs, steps=3):
 
 
 def test_batched_newton_polish_is_the_scalar_one_bit_for_bit(pinned_batch):
-    from wiener_roots.polynomial import (_length_classes, _newton_polish_batch,
-                                         _newton_polish_rows)
+    from wiener_roots.polynomial import _length_classes, _newton_polish_rows
 
     found = list(pinned_batch[2])  # every factor that roots_batch polishes
     assert sum(len(zs) for _, zs in found) > 20000
@@ -956,8 +955,6 @@ def test_batched_newton_polish_is_the_scalar_one_bit_for_bit(pinned_batch):
                                    np.array([zs for _, zs in group], dtype=complex))
         assert [_hex_parts(zs) for zs in rows.tolist()] == \
             [_hex_parts(_ref_newton_polish(c, zs)) for c, zs in group]
-    assert [_hex_parts(zs) for zs in _newton_polish_batch(found)] == \
-        [_hex_parts(_ref_newton_polish(c, zs)) for c, zs in found]
 
 
 def _bits(root_set) -> str:
@@ -1015,6 +1012,39 @@ def test_roots_batch_raises_the_first_failure_in_input_order(monkeypatch):
     assert [type(o) for o in outcomes] == [RootFindingError, tuple, ValueError]
 
 
+def test_the_first_failing_factor_decides_the_failure(monkeypatch):
+    from wiener_roots import polynomial
+    from wiener_roots.polynomial import _square_free_decomposition
+
+    # Yun gives FIG5's W/x (multiplicity 1) before 1 + 2x + 3x^2 + 4x^3 (multiplicity 2)
+    first, second = [6, 4, 3, 2], [1, 2, 3, 4]
+    tangled = WienerPolynomial(tuple(_poly_mul(first, _poly_mul(second, second))))
+    assert _square_free_decomposition(tangled.d) == [(first, 1), (second, 2)]
+    aberth, polish = polynomial._aberth_ehrlich, polynomial._newton_polish_rows
+    quadratic = WienerPolynomial((3, 2, 1))
+
+    def stalled(coeffs):
+        if coeffs == [float(x) for x in stuck]:
+            raise RootFindingError("stalled on purpose", [], [])
+        return aberth(coeffs)
+
+    def blown_up(c, z):
+        out = polish(c, z)
+        out[(c == [float(x) for x in overflowing]).all(axis=1)] = complex(math.inf, 0.0)
+        return out
+
+    monkeypatch.setattr(polynomial, "_aberth_ehrlich", stalled)
+    monkeypatch.setattr(polynomial, "_newton_polish_rows", blown_up)
+    for stuck, overflowing, expected in ((first, second, RootFindingError),
+                                         (second, first, ValueError)):
+        with pytest.raises(expected) as raised:
+            roots(tangled)
+        assert type(raised.value) is expected
+        outcomes = roots_batch([quadratic, tangled, quadratic], return_exceptions=True)
+        assert type(outcomes[1]) is expected
+        assert outcomes[0] == outcomes[2] == roots(quadratic)
+
+
 # ---------------------------------------------------------------------------
 # The batched certificates: square-free screen and real-root counts by discs
 # ---------------------------------------------------------------------------
@@ -1063,8 +1093,8 @@ def _counting(calls, name, fn):
 def test_a_lone_roots_call_runs_each_batched_step_once(monkeypatch):
     from wiener_roots import polynomial
 
-    steps = ("_square_free_screen", "_newton_polish_rows", "_disc_real_counts",
-             "_comp_horner_batch")
+    steps = ("_square_free_screen", "_aberth_ehrlich", "_newton_polish_rows",
+             "_disc_real_counts", "_comp_horner_batch")
     calls = dict.fromkeys(steps, 0)
     for name in steps:
         monkeypatch.setattr(polynomial, name, _counting(calls, name, getattr(polynomial, name)))
@@ -1072,33 +1102,12 @@ def test_a_lone_roots_call_runs_each_batched_step_once(monkeypatch):
     assert calls == dict.fromkeys(steps, 1)
 
 
-def _recorded_disc_counts(monkeypatch, pools):
-    """roots_batch over each pool, with every (coefficient row, count) that
-    the disc count returns."""
-    from wiener_roots import polynomial
-
-    seen = []
-    counts = polynomial._disc_real_counts
-
-    def recording(c, z):
-        found = counts(c, z)
-        seen.extend(zip(c.tolist(), found.tolist()))
-        return found
-
-    monkeypatch.setattr(polynomial, "_disc_real_counts", recording)
-    for pool in pools:
-        roots_batch([WienerPolynomial(dvec) for dvec in pool])
-    return seen
-
-
-def test_disc_counts_agree_with_sturm_chains(monkeypatch):
+def test_disc_counts_agree_with_sturm_chains(solved_pool):
     from wiener_roots.polynomial import _count_real_roots
 
-    pools = [distinct_distributions("trees", n) for n in range(4, 16)]
-    pools += [distinct_distributions("graphs", n) for n in range(4, 8)]
-    pools.append([family_polynomial(FamilySpec("path", (n,))).d for n in range(3, 101)])
-    pools.append([family_polynomial(FamilySpec("t_n", (n,))).d for n in range(6, 1001)])
-    seen = _recorded_disc_counts(monkeypatch, pools)
+    pools = [("trees", n) for n in range(4, 16)] + [("graphs", n) for n in range(4, 8)]
+    pools += [("path", 3, 100), ("t_n", 6, 1000)]
+    seen = [pair for pool in pools for pair in solved_pool(*pool).disc_counts]
     decided = [(row, n) for row, n in seen if n >= 0]
     assert len(seen) > 10000 and len(decided) >= 0.99 * len(seen)
     for row, n in decided:
