@@ -347,9 +347,10 @@ def _ball_growth(graphs: Sequence[Graph]) -> list[WienerPolynomial | ValueError]
     gathered balls grows every ball by one radius, and np.add.reduceat over
     the popcounts of the new bits gives each graph's ordered pairs at the
     next distance.  A graph none of whose balls grows stays as it is, so
-    the steps end when no ball of any graph grows, and each graph's counts
-    are its nonzero ones.  The neighbour indices are peeled off the
-    adjacency words lowest bit first, one pass per neighbour rank.
+    its segments leave the index array in that step, the steps end when no
+    ball of any graph grows, and each graph's counts are its nonzero ones.
+    The neighbour indices are peeled off the adjacency words lowest bit
+    first, one pass per neighbour rank.
     """
     if not graphs:
         return []
@@ -374,17 +375,24 @@ def _ball_growth(graphs: Sequence[Graph]) -> list[WienerPolynomial | ValueError]
         slot[peel] += 1
         rest[peel] = word ^ low
         peel = peel[rest[peel] != 0]
-    rises = []  # ordered pairs of each graph at distance 1, 2, ...
-    for _ in range(_WORD_ORDER):  # diameters are at most 63
+    table = np.zeros((_WORD_ORDER, len(graphs)), dtype=np.int64)  # ordered pairs
+    live, members, sizes = np.arange(len(graphs)), vertex, orders  # at distance 1, 2, ...
+    for step in range(_WORD_ORDER):  # diameters are at most 63
         grown = np.bitwise_or.reduceat(balls[closed], segment)
-        rise = np.add.reduceat(_popcount(grown ^ balls), first)
-        if not rise.any():
+        rise = np.add.reduceat(_popcount(grown ^ balls[members]), first)
+        table[step, live] = rise
+        balls[members] = grown
+        done = rise == 0
+        if done.all():
             break
-        rises.append(rise)
-        balls = grown
+        if done.any():  # those graphs stop growing for good: drop their segments
+            keep = np.repeat(~done, sizes)
+            closed = closed[np.repeat(keep, degree[members] + 1)]
+            live, members, sizes = live[~done], members[keep], sizes[~done]
+            segment = np.cumsum(degree[members] + 1) - (degree[members] + 1)
+            first = np.cumsum(sizes) - sizes
     else:
         raise RuntimeError(f"balls still grow after {_WORD_ORDER} steps")
-    table = np.array(rises, dtype=np.int64).reshape(len(rises), len(graphs))
     outcomes: list = []
     steps = np.count_nonzero(table, axis=0).tolist()
     for n, column, k in zip(orders.tolist(), table.T.tolist(), steps):

@@ -31,8 +31,13 @@ claims bound the largest real part of each distribution by its discs; a
 row the discs cannot certify gets infinite radii and goes to `roots`.
 
 `roots_batch` is the one root pipeline, and `roots` is `roots_batch` of one
-polynomial.  Aberth runs one factor at a time.  Each step around it has one
-implementation, which runs once per length group however small the group.
+polynomial.  Aberth is the Gauss-Seidel iteration of `_aberth_ehrlich` in
+CPython's complex arithmetic.  A call with fewer than ABERTH_BATCH_MIN_ROWS
+factors of degree 3 and up runs it one factor at a time; a call with more
+sweeps blocks of them at once in numpy (`_aberth_rows`), with the same bits,
+and hands back to the scalar loop every row it cannot follow exactly.  Each
+step around Aberth has one implementation, which runs once per length group
+however small the group.
 The same modular sequence, on W/x and its derivative, certifies most
 polynomials square-free.  Then comes one pass per factor length
 (`_factor_roots`): the Newton polish of the Aberth roots, in CPython's
@@ -68,6 +73,21 @@ RESIDUAL_THRESHOLD = 1e-9
 ROOTS_MAX_DEGREE = 1024
 ABERTH_SWEEP_BUDGET = 500
 ABERTH_STEP_TOLERANCE = 1e-13
+# A call with at least ABERTH_BATCH_MIN_ROWS factors of degree 3 and up
+# solves them together (`_aberth_rows`), in blocks of at most
+# ABERTH_BLOCK_ROWS rows; fewer go through `_aberth_ehrlich` one at a time.
+# Batched CPU time over scalar CPU time, best of 5, on one core of a shared
+# 2-vCPU Xeon, for random samples of compute's factors (degrees 7-33) and of
+# tree order 17's (3-15):
+#
+#   rows      16    32    64    96   128   192   256   512
+#   compute  3.13  1.86  1.15  0.85  0.76  0.51  0.51  0.35
+#   trees    4.96  2.34  1.87  1.13  1.00  0.98  0.64  0.53
+#
+# All 41,555 tree-17 factors took 2.33 / 2.05 / 1.87 / 1.86 / 2.02 s in
+# blocks of 512 / 1024 / 2048 / 4096 / 8192 rows (best of 4).
+ABERTH_BATCH_MIN_ROWS = 128
+ABERTH_BLOCK_ROWS = 2048
 STURM_REFINE_WIDTH = Fraction(1, 1 << 40)
 STURM_RELATIVE_WIDTH = Fraction(1, 1 << 20)
 
@@ -545,21 +565,19 @@ def all_roots_rational(p: WienerPolynomial) -> bool:
 
 def _aberth_ehrlich(coeffs: Sequence[float], *, sweeps: int = ABERTH_SWEEP_BUDGET,
                     tol: float = ABERTH_STEP_TOLERANCE) -> list[complex]:
-    """Simultaneous iteration for all roots of a float-coefficient polynomial.
+    """Simultaneous iteration for all roots of a float-coefficient polynomial,
+    one root at a time in CPython's complex arithmetic (Gauss-Seidel Aberth).
 
-    Initial guesses sit on a circle of radius (|c_0|/|c_deg|)^(1/deg) with an
-    angular offset so no guess starts on the real axis.  Raises
-    RootFindingError when some update still moves after the sweep budget.
-    The Horner loops run over the coefficients reversed once, up front.
+    The guesses start from `_aberth_start`.  Raises RootFindingError when
+    some update still moves after the sweep budget.  The Horner loops run
+    over the coefficients reversed once, up front.  `_aberth_rows` runs the
+    same sweeps over many polynomials at once.
     """
     deg = len(coeffs) - 1
     dcoeffs = [k * coeffs[k] for k in range(1, deg + 1)]
     lead, rest = coeffs[-1], coeffs[-2::-1]
     dlead, drest = dcoeffs[-1], dcoeffs[-2::-1]
-    radius = (abs(coeffs[0]) / abs(coeffs[deg])) ** (1.0 / deg)
-    offset = math.pi / (2 * deg)
-    z = [radius * cmath.exp(1j * (2 * math.pi * k / deg + offset))
-         for k in range(deg)]
+    z = _aberth_start(coeffs)
     for _ in range(sweeps):
         converged = True
         for i in range(deg):
@@ -598,6 +616,135 @@ def _aberth_ehrlich(coeffs: Sequence[float], *, sweeps: int = ABERTH_SWEEP_BUDGE
         residuals.append(abs(p))
     raise RootFindingError(
         f"Aberth-Ehrlich did not converge within {sweeps} sweeps", z, residuals)
+
+
+def _aberth_start(coeffs: Sequence[float]) -> list[complex]:
+    """Aberth's initial guesses: a circle of radius (|c_0|/|c_deg|)^(1/deg),
+    turned so that no guess starts on the real axis."""
+    deg = len(coeffs) - 1
+    radius = (abs(coeffs[0]) / abs(coeffs[deg])) ** (1.0 / deg)
+    offset = math.pi / (2 * deg)
+    return [radius * cmath.exp(1j * (2 * math.pi * k / deg + offset))
+            for k in range(deg)]
+
+
+def _aberth_rows(rows: Sequence[Sequence[float]], *, sweeps: int = ABERTH_SWEEP_BUDGET,
+                 tol: float = ABERTH_STEP_TOLERANCE) -> list[list[complex] | None]:
+    """`_aberth_ehrlich` of each of rows, bit for bit, or None for a row it
+    must decide itself.
+
+    The rows are sorted by degree and cut into blocks of at most
+    ABERTH_BLOCK_ROWS rows (`_aberth_block`), which sweep every row of the
+    block at once.  A block's degrees are at most twice its lowest, so
+    padding a row to the block's largest degree at most doubles its width:
+    in one block, the 94 paths of orders 7..100 among 1,700 lower-degree
+    factors made the batch slower than the scalar loop.  A row is
+    None when its start is not finite or cannot be computed, when it does
+    not converge within the sweep budget, or when a step meets what the
+    scalar loop does not compute in float arithmetic: coincident iterates,
+    which it separates by 1e-300, or a value that is not finite or whose
+    modulus overflows.
+    """
+    out: list = [None] * len(rows)
+    starts: list = []
+    for row in rows:
+        try:
+            starts.append(_aberth_start(row))
+        except ArithmeticError:
+            starts.append(None)
+    blocks: list[list[int]] = []
+    for i in sorted((i for i, z in enumerate(starts) if z is not None),
+                    key=lambda i: len(rows[i])):
+        if (not blocks or len(blocks[-1]) == ABERTH_BLOCK_ROWS
+                or len(rows[i]) - 1 > 2 * (len(rows[blocks[-1][0]]) - 1)):
+            blocks.append([])
+        blocks[-1].append(i)
+    for block in blocks:
+        found = _aberth_block([rows[i] for i in block], [starts[i] for i in block],
+                              sweeps, tol)
+        for i, zs in zip(block, found):
+            out[i] = zs
+    return out
+
+
+def _aberth_block(rows: Sequence[Sequence[float]], starts: Sequence[list[complex]],
+                  sweeps: int, tol: float) -> list[list[complex] | None]:
+    """The sweeps of `_aberth_ehrlich` on rows sorted by degree, all at once.
+
+    Row j holds its coefficients padded with zeros to the block's largest
+    degree k, and column j of zr + zi i its roots padded with +inf.  At the
+    start of a sweep, the Horner loop of `_horner_parts` gives p, p' and
+    w = p / p' at every root: root i does not move before its own step, and
+    the zeros take each row to its own leading coefficient with the value
+    unchanged.  Step i runs on the rows of degree above i, a suffix of the
+    block.  Each term 1/(z_i - z_j) is `_Py_c_quot` of 1 by the difference,
+    written out for a numerator of 1, and the terms are summed left to right.
+    Root i's own column and the pads are +inf, so they add zeros, and a zero
+    term leaves a sum unchanged, whatever its sign.  A row stops after the
+    sweep in which every step stayed within tol, or goes to None (see
+    `_aberth_rows`).
+    """
+    degs = np.array([len(row) - 1 for row in rows])
+    k = int(degs[-1])
+    c = np.array([list(row) + [0.0] * (k + 1 - len(row)) for row in rows])
+    dc = c[:, 1:] * np.arange(1, k + 1)
+    z = np.array([zs + [complex(np.inf, 0.0)] * (k - len(zs)) for zs in starts]).T
+    zr, zi = z.real.copy(), z.imag.copy()
+    ids = np.arange(len(rows))  # the block row of each live column
+    bad = ~(np.isfinite(z) | (np.arange(k)[:, None] >= degs)).all(axis=0)
+    out: list = [None] * len(rows)
+    with np.errstate(all="ignore"):
+        for _ in range(sweeps):
+            pr, pi = _horner_parts(c, zr.T, zi.T)
+            dr, di = _horner_parts(dc, zr.T, zi.T)
+            skip = ((pr == 0) & (pi == 0)).T
+            nudge = ~skip & ((dr == 0) & (di == 0)).T
+            wr, wi = (part.T for part in _smith_quotient(pr, pi, dr, di))
+            moved = np.zeros(len(ids), dtype=bool)
+            firsts = np.searchsorted(degs, np.arange(degs[-1]), side="right").tolist()
+            for i, s in enumerate(firsts):
+                x, y = zr[i, s:], zi[i, s:]
+                ur, ui = x - zr[:, s:], y - zi[:, s:]
+                ur[i] = np.inf
+                wide = np.abs(ur) >= np.abs(ui)
+                a, b = np.where(wide, ur, ui), np.where(wide, ui, ur)
+                ratio = b / a
+                denom = a + b * ratio
+                tr = np.where(wide, 1.0, ratio) / denom
+                ti = np.where(wide, ratio, 1.0) / denom  # minus the imaginary part
+                sr, si = tr[0] + 0.0, 0.0 - ti[0]
+                for j in range(1, len(tr)):
+                    sr += tr[j]
+                    si -= ti[j]
+                w_r, w_i = wr[i, s:], wi[i, s:]
+                er, ei = 1.0 - (w_r * sr - w_i * si), 0.0 - (w_r * si + w_i * sr)
+                flat = (er == 0) & (ei == 0)
+                qr, qi = _smith_quotient(w_r, w_i, er, ei)
+                stepr, stepi = np.where(flat, w_r, qr), np.where(flat, w_i, qi)
+                nx, ny = x - stepr, y - stepi
+                size, scale = np.hypot(stepr, stepi), np.hypot(nx, ny)
+                moving = size > tol * (1.0 + scale)
+                broken = ~(np.isfinite(size) & np.isfinite(scale))
+                odd = skip[i, s:] | nudge[i, s:]
+                if odd.any():  # the scalar loop's p == 0 skip and p' == 0 nudge
+                    nu = nudge[i, s:]
+                    nx = np.where(nu, (x * 1.0000001 - y * 0.0) + 1e-12, np.where(odd, x, nx))
+                    ny = np.where(nu, (x * 0.0 + y * 1.0000001) + 0.0, np.where(odd, y, ny))
+                    moving = nu | (~odd & moving)
+                    broken = np.where(odd, ~(np.isfinite(nx) & np.isfinite(ny)), broken)
+                zr[i, s:], zi[i, s:] = nx, ny
+                moved[s:] |= moving
+                bad[s:] |= broken
+            for j in np.flatnonzero(~moved & ~bad).tolist():
+                deg = degs[j]
+                out[ids[j]] = [complex(re, im) for re, im in
+                               zip(zr[:deg, j].tolist(), zi[:deg, j].tolist())]
+            live = moved & ~bad
+            if not live.any():
+                break
+            ids, degs, bad = ids[live], degs[live], bad[live]
+            c, dc, zr, zi = c[live], dc[live], zr[:, live], zi[:, live]
+    return out
 
 
 def _newton_polish_rows(c: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
@@ -649,8 +796,9 @@ def _smith_quotient(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarr
                     ) -> tuple[np.ndarray, np.ndarray]:
     """(ar + ai i) / (br + bi i) by Smith's algorithm, as CPython's `_Py_c_quot`
     computes it: divided through by the larger part of the divisor, and NaN
-    where neither part is the larger (a NaN part).  A zero divisor is never
-    used: `_newton_polish_rows` stops a point before it divides by 0."""
+    where neither part is the larger (a NaN part).  Where the divisor is 0
+    the parts are NaN or inf, and the callers discard them: the scalar loops
+    they follow never divide by 0."""
     by_real = np.abs(br) >= np.abs(bi)
     by_imag = np.abs(bi) >= np.abs(br)
     ratio = bi / br
@@ -757,33 +905,43 @@ def _factor_roots(factors: Sequence[Sequence[int]]) -> list:
     """For each square-free integer factor, its roots as (z, exact form or
     None) pairs, or the exception that stopped it.
 
-    Degrees 1 and 2 are solved in closed form.  Every factor of degree 3 or
-    more goes through Aberth-Ehrlich, one factor at a time, and then the
-    factors of one length go through each later step together, however few
-    they are: the Newton polish (`_newton_polish_rows`); the finiteness
-    check; the real-root count by Weierstrass discs around the polished
-    roots (`_disc_real_counts`, in chunks, on the finite rows whose
-    coefficients are all below 2^53), and by a Sturm chain wherever the
-    discs do not decide; and the conjugate symmetrization.  A factor whose
-    float conversion overflows, or whose polished roots leave the float
-    range, fails with ValueError; one whose Aberth does not converge, with
-    its RootFindingError.
+    Degrees 1 and 2 are solved in closed form.  The factors of degree 3 or
+    more go through Aberth-Ehrlich: one at a time (`_aberth_ehrlich`) when
+    there are fewer than ABERTH_BATCH_MIN_ROWS of them, and otherwise in
+    blocks (`_aberth_rows`), where every row the blocks hand back runs the
+    scalar loop.  Then the factors of one length go through each later step
+    together, however few they are: the Newton polish
+    (`_newton_polish_rows`); the finiteness check; the real-root count by
+    Weierstrass discs around the polished roots (`_disc_real_counts`, in
+    chunks, on the finite rows whose coefficients are all below 2^53), and
+    by a Sturm chain wherever the discs do not decide; and the conjugate
+    symmetrization.  A factor whose float conversion overflows, or whose
+    polished roots leave the float range, fails with ValueError; one whose
+    Aberth does not converge, with its RootFindingError.
     """
     out: list = [None] * len(factors)
-    found: list = [None] * len(factors)   # Aberth roots, degree 3 and up
-    floats: list = [None] * len(factors)  # those factors as floats
+    floats: list = [None] * len(factors)  # the factors of degree 3 and up, as floats
     for i, fac in enumerate(factors):
         try:
             if len(fac) <= 3:  # degree 1 or 2
                 out[i] = _closed_form_roots(fac)
             else:
-                fc = [float(x) for x in fac]
-                found[i] = _aberth_ehrlich(fc)
-                floats[i] = fc
+                floats[i] = [float(x) for x in fac]
         except OverflowError:
             out[i] = ValueError(_FLOAT_RANGE)
+    aberth = [i for i, fc in enumerate(floats) if fc is not None]
+    found: list = [None] * len(factors)  # their Aberth roots
+    if len(aberth) >= ABERTH_BATCH_MIN_ROWS:
+        for i, zs in zip(aberth, _aberth_rows([floats[i] for i in aberth])):
+            found[i] = zs
+    for i in aberth:
+        try:
+            if found[i] is None:
+                found[i] = _aberth_ehrlich(floats[i])
+        except OverflowError:
+            out[i], floats[i] = ValueError(_FLOAT_RANGE), None
         except RootFindingError as exc:
-            out[i] = exc
+            out[i], floats[i] = exc, None
     for members in _length_classes(floats):
         c = np.array([floats[i] for i in members])
         z = _newton_polish_rows(c, np.array([found[i] for i in members], dtype=complex))

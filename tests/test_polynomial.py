@@ -887,15 +887,19 @@ def pinned_batch():
     """One `roots_batch` call over `_root_pin_inputs()` followed by the
     distributions of `_benchmark_compute_distributions(0)`: (the vectors,
     their root sets, the (float factor, Aberth roots) pair of every factor
-    the call polishes)."""
+    the call polishes, whether batched Aberth or the scalar loop solved it)."""
     from wiener_roots import polynomial
 
     found = []
-    aberth = polynomial._aberth_ehrlich
+    polish = polynomial._newton_polish_rows
+
+    def recording(c, z):
+        found.extend(zip(c.tolist(), z.tolist()))
+        return polish(c, z)
+
     dvecs = _root_pin_inputs() + _benchmark_compute_distributions(0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(polynomial, "_aberth_ehrlich",
-                      lambda coeffs: found.append((coeffs, aberth(coeffs))) or found[-1][1])
+        patch.setattr(polynomial, "_newton_polish_rows", recording)
         root_sets = roots_batch([WienerPolynomial(d) for d in dvecs])
     return dvecs, root_sets, found
 
@@ -955,6 +959,69 @@ def test_batched_newton_polish_is_the_scalar_one_bit_for_bit(pinned_batch):
                                    np.array([zs for _, zs in group], dtype=complex))
         assert [_hex_parts(zs) for zs in rows.tolist()] == \
             [_hex_parts(_ref_newton_polish(c, zs)) for c, zs in group]
+
+
+def test_batched_aberth_is_the_scalar_loop_bit_for_bit(pinned_batch):
+    from wiener_roots.polynomial import ABERTH_BLOCK_ROWS, _aberth_rows
+
+    rows = [c for c, _ in pinned_batch[2]]  # T_n to 1000 and paths to 100 among them
+    assert len(rows) > ABERTH_BLOCK_ROWS
+    # p = 0 at every guess, the radius being 0: no root moves, and the
+    # signed zeros of the guesses are the roots
+    rows.append([0.0, 1.0, 2.0, 1.0])
+    found = _aberth_rows(rows)
+    assert None not in found
+    assert [_hex_parts(zs) for zs in found] == [_hex_parts(_aberth_ehrlich(c)) for c in rows]
+
+
+def test_batched_aberth_hands_the_rows_it_cannot_follow_to_the_scalar_loop(monkeypatch):
+    from wiener_roots import polynomial
+    from wiener_roots.polynomial import ABERTH_BATCH_MIN_ROWS, _aberth_rows
+
+    crafted = [
+        # radius 0: p' = 0 at every guess, and the nudge moves them all to
+        # 1e-12, where the scalar loop separates them by 1e-300
+        [5e-324, 0.0, 0.0, 1e300],
+        [1.0, 1e300, 1.0, 1.0],       # p overflows
+        [1.5e308, 1.0],               # abs(step) raises OverflowError
+        [1e308, 0.0, 0.0, 1e-300],    # the radius overflows
+        [1.0, 0.0, 0.0, 0.0],         # the radius divides by zero
+    ]
+    assert _aberth_rows(crafted + [list(map(float, FIG5.d))]) == [None] * 5 + [
+        _aberth_ehrlich(list(map(float, FIG5.d)))]
+    with pytest.raises(RootFindingError):
+        _aberth_ehrlich(list(map(float, FIG5.d)), sweeps=1)
+    assert _aberth_rows([list(map(float, FIG5.d))], sweeps=1) == [None]
+
+    # in a call that runs the kernel, the scalar loop decides those rows
+    aberth, aberth_rows = polynomial._aberth_ehrlich, polynomial._aberth_rows
+    calls = {"_aberth_ehrlich": 0, "_aberth_rows": 0}
+    for name in calls:
+        monkeypatch.setattr(polynomial, name, _counting(calls, name, getattr(polynomial, name)))
+    overflowing = WienerPolynomial((1, 10 ** 300, 1, 1))
+    outcomes = roots_batch([FIG5] * ABERTH_BATCH_MIN_ROWS + [overflowing],
+                           return_exceptions=True)
+    assert calls == {"_aberth_ehrlich": 1, "_aberth_rows": 1}
+    assert outcomes[:-1] == [roots(FIG5)] * ABERTH_BATCH_MIN_ROWS
+    with pytest.raises(ValueError, match="too large for floating-point") as alone:
+        roots(overflowing)
+    assert type(outcomes[-1]) is ValueError and outcomes[-1].args == alone.value.args
+
+    # a sweep budget too small for any row: each fails as it fails alone
+    monkeypatch.setattr(polynomial, "_aberth_ehrlich", _counting(
+        calls, "_aberth_ehrlich", lambda coeffs: aberth(coeffs, sweeps=2)))
+    monkeypatch.setattr(polynomial, "_aberth_rows", _counting(
+        calls, "_aberth_rows", lambda rows: aberth_rows(rows, sweeps=2)))
+    ps = [WienerPolynomial(d) for d in distinct_distributions("trees", 11) if len(d) > 3]
+    assert len(ps) >= ABERTH_BATCH_MIN_ROWS
+    calls.update(dict.fromkeys(calls, 0))
+    together = roots_batch(ps, return_exceptions=True)
+    assert calls["_aberth_rows"] == 1 and calls["_aberth_ehrlich"] >= len(ps)
+    alone = [roots_batch([p], return_exceptions=True)[0] for p in ps]
+    assert all(isinstance(o, RootFindingError) for o in together)
+    assert [(o.args, _hex_parts(o.partial_roots), [r.hex() for r in o.residuals])
+            for o in together] == \
+        [(o.args, _hex_parts(o.partial_roots), [r.hex() for r in o.residuals]) for o in alone]
 
 
 def _bits(root_set) -> str:
@@ -1095,11 +1162,25 @@ def test_a_lone_roots_call_runs_each_batched_step_once(monkeypatch):
 
     steps = ("_square_free_screen", "_aberth_ehrlich", "_newton_polish_rows",
              "_disc_real_counts", "_comp_horner_batch")
-    calls = dict.fromkeys(steps, 0)
-    for name in steps:
+    calls = dict.fromkeys(steps + ("_aberth_rows",), 0)
+    for name in calls:
         monkeypatch.setattr(polynomial, name, _counting(calls, name, getattr(polynomial, name)))
     assert len(roots(FIG5)) == 3  # W/x = 6 + 4x + 3x^2 + 2x^3, solved by Aberth
-    assert calls == dict.fromkeys(steps, 1)
+    assert calls == {**dict.fromkeys(steps, 1), "_aberth_rows": 0}
+
+
+def test_batched_aberth_runs_from_its_threshold_on(monkeypatch):
+    from wiener_roots import polynomial
+    from wiener_roots.polynomial import ABERTH_BATCH_MIN_ROWS
+
+    calls = {"_aberth_ehrlich": 0, "_aberth_rows": 0}
+    for name in calls:
+        monkeypatch.setattr(polynomial, name, _counting(calls, name, getattr(polynomial, name)))
+    few = roots_batch([FIG5] * (ABERTH_BATCH_MIN_ROWS - 1))
+    assert calls == {"_aberth_ehrlich": ABERTH_BATCH_MIN_ROWS - 1, "_aberth_rows": 0}
+    enough = roots_batch([FIG5] * ABERTH_BATCH_MIN_ROWS)
+    assert calls == {"_aberth_ehrlich": ABERTH_BATCH_MIN_ROWS - 1, "_aberth_rows": 1}
+    assert [_bits(rs) for rs in enough] == [_bits(few[0])] * ABERTH_BATCH_MIN_ROWS
 
 
 def test_disc_counts_agree_with_sturm_chains(solved_pool):
@@ -1142,6 +1223,14 @@ def test_forced_fallbacks_give_the_same_roots(monkeypatch):
     for name, attr in (("aberth", "_aberth_ehrlich"), ("sturm", "_count_real_roots"),
                        ("yun", "_square_free_decomposition")):
         monkeypatch.setattr(polynomial, attr, _counting(calls, name, getattr(polynomial, attr)))
+    aberth_rows = polynomial._aberth_rows
+
+    def batched(rows):  # a factor solved by batched Aberth counts as one Aberth call
+        found = aberth_rows(rows)
+        calls["aberth"] += sum(zs is not None for zs in found)
+        return found
+
+    monkeypatch.setattr(polynomial, "_aberth_rows", batched)
     # infinite radii: every factor solved by Aberth is counted by a Sturm chain
     monkeypatch.setattr(polynomial, "_weierstrass_radii",
                         lambda c, z: np.full(z.shape, np.inf))
