@@ -14,16 +14,15 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from . import claims
 from .families import parse_family_spec, family_polynomial
 from .graph_core import (
-    Graph,
     Graph6Error,
     distance_distributions,
+    graph6_distributions,
     load_edge_list,
-    parse_graph6,
+    parse_graph6,  # noqa: F401  (kept as cli.parse_graph6 for its callers)
 )
 from .polynomial import (
     Annulus,
@@ -103,49 +102,38 @@ def cmd_compute(args: argparse.Namespace) -> int:
             reason = getattr(exc, "strerror", None) or exc
             print(f"error: cannot read {args.input}: {reason}", file=sys.stderr)
             return EXIT_USAGE
+    # One block of output lines per input.  The graph6 records are decoded
+    # together (graph6_distributions), the roots of every connected graph
+    # come from one roots_batch call, and each result fills its block.
+    unreadable = 0
     if args.edge_list:
-        inputs = [(args.input, None)]
+        tokens = descs = [args.input]
+        try:
+            dists = distance_distributions([load_edge_list(source, name=args.input)])
+        except ValueError as exc:
+            dists, unreadable = [exc], 1
     else:
-        inputs = [(ln.strip(), i + 1) for i, ln in enumerate(source) if ln.strip()]
-    # One block of output lines per input.  The graphs are parsed one at a
-    # time as distance_distributions reads them, so none is kept after its
-    # distances; the roots of every connected graph come from one
-    # roots_batch call, and each result fills its block.
-    blocks: list[list[str]] = []
-    read: list[tuple[int, str, str]] = []  # (block, desc, token) of each graph parsed
-
-    def parsed_graphs() -> Iterator[Graph]:
-        for token, lineno in inputs:
-            desc = token if lineno is None else f"line {lineno}: {token}"
-            try:
-                g = load_edge_list(source, name=args.input) if args.edge_list \
-                    else parse_graph6(token)
-            except (Graph6Error, ValueError) as exc:
-                blocks.append([json.dumps({"graph": desc, "error": str(exc)})])
-                continue
-            read.append((len(blocks), desc, token))
-            blocks.append([])
-            yield g
-
-    dists = distance_distributions(parsed_graphs())
-    solvable: list[tuple[int, str, str, WienerPolynomial]] = []
-    for (at, desc, token), w in zip(read, dists):
-        if isinstance(w, ValueError):  # disconnected, or a single vertex
-            blocks[at] = [json.dumps({"graph": desc, "error": str(w)})]
-        else:
-            solvable.append((at, desc, token, w))
-    solved = roots_batch([w for _, _, _, w in solvable], return_exceptions=True)
-    for (at, desc, token, w), rts in zip(solvable, solved):
+        lines = [(i + 1, ln.strip()) for i, ln in enumerate(source) if ln.strip()]
+        tokens = [token for _, token in lines]
+        descs = [f"line {lineno}: {token}" for lineno, token in lines]
+        dists = graph6_distributions(tokens)
+        unreadable = sum(isinstance(w, Graph6Error) for w in dists)
+    # disconnected, a single vertex or unreadable: an error line
+    blocks = [[json.dumps({"graph": desc, "error": str(w)})] if isinstance(w, ValueError)
+              else [] for desc, w in zip(descs, dists)]
+    solvable = [j for j, w in enumerate(dists) if not isinstance(w, ValueError)]
+    solved = roots_batch([dists[j] for j in solvable], return_exceptions=True)
+    for j, rts in zip(solvable, solved):
         if isinstance(rts, ValueError):  # a degree past ROOTS_MAX_DEGREE, say
-            blocks[at] = [json.dumps({"graph": desc, "error": str(rts)})]
+            blocks[j] = [json.dumps({"graph": descs[j], "error": str(rts)})]
         elif isinstance(rts, Exception):
             raise rts
         elif args.format == "json":
-            blocks[at] = [json.dumps(_record_for(token, w, rts).to_json_dict())]
+            blocks[j] = [json.dumps(_record_for(tokens[j], dists[j], rts).to_json_dict())]
         else:
-            blocks[at] = _record_for(token, w, rts).csv_rows()
+            blocks[j] = _record_for(tokens[j], dists[j], rts).csv_rows()
     _emit([line for block in blocks for line in block], args.out)
-    return EXIT_USAGE if len(read) < len(inputs) else EXIT_OK
+    return EXIT_USAGE if unreadable else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

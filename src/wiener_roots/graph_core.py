@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -64,7 +65,8 @@ class Graph6Error(ValueError):
 
 
 GRAPH6_MAX_ORDER = 62  # single-byte length form only
-_GRAPH6_BITS = {63 + value: format(value, "06b") for value in range(64)}
+_GRAPH6_HEADER = ">>graph6<<"
+_OUTSIDE_GRAPH6 = re.compile("[^?-~]")
 GRAPH_MAX_ORDER = 1 << 14  # largest graph built from edges: bit rows of 32 MB at most
 ENUMERATION_MAX_ORDER = 8
 TREE_MAX_ORDER = 18
@@ -164,39 +166,60 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a one-line graph6 record (orders 1..62, optional standard header)."""
+    """Decode a one-line graph6 record (orders 1..62, optional standard header):
+    `_graph6_payload` and `_graph6_words` on this one record."""
+    n, payload = _graph6_payload(text)
+    words, padded = _graph6_words(n, [payload])
+    if padded[0]:
+        raise Graph6Error(_GRAPH6_PADDING)
+    return Graph(n, tuple(words[0].tolist()))
+
+
+_GRAPH6_PADDING = "nonzero padding bits in final character"
+
+
+def _graph6_payload(text: str) -> tuple[int, str]:
+    """(order, payload characters) of a graph6 record, or Graph6Error for
+    the first check it fails: empty, a character outside 63..126, the
+    multi-byte order form, order 0, the payload length.  `_graph6_words`
+    checks the padding bits."""
     line = text.strip()
-    header = ">>graph6<<"
-    if line.startswith(header):
-        line = line[len(header):]
+    if line.startswith(_GRAPH6_HEADER):
+        line = line[len(_GRAPH6_HEADER):]
     if not line:
         raise Graph6Error("empty graph6 record")
-    for ch in line:
-        if not "?" <= ch <= "~":
-            raise Graph6Error(f"character code {ord(ch)} outside graph6 range 63..126")
+    bad = _OUTSIDE_GRAPH6.search(line)
+    if bad:
+        raise Graph6Error(f"character code {ord(bad.group())} outside graph6 range 63..126")
     n = ord(line[0]) - 63
     if n > GRAPH6_MAX_ORDER:
         raise Graph6Error("multi-byte order encodings (order > 62) are not supported")
     if n == 0:
         raise Graph6Error("order-0 graph6 records are not supported")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    body = line[1:]
-    if len(body) != need:
-        raise Graph6Error(
-            f"order {n} needs {need} payload characters, got {len(body)}"
-        )
-    bits = body.translate(_GRAPH6_BITS)  # six bits per character, high bit first
-    if "1" in bits[nbits:]:
-        raise Graph6Error("nonzero padding bits in final character")
-    # the pairs (0,v), ..., (v-1,v) of column v are v consecutive bits
-    # from v(v-1)/2 on; reversed, they read as v's row of lower neighbours
-    rows = [0] + [int(bits[v * (v - 1) // 2:v * (v + 1) // 2][::-1], 2)
-                  for v in range(1, n)]
-    for v in range(1, n):
-        for u in _iter_bits(rows[v]):  # only lower neighbours so far
-            rows[u] |= 1 << v
-    return Graph(n, tuple(rows))
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(line) - 1 != need:
+        raise Graph6Error(f"order {n} needs {need} payload characters, got {len(line) - 1}")
+    return n, line[1:]
+
+
+def _graph6_words(n: int, payloads: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency words of the order-n graphs with these graph6 payloads,
+    one numpy pass for all: a (records, n) uint64 array whose word v has bit
+    u set for each edge {u, v}, and whether each record sets a padding bit.
+
+    Each character carries six bits, high bit first, and the pairs
+    (0,v), ..., (v-1,v) of column v are the v bits from v(v-1)/2 on.
+    """
+    six = np.frombuffer("".join(payloads).encode("ascii"), dtype=np.uint8) - 63
+    bits = np.unpackbits(six.reshape(len(payloads), len(payloads[0]), 1), axis=2)[:, :, 2:]
+    bits = bits.reshape(len(payloads), -1)
+    pairs = n * (n - 1) // 2
+    v = np.repeat(np.arange(n), np.arange(n))
+    u = np.arange(pairs) - v * (v - 1) // 2
+    matrix = np.zeros((len(payloads), n, _WORD_ORDER), dtype=np.uint8)
+    matrix[:, v, u] = matrix[:, u, v] = bits[:, :pairs]
+    words = np.packbits(matrix, axis=2, bitorder="little").view("<u8")[:, :, 0]
+    return words.astype(np.uint64), bits[:, pairs:].any(axis=1)
 
 
 def load_edge_list(lines: Sequence[str], name: str = "<edge list>") -> Graph:
@@ -241,6 +264,9 @@ def load_fixture(name: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+_ORDER_ONE = "distance distribution needs order >= 2"
+
+
 def distance_distribution(g: Graph) -> WienerPolynomial:
     """Wiener polynomial: unordered pairs by distance, all balls grown at once.
 
@@ -254,7 +280,7 @@ def distance_distribution(g: Graph) -> WienerPolynomial:
     """
     n = g.n
     if n < 2:
-        raise ValueError("distance distribution needs order >= 2")
+        raise ValueError(_ORDER_ONE)
     nbrs = [tuple(_iter_bits(row)) for row in g.adj]
     balls = [1 << u for u in range(n)]
     growing = range(n)
@@ -314,32 +340,83 @@ def distance_distributions(graphs: Iterable[Graph]) -> list[WienerPolynomial | V
     one graph at a time.
     """
     out: list = []
-    batch: list[Graph] = []
-    at: list[int] = []  # the position in out of each graph in the batch
-    words = 0
-    for g in graphs:
-        if not 2 <= g.n <= _WORD_ORDER:
+
+    def pieces() -> Iterator[tuple[list[int], int, np.ndarray]]:
+        for g in graphs:
+            out.append(None)
+            if 2 <= g.n <= _WORD_ORDER:
+                yield [len(out) - 1], g.n, np.array(g.adj, dtype=np.uint64)
+                continue
             try:
-                out.append(distance_distribution(g))
+                out[-1] = distance_distribution(g)
             except ValueError as exc:
-                out.append(exc)
-            continue
-        if words + g.n > _BALL_CHUNK:
-            for i, result in zip(at, _ball_growth(batch)):
-                out[i] = result
-            batch, at, words = [], [], 0
-        batch.append(g)
-        at.append(len(out))
-        out.append(None)
-        words += g.n
-    for i, result in zip(at, _ball_growth(batch)):
-        out[i] = result
+                out[-1] = exc
+
+    _grow_pieces(pieces(), out)
     return out
 
 
-def _ball_growth(graphs: Sequence[Graph]) -> list[WienerPolynomial | ValueError]:
+def graph6_distributions(records: Sequence[str]) -> list[WienerPolynomial | ValueError]:
+    """For each graph6 record, the distance_distribution of its graph, the
+    ValueError that raises, or the Graph6Error of a malformed record: each
+    as parse_graph6 and then distance_distribution give it, in order.
+
+    `_graph6_payload` checks each record.  The payloads of one order are
+    decoded by `_graph6_words` in chunks of at most _BALL_CHUNK vertices,
+    straight into the words `_ball_growth` reads, with no Graph made.
+    """
+    out: list = [None] * len(records)
+    by_order: dict[int, list[tuple[int, str]]] = {}
+    for i, record in enumerate(records):
+        try:
+            n, payload = _graph6_payload(record)
+        except Graph6Error as exc:
+            out[i] = exc
+            continue
+        by_order.setdefault(n, []).append((i, payload))
+
+    def pieces() -> Iterator[tuple[list[int], int, np.ndarray]]:
+        for n, found in by_order.items():
+            step = _BALL_CHUNK // n
+            for chunk in (found[lo:lo + step] for lo in range(0, len(found), step)):
+                words, padded = _graph6_words(n, [payload for _, payload in chunk])
+                for (i, _), bad in zip(chunk, padded.tolist()):
+                    if bad:
+                        out[i] = Graph6Error(_GRAPH6_PADDING)
+                    elif n == 1:
+                        out[i] = ValueError(_ORDER_ONE)
+                good = ~padded
+                if n > 1 and good.any():
+                    yield ([i for (i, _), ok in zip(chunk, good) if ok], n,
+                           words[good].ravel())
+
+    _grow_pieces(pieces(), out)
+    return out
+
+
+def _grow_pieces(pieces: Iterable[tuple[list[int], int, np.ndarray]], out: list) -> None:
+    """`_ball_growth` into out for each piece: (positions in out, the graphs'
+    common order 2..64, their adjacency words end to end), over batches of
+    at most _BALL_CHUNK words, or one piece if it is larger.  The pieces are
+    read as the batches fill."""
+    batch: list[tuple[list[int], int, np.ndarray]] = []
+    size = 0
+    for piece in itertools.chain(pieces, [None]):
+        if batch and (piece is None or size + piece[2].size > _BALL_CHUNK):
+            orders = np.repeat([n for _, n, _ in batch], [len(at) for at, _, _ in batch])
+            grown = _ball_growth(orders, np.concatenate([adj for _, _, adj in batch]))
+            for i, result in zip((i for at, _, _ in batch for i in at), grown):
+                out[i] = result
+            batch, size = [], 0
+        if piece is not None:
+            batch.append(piece)
+            size += piece[2].size
+
+
+def _ball_growth(orders: np.ndarray, adj: np.ndarray) -> list[WienerPolynomial | ValueError]:
     """distance_distribution of each graph, or its ValueError, for graphs of
-    order 2..64 grown all at once.
+    order 2..64 grown all at once: graph j has order orders[j], and adj
+    holds the adjacency words of all the graphs, end to end.
 
     Every ball is one uint64 word, and the words of all the graphs are laid
     end to end.  Each vertex's closed neighbourhood is one segment of an
@@ -352,11 +429,6 @@ def _ball_growth(graphs: Sequence[Graph]) -> list[WienerPolynomial | ValueError]
     The neighbour indices are peeled off the adjacency words lowest bit
     first, one pass per neighbour rank.
     """
-    if not graphs:
-        return []
-    orders = np.array([g.n for g in graphs])
-    adj = np.fromiter(itertools.chain.from_iterable(g.adj for g in graphs),
-                      dtype=np.uint64, count=int(orders.sum()))
     first = np.cumsum(orders) - orders  # each graph's first vertex
     base = np.repeat(first, orders)     # and each vertex's
     vertex = np.arange(len(adj))
@@ -375,8 +447,8 @@ def _ball_growth(graphs: Sequence[Graph]) -> list[WienerPolynomial | ValueError]
         slot[peel] += 1
         rest[peel] = word ^ low
         peel = peel[rest[peel] != 0]
-    table = np.zeros((_WORD_ORDER, len(graphs)), dtype=np.int64)  # ordered pairs
-    live, members, sizes = np.arange(len(graphs)), vertex, orders  # at distance 1, 2, ...
+    table = np.zeros((_WORD_ORDER, len(orders)), dtype=np.int64)  # ordered pairs
+    live, members, sizes = np.arange(len(orders)), vertex, orders  # at distance 1, 2, ...
     for step in range(_WORD_ORDER):  # diameters are at most 63
         grown = np.bitwise_or.reduceat(balls[closed], segment)
         rise = np.add.reduceat(_popcount(grown ^ balls[members]), first)

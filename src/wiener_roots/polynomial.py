@@ -32,22 +32,27 @@ row the discs cannot certify gets infinite radii and goes to `roots`.
 
 `roots_batch` is the one root pipeline, and `roots` is `roots_batch` of one
 polynomial.  Aberth is the Gauss-Seidel iteration of `_aberth_ehrlich` in
-CPython's complex arithmetic.  A call with fewer than ABERTH_BATCH_MIN_ROWS
-factors of degree 3 and up runs it one factor at a time; a call with more
-sweeps blocks of them at once in numpy (`_aberth_rows`), with the same bits,
-and hands back to the scalar loop every row it cannot follow exactly.  Each
-step around Aberth has one implementation, which runs once per length group
-however small the group.
+CPython's complex arithmetic.  `_aberth_rows` sorts the factors of degree 3
+and up into degree bands, whose largest degree is at most twice their
+smallest, and sweeps a band at once in numpy, with the same bits, while its
+live rows times their largest degree are at least ABERTH_BLOCK_MIN_ROOTS.
+The scalar loop solves the bands below that from the start, goes on from
+where a block stopped for its last few rows, and decides every row the
+block cannot follow exactly.  Each step around Aberth has one implementation,
+which runs once per band or length group however small.
 The same modular sequence, on W/x and its derivative, certifies most
-polynomials square-free.  Then comes one pass per factor length
-(`_factor_roots`): the Newton polish of the Aberth roots, in CPython's
-complex arithmetic written out in float64; the real-root count from the
-same Weierstrass radii around the polished roots, wherever the discs are
-disjoint and clear of each other's mirror images; and the conjugate
-symmetrization.  Last comes one pass per W/x length: the residuals are the
-compensated Horner scheme evaluated elementwise over all the roots.  Rows
-that no certificate covers take the exact steps: Yun's decomposition and a
-Sturm chain.
+polynomials square-free.  Then comes `_factor_roots`: the Newton polish of
+the Aberth roots, one pass per degree band, in CPython's complex arithmetic
+written out in float64; and, one pass per factor length, the real-root
+count from the same Weierstrass radii around the polished roots, wherever
+the discs are disjoint and clear of each other's mirror images, and the
+conjugate symmetrization.  Last comes one pass per degree band of W/x: the
+residuals are the compensated Horner scheme evaluated elementwise over all
+the roots.  A band pads each row with zero coefficients above its degree;
+at a finite point the zeros leave the values as they are, up to the sign
+of a zero, so the polish keeps its bits and the residuals their moduli.
+Rows that no certificate covers take the exact steps: Yun's decomposition
+and a Sturm chain.
 
 Every remainder sequence (Sturm chains, gcds, Yun's loop) runs on integer
 coefficient lists: fraction-free pseudo-remainders reduced to their
@@ -59,6 +64,7 @@ is ever divided with Fraction coefficients; rationals remain only as values
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,20 +79,28 @@ RESIDUAL_THRESHOLD = 1e-9
 ROOTS_MAX_DEGREE = 1024
 ABERTH_SWEEP_BUDGET = 500
 ABERTH_STEP_TOLERANCE = 1e-13
-# A call with at least ABERTH_BATCH_MIN_ROWS factors of degree 3 and up
-# solves them together (`_aberth_rows`), in blocks of at most
-# ABERTH_BLOCK_ROWS rows; fewer go through `_aberth_ehrlich` one at a time.
-# Batched CPU time over scalar CPU time, best of 5, on one core of a shared
-# 2-vCPU Xeon, for random samples of compute's factors (degrees 7-33) and of
-# tree order 17's (3-15):
+# `_aberth_rows` sweeps a band of factors of degree 3 and up at once, in
+# blocks of at most ABERTH_BLOCK_ROWS rows, while its live rows times their
+# largest degree k come to at least ABERTH_BLOCK_MIN_ROOTS: a sweep costs the
+# block about k numpy steps and the scalar loop about rows * k^2 Python
+# operations, so one product decides both whether a band starts in a block
+# and when a block hands its last rows to the scalar loop.  Block CPU time
+# over scalar CPU time for one band swept to the end, without a hand-off, on
+# one core of a shared 2-vCPU Xeon:
 #
-#   rows      16    32    64    96   128   192   256   512
-#   compute  3.13  1.86  1.15  0.85  0.76  0.51  0.51  0.35
-#   trees    4.96  2.34  1.87  1.13  1.00  0.98  0.64  0.53
+#   rows x k     ~200  ~400  ~800  ~1600  ~3200
+#   compute      4.30  2.34  1.28   0.78   0.58   (degrees 15-29)
+#   trees        3.23  1.82  1.08   0.68   0.49   (tree order 17, degrees 8-15)
+#   T_n cubics   1.39  0.81  0.54   0.44   0.32
 #
-# All 41,555 tree-17 factors took 2.33 / 2.05 / 1.87 / 1.86 / 2.02 s in
-# blocks of 512 / 1024 / 2048 / 4096 / 8192 rows (best of 4).
-ABERTH_BATCH_MIN_ROWS = 128
+# CPU ms for all of a factor set, both rules at the constant (min of 4-9):
+#
+#   constant           200   400   600   800  1000  1200  1600  (parent)
+#   compute, seed 1    120   119   119   119   119   122   121    176
+#   T_n cubics        12.7  12.6  12.6  12.5  12.5  13.8  13.9   13.0
+#   paths 3..100       441   421   420   420   422   432   448   1221
+#   4,000 tree-17      159   154   158   158   159   159   159
+ABERTH_BLOCK_MIN_ROOTS = 800
 ABERTH_BLOCK_ROWS = 2048
 STURM_REFINE_WIDTH = Fraction(1, 1 << 40)
 STURM_RELATIVE_WIDTH = Fraction(1, 1 << 20)
@@ -563,22 +577,26 @@ def all_roots_rational(p: WienerPolynomial) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _aberth_ehrlich(coeffs: Sequence[float], *, sweeps: int = ABERTH_SWEEP_BUDGET,
+def _aberth_ehrlich(coeffs: Sequence[float], z: list[complex] | None = None,
+                    done: int = 0, *, sweeps: int = ABERTH_SWEEP_BUDGET,
                     tol: float = ABERTH_STEP_TOLERANCE) -> list[complex]:
     """Simultaneous iteration for all roots of a float-coefficient polynomial,
     one root at a time in CPython's complex arithmetic (Gauss-Seidel Aberth).
 
-    The guesses start from `_aberth_start`.  Raises RootFindingError when
-    some update still moves after the sweep budget.  The Horner loops run
-    over the coefficients reversed once, up front.  `_aberth_rows` runs the
-    same sweeps over many polynomials at once.
+    The guesses start from `_aberth_start`, or from the iterates z that
+    `_aberth_rows` hands back after `done` of the sweeps.  Raises
+    RootFindingError, naming the whole budget, when some update still moves
+    after the last sweep.  The Horner loops run over the coefficients
+    reversed once, up front.  `_aberth_rows` runs the same sweeps over many
+    polynomials at once.
     """
     deg = len(coeffs) - 1
     dcoeffs = [k * coeffs[k] for k in range(1, deg + 1)]
     lead, rest = coeffs[-1], coeffs[-2::-1]
     dlead, drest = dcoeffs[-1], dcoeffs[-2::-1]
-    z = _aberth_start(coeffs)
-    for _ in range(sweeps):
+    if z is None:
+        z = _aberth_start(coeffs)
+    for _ in range(done, sweeps):
         converged = True
         for i in range(deg):
             zi = z[i]
@@ -613,7 +631,7 @@ def _aberth_ehrlich(coeffs: Sequence[float], *, sweeps: int = ABERTH_SWEEP_BUDGE
         p = lead
         for a in rest:
             p = p * zi + a
-        residuals.append(abs(p))
+        residuals.append(math.hypot(p.real, p.imag))  # inf where abs(p) would raise
     raise RootFindingError(
         f"Aberth-Ehrlich did not converge within {sweeps} sweeps", z, residuals)
 
@@ -629,47 +647,64 @@ def _aberth_start(coeffs: Sequence[float]) -> list[complex]:
 
 
 def _aberth_rows(rows: Sequence[Sequence[float]], *, sweeps: int = ABERTH_SWEEP_BUDGET,
-                 tol: float = ABERTH_STEP_TOLERANCE) -> list[list[complex] | None]:
-    """`_aberth_ehrlich` of each of rows, bit for bit, or None for a row it
-    must decide itself.
+                 tol: float = ABERTH_STEP_TOLERANCE) -> list:
+    """For each of rows, the roots `_aberth_ehrlich` finds, bit for bit: as a
+    list, or as a resume point, the tuple of further arguments with which
+    `_aberth_ehrlich(row, *resume)` finds them.
 
-    The rows are sorted by degree and cut into blocks of at most
-    ABERTH_BLOCK_ROWS rows (`_aberth_block`), which sweep every row of the
-    block at once.  A block's degrees are at most twice its lowest, so
-    padding a row to the block's largest degree at most doubles its width:
-    in one block, the 94 paths of orders 7..100 among 1,700 lower-degree
-    factors made the batch slower than the scalar loop.  A row is
-    None when its start is not finite or cannot be computed, when it does
-    not converge within the sweep budget, or when a step meets what the
-    scalar loop does not compute in float arithmetic: coincident iterates,
-    which it separates by 1e-300, or a value that is not finite or whose
-    modulus overflows.
+    The rows are cut into `_degree_bands`.  A band sweeps at once in
+    `_aberth_block` while its live rows times their largest degree come to
+    at least ABERTH_BLOCK_MIN_ROOTS; below that the scalar loop is faster.
+    So a band too small from the start gets () for each row, the scalar
+    loop from the start, and a block that shrinks below it hands each live
+    row back as (its iterates, the sweeps done).  A row gets () too when
+    its start is not finite or cannot be computed, or when a step meets
+    what the scalar loop does not compute in float arithmetic: coincident
+    iterates, which it separates by 1e-300, or a value that is not finite
+    or whose modulus overflows.  A row still moving after the last sweep
+    comes back as (its iterates, sweeps), and `_aberth_ehrlich` raises.
     """
-    out: list = [None] * len(rows)
-    starts: list = []
-    for row in rows:
-        try:
-            starts.append(_aberth_start(row))
-        except ArithmeticError:
-            starts.append(None)
-    blocks: list[list[int]] = []
-    for i in sorted((i for i, z in enumerate(starts) if z is not None),
-                    key=lambda i: len(rows[i])):
-        if (not blocks or len(blocks[-1]) == ABERTH_BLOCK_ROWS
-                or len(rows[i]) - 1 > 2 * (len(rows[blocks[-1][0]]) - 1)):
-            blocks.append([])
-        blocks[-1].append(i)
-    for block in blocks:
-        found = _aberth_block([rows[i] for i in block], [starts[i] for i in block],
-                              sweeps, tol)
-        for i, zs in zip(block, found):
-            out[i] = zs
+    out: list = [()] * len(rows)
+    for band in _degree_bands([len(row) for row in rows]):
+        if len(band) * (len(rows[band[-1]]) - 1) < ABERTH_BLOCK_MIN_ROOTS:
+            continue
+        block, starts = [], []
+        for i in band:
+            try:
+                starts.append(_aberth_start(rows[i]))
+            except ArithmeticError:
+                continue
+            block.append(i)
+        if block:
+            for i, zs in zip(block, _aberth_block([rows[i] for i in block], starts,
+                                                  sweeps, tol)):
+                out[i] = zs
     return out
 
 
+def _degree_bands(lengths: Sequence[int | None]) -> list[list[int]]:
+    """The positions of the lengths, None aside, sorted by length and cut into
+    bands of at most ABERTH_BLOCK_ROWS whose largest degree (length - 1) is
+    at most twice their smallest.
+
+    A row padded to its band's largest degree at most doubles its width: in
+    one block, the 94 paths of orders 7..100 among 1,700 lower-degree
+    factors made batched Aberth slower than the scalar loop.
+    """
+    bands: list[list[int]] = []
+    for i in sorted((i for i, n in enumerate(lengths) if n is not None),
+                    key=lengths.__getitem__):
+        if (not bands or len(bands[-1]) == ABERTH_BLOCK_ROWS
+                or lengths[i] - 1 > 2 * (lengths[bands[-1][0]] - 1)):
+            bands.append([])
+        bands[-1].append(i)
+    return bands
+
+
 def _aberth_block(rows: Sequence[Sequence[float]], starts: Sequence[list[complex]],
-                  sweeps: int, tol: float) -> list[list[complex] | None]:
-    """The sweeps of `_aberth_ehrlich` on rows sorted by degree, all at once.
+                  sweeps: int, tol: float) -> list:
+    """The sweeps of `_aberth_ehrlich` on rows sorted by degree, all at once,
+    with results as `_aberth_rows` gives them.
 
     Row j holds its coefficients padded with zeros to the block's largest
     degree k, and column j of zr + zi i its roots padded with +inf.  At the
@@ -681,8 +716,9 @@ def _aberth_block(rows: Sequence[Sequence[float]], starts: Sequence[list[complex
     written out for a numerator of 1, and the terms are summed left to right.
     Root i's own column and the pads are +inf, so they add zeros, and a zero
     term leaves a sum unchanged, whatever its sign.  A row stops after the
-    sweep in which every step stayed within tol, or goes to None (see
-    `_aberth_rows`).
+    sweep in which every step stayed within tol.  The rest sweep on while
+    their number times their largest degree k, which the arrays shrink to,
+    is at least ABERTH_BLOCK_MIN_ROOTS.
     """
     degs = np.array([len(row) - 1 for row in rows])
     k = int(degs[-1])
@@ -692,16 +728,17 @@ def _aberth_block(rows: Sequence[Sequence[float]], starts: Sequence[list[complex
     zr, zi = z.real.copy(), z.imag.copy()
     ids = np.arange(len(rows))  # the block row of each live column
     bad = ~(np.isfinite(z) | (np.arange(k)[:, None] >= degs)).all(axis=0)
-    out: list = [None] * len(rows)
+    out: list = [()] * len(rows)
+    done = 0
     with np.errstate(all="ignore"):
-        for _ in range(sweeps):
+        while done < sweeps and len(ids) * k >= ABERTH_BLOCK_MIN_ROOTS:
             pr, pi = _horner_parts(c, zr.T, zi.T)
             dr, di = _horner_parts(dc, zr.T, zi.T)
             skip = ((pr == 0) & (pi == 0)).T
             nudge = ~skip & ((dr == 0) & (di == 0)).T
             wr, wi = (part.T for part in _smith_quotient(pr, pi, dr, di))
             moved = np.zeros(len(ids), dtype=bool)
-            firsts = np.searchsorted(degs, np.arange(degs[-1]), side="right").tolist()
+            firsts = np.searchsorted(degs, np.arange(k), side="right").tolist()
             for i, s in enumerate(firsts):
                 x, y = zr[i, s:], zi[i, s:]
                 ur, ui = x - zr[:, s:], y - zi[:, s:]
@@ -735,16 +772,22 @@ def _aberth_block(rows: Sequence[Sequence[float]], starts: Sequence[list[complex
                 zr[i, s:], zi[i, s:] = nx, ny
                 moved[s:] |= moving
                 bad[s:] |= broken
+            done += 1
             for j in np.flatnonzero(~moved & ~bad).tolist():
-                deg = degs[j]
-                out[ids[j]] = [complex(re, im) for re, im in
-                               zip(zr[:deg, j].tolist(), zi[:deg, j].tolist())]
+                out[ids[j]] = _column(zr, zi, j, degs[j])
             live = moved & ~bad
-            if not live.any():
-                break
-            ids, degs, bad = ids[live], degs[live], bad[live]
-            c, dc, zr, zi = c[live], dc[live], zr[:, live], zi[:, live]
+            ids, degs = ids[live], degs[live]
+            k = int(degs[-1]) if len(degs) else 0
+            c, dc, zr, zi = c[live, :k + 1], dc[live, :k], zr[:k, live], zi[:k, live]
+            bad = bad[live]
+    for j, row in enumerate(ids.tolist()):
+        out[row] = (_column(zr, zi, j, degs[j]), done)
     return out
+
+
+def _column(zr: np.ndarray, zi: np.ndarray, j: int, deg: int) -> list[complex]:
+    """The first deg roots of column j of zr + zi i, as Python complexes."""
+    return [complex(re, im) for re, im in zip(zr[:deg, j].tolist(), zi[:deg, j].tolist())]
 
 
 def _newton_polish_rows(c: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
@@ -758,7 +801,10 @@ def _newton_polish_rows(c: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndar
     written out in binary64 as CPython 3.11 does it (`_Py_c_prod`,
     `_Py_c_sum`, `_Py_c_quot`): `_horner_parts` for the values,
     `_smith_quotient` for the step.  A point stops for good at the first
-    step where its derivative value is 0.
+    step where its derivative value is 0.  A row may be padded with zero
+    coefficients above its degree: at a finite point each zero leaves
+    p = +0 + 0i until the row's leading coefficient, which makes p the lead
+    + 0i that the unpadded loop starts from, so the bits are the same.
     """
     dc = c[:, 1:] * np.arange(1, c.shape[1])
     x, y = z.real.copy(), z.imag.copy()
@@ -906,18 +952,19 @@ def _factor_roots(factors: Sequence[Sequence[int]]) -> list:
     None) pairs, or the exception that stopped it.
 
     Degrees 1 and 2 are solved in closed form.  The factors of degree 3 or
-    more go through Aberth-Ehrlich: one at a time (`_aberth_ehrlich`) when
-    there are fewer than ABERTH_BATCH_MIN_ROWS of them, and otherwise in
-    blocks (`_aberth_rows`), where every row the blocks hand back runs the
-    scalar loop.  Then the factors of one length go through each later step
-    together, however few they are: the Newton polish
-    (`_newton_polish_rows`); the finiteness check; the real-root count by
-    Weierstrass discs around the polished roots (`_disc_real_counts`, in
-    chunks, on the finite rows whose coefficients are all below 2^53), and
-    by a Sturm chain wherever the discs do not decide; and the conjugate
-    symmetrization.  A factor whose float conversion overflows, or whose
-    polished roots leave the float range, fails with ValueError; one whose
-    Aberth does not converge, with its RootFindingError.
+    more go through Aberth-Ehrlich: `_aberth_rows` solves the bands it can
+    sweep at once, and `_aberth_ehrlich` each factor it hands back, from the
+    start or from its resume point.  Then the factors of one degree band
+    (`_degree_bands`), padded with zeros to its largest degree, are
+    polished together (`_newton_polish_rows`), and the factors of one length
+    in the band go through each later step together, however few they are:
+    the finiteness check; the real-root count by Weierstrass discs around
+    the polished roots (`_disc_real_counts`, in chunks, on the finite rows
+    whose coefficients are all below 2^53), and by a Sturm chain wherever
+    the discs do not decide; and the conjugate symmetrization.  A factor
+    whose float conversion overflows, or whose polished roots leave the
+    float range, fails with ValueError; one whose Aberth does not converge,
+    with its RootFindingError.
     """
     out: list = [None] * len(factors)
     floats: list = [None] * len(factors)  # the factors of degree 3 and up, as floats
@@ -931,33 +978,36 @@ def _factor_roots(factors: Sequence[Sequence[int]]) -> list:
             out[i] = ValueError(_FLOAT_RANGE)
     aberth = [i for i, fc in enumerate(floats) if fc is not None]
     found: list = [None] * len(factors)  # their Aberth roots
-    if len(aberth) >= ABERTH_BATCH_MIN_ROWS:
-        for i, zs in zip(aberth, _aberth_rows([floats[i] for i in aberth])):
-            found[i] = zs
-    for i in aberth:
+    for i, zs in zip(aberth, _aberth_rows([floats[i] for i in aberth])):
         try:
-            if found[i] is None:
-                found[i] = _aberth_ehrlich(floats[i])
+            found[i] = zs if isinstance(zs, list) else _aberth_ehrlich(floats[i], *zs)
         except OverflowError:
             out[i], floats[i] = ValueError(_FLOAT_RANGE), None
         except RootFindingError as exc:
             out[i], floats[i] = exc, None
-    for members in _length_classes(floats):
-        c = np.array([floats[i] for i in members])
-        z = _newton_polish_rows(c, np.array([found[i] for i in members], dtype=complex))
-        finite = np.isfinite(z).all(axis=1)
-        counted = np.flatnonzero(finite & (np.abs(c) < 2.0 ** 53).all(axis=1))
-        n_real = np.full(len(members), -1)
-        with np.errstate(all="ignore"):
-            for chunk in _chunks(len(counted), c.shape[1] - 1):
-                rows = counted[chunk]
-                n_real[rows] = _disc_real_counts(c[rows], z[rows])
-        for i, zs, ok, n in zip(members, z.tolist(), finite.tolist(), n_real.tolist()):
-            if not ok:
-                out[i] = ValueError(_FLOAT_RANGE)
-            else:
-                n = n if n >= 0 else _count_real_roots(factors[i])
-                out[i] = [(w, None) for w in _symmetrize(zs, n)]
+    for band in _degree_bands([None if fc is None else len(fc) for fc in floats]):
+        width = len(floats[band[-1]])
+        padded = np.array([floats[i] + [0.0] * (width - len(floats[i])) for i in band])
+        polished = _newton_polish_rows(padded, np.array(
+            [found[i] + [0j] * (width - 1 - len(found[i])) for i in band], dtype=complex))
+        at = 0
+        for length, same in itertools.groupby(len(floats[i]) for i in band):
+            run = slice(at, at + len(list(same)))
+            at = run.stop
+            members, c, z = band[run], padded[run, :length], polished[run, :length - 1]
+            finite = np.isfinite(z).all(axis=1)
+            counted = np.flatnonzero(finite & (np.abs(c) < 2.0 ** 53).all(axis=1))
+            n_real = np.full(len(members), -1)
+            with np.errstate(all="ignore"):
+                for chunk in _chunks(len(counted), length - 1):
+                    rows = counted[chunk]
+                    n_real[rows] = _disc_real_counts(c[rows], z[rows])
+            for i, zs, ok, n in zip(members, z.tolist(), finite.tolist(), n_real.tolist()):
+                if not ok:
+                    out[i] = ValueError(_FLOAT_RANGE)
+                else:
+                    n = n if n >= 0 else _count_real_roots(factors[i])
+                    out[i] = [(w, None) for w in _symmetrize(zs, n)]
     return out
 
 
@@ -978,13 +1028,12 @@ def roots_batch(ps: Sequence[WienerPolynomial], *,
     the primitive part of W/x, as the exact `_square_free_decomposition`
     finds; the other rows take that path.
 
-    Two passes per length group follow, however small the group.  The
-    first runs over factor lengths: `_factor_roots` solves all the factors
-    of all the polynomials together.  A polynomial takes the failure of its
-    first failing factor, in factor order.  The second runs over W/x
-    lengths: `_residuals` evaluates each W/x at its roots by
-    `_comp_horner_batch`.  A polynomial's roots do not depend on the others
-    in its batch.
+    Two passes follow, each over groups however small.  The first:
+    `_factor_roots` solves all the factors of all the polynomials together.
+    A polynomial takes the failure of its first failing factor, in factor
+    order.  The second runs over degree bands of W/x: `_residuals`
+    evaluates each W/x at its roots by `_comp_horner_batch`.  A
+    polynomial's roots do not depend on the others in its batch.
 
     Every root carries its residual on W/x: |W/x(z)| relative to
     max(d) * max(1, |z|)^deg.  Both the closed forms and the symmetrization
@@ -1061,10 +1110,14 @@ def _residuals(dvecs: Sequence[Sequence[int]], zs_of: Sequence[Sequence[complex]
     A z right after exactly conj of the z before it is the second of a
     conjugate pair and takes the residual of the first, unevaluated.  The
     scale is computed in Python floats.  |W/x(z)| comes from one
-    `_comp_horner_batch` call over all the points of one length, however
-    few, and np.hypot, the libm hypot that abs(complex) calls; a value with
-    finite parts and an infinite modulus, where abs(complex) would raise
-    OverflowError, counts as an overflow.
+    `_comp_horner_batch` call over all the points of one degree band
+    (`_degree_bands`), however few, and np.hypot, the libm hypot that
+    abs(complex) calls; a value with finite parts and an infinite modulus,
+    where abs(complex) would raise OverflowError, counts as an overflow.
+    The band pads each W/x with zero coefficients above its degree.  At a
+    finite point, every product of a zero is a zero and adding a zero to a
+    nonzero value is exact, so each value is the unpadded one or, where
+    that is a zero, a zero of either sign: hypot gives the same modulus.
     """
     points_of, shared_of, scales_of = [], [], []
     floats: list[list[float] | None] = []  # None where d leaves the float range
@@ -1089,8 +1142,10 @@ def _residuals(dvecs: Sequence[Sequence[int]], zs_of: Sequence[Sequence[complex]
             scales_of.append(None)
             floats.append(None)
     out: list = [None] * len(dvecs)
-    for members in _length_classes(floats):
-        rows = np.array([floats[j] for j in members for _ in points_of[j]])
+    for members in _degree_bands([None if f is None else len(f) for f in floats]):
+        width = len(floats[members[-1]])
+        rows = np.repeat([floats[j] + [0.0] * (width - len(floats[j])) for j in members],
+                         [len(points_of[j]) for j in members], axis=0)
         zs = np.array([z for j in members for z in points_of[j]], dtype=complex)
         with np.errstate(all="ignore"):
             v = _comp_horner_batch(rows, zs)

@@ -25,6 +25,24 @@ def graph6_encode(g: Graph) -> str:
     return "".join(chars)
 
 
+# Each malformed kind of graph6 record, with its message.
+GRAPH6_MALFORMED = {
+    ">>graph6<<": "empty graph6 record",
+    "A" + chr(40): "character code 40 outside graph6 range 63..126",
+    "C\u2603~": "character code 9731 outside graph6 range 63..126",
+    "C ~": "character code 32 outside graph6 range 63..126",
+    "~~~": "multi-byte order encodings (order > 62) are not supported",
+    "?": "order-0 graph6 records are not supported",
+    "B": "order 3 needs 1 payload characters, got 0",
+    ">>graph6<<A__": "order 2 needs 1 payload characters, got 2",
+    "A@": "nonzero padding bits in final character",
+    "D?@": "nonzero padding bits in final character",
+    # the first check a record fails decides its message
+    "~(": "character code 40 outside graph6 range 63..126",
+    "B@@": "order 3 needs 1 payload characters, got 2",
+}
+
+
 @pytest.fixture
 def encode_graph6():
     return graph6_encode

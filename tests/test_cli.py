@@ -11,7 +11,7 @@ import pytest
 from wiener_roots import polynomial
 from wiener_roots.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from wiener_roots.graph_core import fixture_names, from_edge_list, load_fixture
-from conftest import graph6_encode
+from conftest import GRAPH6_MALFORMED, graph6_encode
 
 
 @pytest.fixture
@@ -244,6 +244,53 @@ def test_compute_output_bytes_pinned(tmp_path, capsys):
     records = [json.loads(ln) for ln in out.splitlines()]
     assert len(records) == 124 and any("error" in r for r in records)
     assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_DIGEST
+
+
+def test_compute_reports_each_malformed_record_and_exits_2(tmp_path, capsys):
+    src = tmp_path / "in.g6"
+    for record, message in GRAPH6_MALFORMED.items():
+        src.write_text(f"A_\n{record}\nA_\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "compute", str(src))
+        first, bad, last = (json.loads(ln) for ln in out.splitlines())
+        assert code == EXIT_USAGE and err == ""
+        assert bad == {"graph": f"line 2: {record}", "error": message}
+        assert first == {**last, "graph": "A_"} and last["coefficients"] == [1]
+
+
+def _mixed_graph6_lines() -> list[str]:
+    """Malformed records of every kind, disconnected graphs, single vertices,
+    complete graphs and random connected graphs of orders 2..62, some with
+    the graph6 header, blank lines and surrounding blanks, in a seeded order."""
+    rng = random.Random(25)
+    lines = list(GRAPH6_MALFORMED) * 2 + ["@", ">>graph6<<@", "", "   ", "C~"]
+    for _ in range(160):
+        n = rng.randrange(2, 63)
+        edges = [(rng.randrange(max(0, v - rng.choice((2, 5, n))), v), v) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3))]
+        if rng.random() < 0.15:  # cut off the last vertex
+            edges = [(u, v) for u, v in edges if n - 1 not in (u, v)]
+        record = graph6_encode(from_edge_list(n, edges))
+        lines.append(rng.choice(("", "", ">>graph6<<", " ")) + record + rng.choice(("", "\t")))
+    lines.append(graph6_encode(from_edge_list(62, [(u, v) for v in range(62) for u in range(v)])))
+    rng.shuffle(lines)
+    return lines
+
+
+# sha256 of `compute` JSON and CSV output on _mixed_graph6_lines, recorded at
+# 19c8a66, while each record was parsed into a Graph on its own.
+MIXED_COMPUTE_DIGESTS = {
+    "json": "25f5e424230355d51980ab7ca09849f92e17359d54fbc100996e07382827b26a",
+    "csv": "076d15f4fce96fda75d61adc7ea404cc005e40e18087c1fd79e05b65e314712c",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_compute_output_on_mixed_records_is_pinned(tmp_path, capsys, fmt):
+    src = tmp_path / "in.g6"
+    src.write_text("\n".join(_mixed_graph6_lines()) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "compute", str(src), "--format", fmt)
+    assert code == EXIT_USAGE and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == MIXED_COMPUTE_DIGESTS[fmt]
 
 
 def test_scatter_order8_graphs_gated(capsys):

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import GRAPH6_MALFORMED
 from wiener_roots import graph_core
 from wiener_roots.graph_core import (
     DisconnectedGraphError,
@@ -33,6 +34,7 @@ from wiener_roots.graph_core import (
     enumerate_trees,
     fixture_names,
     from_edge_list,
+    graph6_distributions,
     load_edge_list,
     load_fixture,
     parse_graph6,
@@ -257,6 +259,45 @@ def test_parse_graph6_roundtrip_random(encode_graph6):
             edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < density]
             g = from_edge_list(n, edges)
             assert parse_graph6(encode_graph6(g)) == g
+
+
+def test_parse_graph6_messages_name_the_first_failed_check():
+    for record, message in GRAPH6_MALFORMED.items():
+        with pytest.raises(Graph6Error) as raised:
+            parse_graph6(record)
+        assert str(raised.value) == message
+
+
+def test_graph6_decoded_together_is_each_record_decoded_alone(encode_graph6):
+    rng = random.Random(25)
+    graphs = [from_edge_list(n, [(u, v) for v in range(n) for u in range(v)
+                                 if rng.random() < density])
+              for n in range(1, graph_core.GRAPH6_MAX_ORDER + 1)
+              for density in (0.0, 0.05, 0.3, 1.0)]
+    # order 40 in more than one chunk of _BALL_CHUNK vertices
+    graphs += [from_edge_list(40, [(rng.randrange(v), v) for v in range(1, 40)])
+               for _ in range(2 * graph_core._BALL_CHUNK // 40)]
+    rng.shuffle(graphs)
+    records = [rng.choice(("", ">>graph6<<")) + encode_graph6(g) for g in graphs]
+    for record, g in zip(records, graphs):
+        parsed = parse_graph6(record)
+        assert (parsed.n, parsed.adj) == (g.n, g.adj)
+    for n in range(1, graph_core.GRAPH6_MAX_ORDER + 1):
+        alike = [(g, record) for g, record in zip(graphs, records) if g.n == n]
+        words, padded = graph_core._graph6_words(
+            n, [graph_core._graph6_payload(record)[1] for _, record in alike])
+        assert not padded.any()
+        assert [tuple(row) for row in words.tolist()] == [g.adj for g, _ in alike]
+    # malformed records among them, each where it was
+    for record in GRAPH6_MALFORMED:
+        at = rng.randrange(len(records) + 1)
+        records.insert(at, record)
+        graphs.insert(at, None)
+    want = [(Graph6Error, GRAPH6_MALFORMED[record]) if g is None else _one_at_a_time(g)
+            for g, record in zip(graphs, records)]
+    found = graph6_distributions(records)
+    assert [w if isinstance(w, WienerPolynomial) else (type(w), str(w)) for w in found] == want
+    assert graph6_distributions([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,14 @@ def test_roots_match_companion_eigenvalues():
             assert abs(mine.z - ref) < 1e-6 * (1 + abs(ref))
 
 
+def test_aberth_residuals_past_the_float_range_fail_to_converge():
+    # abs(p) would raise OverflowError on a finite p past the float range,
+    # which the callers would report as pair counts too large
+    with pytest.raises(RootFindingError, match="within 50 sweeps") as raised:
+        _aberth_ehrlich([3.0, 1.0, 2.0, 1e261, 2.0, 2.0], sweeps=50)
+    assert math.inf in raised.value.residuals
+
+
 def test_aberth_budget_exhaustion_signals():
     with pytest.raises(RootFindingError) as info:
         _aberth_ehrlich([9.0, 7.0, 5.0, 3.0, 1.0], sweeps=1)
@@ -887,14 +895,18 @@ def pinned_batch():
     """One `roots_batch` call over `_root_pin_inputs()` followed by the
     distributions of `_benchmark_compute_distributions(0)`: (the vectors,
     their root sets, the (float factor, Aberth roots) pair of every factor
-    the call polishes, whether batched Aberth or the scalar loop solved it)."""
+    the call polishes, whether batched Aberth or the scalar loop solved it,
+    without the zeros that pad it to its degree band)."""
     from wiener_roots import polynomial
 
     found = []
     polish = polynomial._newton_polish_rows
 
     def recording(c, z):
-        found.extend(zip(c.tolist(), z.tolist()))
+        for coeffs, zs in zip(c.tolist(), z.tolist()):
+            while coeffs[-1] == 0:  # a factor's leading coefficient is nonzero
+                coeffs.pop()
+            found.append((coeffs, zs[:len(coeffs) - 1]))
         return polish(c, z)
 
     dvecs = _root_pin_inputs() + _benchmark_compute_distributions(0)
@@ -959,9 +971,24 @@ def test_batched_newton_polish_is_the_scalar_one_bit_for_bit(pinned_batch):
                                    np.array([zs for _, zs in group], dtype=complex))
         assert [_hex_parts(zs) for zs in rows.tolist()] == \
             [_hex_parts(_ref_newton_polish(c, zs)) for c, zs in group]
+    # zeros padding the rows to the widest of them leave every bit as it is
+    width = max(len(c) for c, _ in found)
+    rows = _newton_polish_rows(
+        np.array([c + [0.0] * (width - len(c)) for c, _ in found]),
+        np.array([zs + [0j] * (width - len(c)) for c, zs in found], dtype=complex))
+    assert [_hex_parts(zs[:len(c) - 1]) for zs, (c, _) in zip(rows.tolist(), found)] == \
+        [_hex_parts(_ref_newton_polish(c, zs)) for c, zs in found]
 
 
-def test_batched_aberth_is_the_scalar_loop_bit_for_bit(pinned_batch):
+def _resumed(rows, found) -> list:
+    """The roots of each of rows from what `_aberth_rows` gave for it: its
+    roots, or the scalar loop run from its resume point."""
+    return [zs if isinstance(zs, list) else _aberth_ehrlich(c, *zs)
+            for c, zs in zip(rows, found)]
+
+
+def test_batched_aberth_is_the_scalar_loop_bit_for_bit(pinned_batch, monkeypatch):
+    from wiener_roots import polynomial
     from wiener_roots.polynomial import ABERTH_BLOCK_ROWS, _aberth_rows
 
     rows = [c for c, _ in pinned_batch[2]]  # T_n to 1000 and paths to 100 among them
@@ -969,14 +996,21 @@ def test_batched_aberth_is_the_scalar_loop_bit_for_bit(pinned_batch):
     # p = 0 at every guess, the radius being 0: no root moves, and the
     # signed zeros of the guesses are the roots
     rows.append([0.0, 1.0, 2.0, 1.0])
+    want = [_hex_parts(_aberth_ehrlich(c)) for c in rows]
     found = _aberth_rows(rows)
-    assert None not in found
-    assert [_hex_parts(zs) for zs in found] == [_hex_parts(_aberth_ehrlich(c)) for c in rows]
+    assert [_hex_parts(zs) for zs in _resumed(rows, found)] == want
+    handed_back = [zs[1] for zs in found if isinstance(zs, tuple) and zs]
+    assert handed_back and min(handed_back) > 0  # stragglers, mid-way
+    # blocks that never hand back: every row is solved in its block
+    monkeypatch.setattr(polynomial, "ABERTH_BLOCK_MIN_ROOTS", 1)
+    found = _aberth_rows(rows)
+    assert all(isinstance(zs, list) for zs in found)
+    assert [_hex_parts(zs) for zs in found] == want
 
 
 def test_batched_aberth_hands_the_rows_it_cannot_follow_to_the_scalar_loop(monkeypatch):
     from wiener_roots import polynomial
-    from wiener_roots.polynomial import ABERTH_BATCH_MIN_ROWS, _aberth_rows
+    from wiener_roots.polynomial import ABERTH_BLOCK_MIN_ROOTS, _aberth_rows
 
     crafted = [
         # radius 0: p' = 0 at every guess, and the nudge moves them all to
@@ -987,36 +1021,46 @@ def test_batched_aberth_hands_the_rows_it_cannot_follow_to_the_scalar_loop(monke
         [1e308, 0.0, 0.0, 1e-300],    # the radius overflows
         [1.0, 0.0, 0.0, 0.0],         # the radius divides by zero
     ]
-    assert _aberth_rows(crafted + [list(map(float, FIG5.d))]) == [None] * 5 + [
-        _aberth_ehrlich(list(map(float, FIG5.d)))]
-    with pytest.raises(RootFindingError):
-        _aberth_ehrlich(list(map(float, FIG5.d)), sweeps=1)
-    assert _aberth_rows([list(map(float, FIG5.d))], sweeps=1) == [None]
+    fig5 = list(map(float, FIG5.d))
+    with pytest.MonkeyPatch.context() as patch:  # blocks of any size, to the last sweep
+        patch.setattr(polynomial, "ABERTH_BLOCK_MIN_ROOTS", 1)
+        assert _aberth_rows(crafted + [fig5]) == [()] * 5 + [_aberth_ehrlich(fig5)]
+        assert _aberth_rows(crafted[-1:]) == [()]  # a band with no start at all
+        # still moving after the last sweep: resumed, the scalar loop raises
+        # as it does alone
+        (resume,) = _aberth_rows([fig5], sweeps=1)
+    assert resume[1] == 1
+    with pytest.raises(RootFindingError) as alone:
+        _aberth_ehrlich(fig5, sweeps=1)
+    with pytest.raises(RootFindingError) as resumed:
+        _aberth_ehrlich(fig5, *resume, sweeps=1)
+    assert (resumed.value.args, _hex_parts(resumed.value.partial_roots),
+            resumed.value.residuals) == \
+        (alone.value.args, _hex_parts(alone.value.partial_roots), alone.value.residuals)
 
     # in a call that runs the kernel, the scalar loop decides those rows
     aberth, aberth_rows = polynomial._aberth_ehrlich, polynomial._aberth_rows
-    calls = {"_aberth_ehrlich": 0, "_aberth_rows": 0}
+    calls = {"_aberth_ehrlich": 0, "_aberth_block": 0}
     for name in calls:
         monkeypatch.setattr(polynomial, name, _counting(calls, name, getattr(polynomial, name)))
     overflowing = WienerPolynomial((1, 10 ** 300, 1, 1))
-    outcomes = roots_batch([FIG5] * ABERTH_BATCH_MIN_ROWS + [overflowing],
-                           return_exceptions=True)
-    assert calls == {"_aberth_ehrlich": 1, "_aberth_rows": 1}
-    assert outcomes[:-1] == [roots(FIG5)] * ABERTH_BATCH_MIN_ROWS
+    enough = -(-ABERTH_BLOCK_MIN_ROOTS // 3)  # copies of FIG5's cubic W/x for a block
+    outcomes = roots_batch([FIG5] * enough + [overflowing], return_exceptions=True)
+    assert calls == {"_aberth_ehrlich": 1, "_aberth_block": 1}
+    assert outcomes[:-1] == [roots(FIG5)] * enough
     with pytest.raises(ValueError, match="too large for floating-point") as alone:
         roots(overflowing)
     assert type(outcomes[-1]) is ValueError and outcomes[-1].args == alone.value.args
 
     # a sweep budget too small for any row: each fails as it fails alone
     monkeypatch.setattr(polynomial, "_aberth_ehrlich", _counting(
-        calls, "_aberth_ehrlich", lambda coeffs: aberth(coeffs, sweeps=2)))
-    monkeypatch.setattr(polynomial, "_aberth_rows", _counting(
-        calls, "_aberth_rows", lambda rows: aberth_rows(rows, sweeps=2)))
+        calls, "_aberth_ehrlich",
+        lambda coeffs, *resume: aberth(coeffs, *resume, sweeps=2)))
+    monkeypatch.setattr(polynomial, "_aberth_rows", lambda rows: aberth_rows(rows, sweeps=2))
     ps = [WienerPolynomial(d) for d in distinct_distributions("trees", 11) if len(d) > 3]
-    assert len(ps) >= ABERTH_BATCH_MIN_ROWS
     calls.update(dict.fromkeys(calls, 0))
     together = roots_batch(ps, return_exceptions=True)
-    assert calls["_aberth_rows"] == 1 and calls["_aberth_ehrlich"] >= len(ps)
+    assert calls["_aberth_block"] >= 1 and calls["_aberth_ehrlich"] >= len(ps)
     alone = [roots_batch([p], return_exceptions=True)[0] for p in ps]
     assert all(isinstance(o, RootFindingError) for o in together)
     assert [(o.args, _hex_parts(o.partial_roots), [r.hex() for r in o.residuals])
@@ -1160,27 +1204,40 @@ def _counting(calls, name, fn):
 def test_a_lone_roots_call_runs_each_batched_step_once(monkeypatch):
     from wiener_roots import polynomial
 
-    steps = ("_square_free_screen", "_aberth_ehrlich", "_newton_polish_rows",
-             "_disc_real_counts", "_comp_horner_batch")
-    calls = dict.fromkeys(steps + ("_aberth_rows",), 0)
+    steps = ("_square_free_screen", "_aberth_rows", "_aberth_ehrlich",
+             "_newton_polish_rows", "_disc_real_counts", "_comp_horner_batch")
+    calls = dict.fromkeys(steps + ("_aberth_block",), 0)
     for name in calls:
         monkeypatch.setattr(polynomial, name, _counting(calls, name, getattr(polynomial, name)))
     assert len(roots(FIG5)) == 3  # W/x = 6 + 4x + 3x^2 + 2x^3, solved by Aberth
-    assert calls == {**dict.fromkeys(steps, 1), "_aberth_rows": 0}
+    assert calls == {**dict.fromkeys(steps, 1), "_aberth_block": 0}
 
 
 def test_batched_aberth_runs_from_its_threshold_on(monkeypatch):
     from wiener_roots import polynomial
-    from wiener_roots.polynomial import ABERTH_BATCH_MIN_ROWS
+    from wiener_roots.polynomial import ABERTH_BLOCK_MIN_ROOTS
 
-    calls = {"_aberth_ehrlich": 0, "_aberth_rows": 0}
+    calls = {"_aberth_ehrlich": 0, "_aberth_block": 0}
+    resumes = []
     for name in calls:
         monkeypatch.setattr(polynomial, name, _counting(calls, name, getattr(polynomial, name)))
-    few = roots_batch([FIG5] * (ABERTH_BATCH_MIN_ROWS - 1))
-    assert calls == {"_aberth_ehrlich": ABERTH_BATCH_MIN_ROWS - 1, "_aberth_rows": 0}
-    enough = roots_batch([FIG5] * ABERTH_BATCH_MIN_ROWS)
-    assert calls == {"_aberth_ehrlich": ABERTH_BATCH_MIN_ROWS - 1, "_aberth_rows": 1}
-    assert [_bits(rs) for rs in enough] == [_bits(few[0])] * ABERTH_BATCH_MIN_ROWS
+    aberth = polynomial._aberth_ehrlich
+    monkeypatch.setattr(polynomial, "_aberth_ehrlich",
+                        lambda coeffs, *resume: resumes.append(resume) or aberth(coeffs, *resume))
+    enough = -(-ABERTH_BLOCK_MIN_ROOTS // 3)  # rows of degree 3 for one block
+    few = roots_batch([FIG5] * (enough - 1))
+    assert calls == {"_aberth_ehrlich": enough - 1, "_aberth_block": 0}
+    batched = roots_batch([FIG5] * enough)
+    assert calls == {"_aberth_ehrlich": enough - 1, "_aberth_block": 1}
+    assert [_bits(rs) for rs in batched] == [_bits(few[0])] * enough
+    # Aberth takes 7 sweeps on this W/x and 5 on FIG5's: after the fifth the
+    # block has one live row, and the scalar loop goes on from there
+    straggler = WienerPolynomial((9, 23, 12, 1))
+    resumes.clear()
+    *_, last = roots_batch([FIG5] * enough + [straggler])
+    assert calls == {"_aberth_ehrlich": enough, "_aberth_block": 2}
+    assert [done for _, done in resumes] == [5]
+    assert _bits(last) == _bits(roots(straggler))
 
 
 def test_disc_counts_agree_with_sturm_chains(solved_pool):
@@ -1225,9 +1282,9 @@ def test_forced_fallbacks_give_the_same_roots(monkeypatch):
         monkeypatch.setattr(polynomial, attr, _counting(calls, name, getattr(polynomial, attr)))
     aberth_rows = polynomial._aberth_rows
 
-    def batched(rows):  # a factor solved by batched Aberth counts as one Aberth call
-        found = aberth_rows(rows)
-        calls["aberth"] += sum(zs is not None for zs in found)
+    def batched(rows):  # a factor solved in a block counts as one Aberth call;
+        found = aberth_rows(rows)  # the others take one call to the scalar loop
+        calls["aberth"] += sum(isinstance(zs, list) for zs in found)
         return found
 
     monkeypatch.setattr(polynomial, "_aberth_rows", batched)
