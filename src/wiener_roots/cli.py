@@ -1,8 +1,9 @@
 """Command-line front end: compute, family queries, verification, scatter data.
 
 Exit codes are stable across commands: 0 for success (all verdicts pass),
-1 for a verification failure, 2 for usage or parse errors.  The tool has no
-randomness; setting WIENER_ROOTS_SEED is rejected so nobody relies on it.
+1 for a verification failure, 2 for usage or parse errors and for a family
+whose roots are not found.  The tool has no randomness; setting
+WIENER_ROOTS_SEED is rejected so nobody relies on it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .graph_core import (
 from .polynomial import (
     Annulus,
     ComplexRoot,
+    RootFindingError,
     WienerPolynomial,
     enestrom_kakeya,
     roots,
@@ -124,10 +126,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     solvable = [j for j, w in enumerate(dists) if not isinstance(w, ValueError)]
     solved = roots_batch([dists[j] for j in solvable], return_exceptions=True)
     for j, rts in zip(solvable, solved):
-        if isinstance(rts, ValueError):  # a degree past ROOTS_MAX_DEGREE, say
+        if isinstance(rts, Exception):  # past ROOTS_MAX_DEGREE, or no convergence
             blocks[j] = [json.dumps({"graph": descs[j], "error": str(rts)})]
-        elif isinstance(rts, Exception):
-            raise rts
         elif args.format == "json":
             blocks[j] = [json.dumps(_record_for(tokens[j], dists[j], rts).to_json_dict())]
         else:
@@ -171,7 +171,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         spec = parse_family_spec(args.spec)
         w = family_polynomial(spec)
         record = _record_for(str(spec), w, roots(w))
-    except ValueError as exc:  # a bad spec, or pair counts too large for roots
+    except (ValueError, RootFindingError) as exc:  # a bad spec, or no roots for it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

@@ -14,6 +14,8 @@ Free trees are composed, not filtered: a single-centroid tree is its
 centroid plus a non-increasing list of rooted blocks, the canonical rooted
 trees of at most (n-1)//2 vertices, and a bicentroid tree is a pair of
 canonical rooted trees of order n/2.  Each comes out as a preorder parent row.
+enumerate_trees runs Graph's checks on the adjacency words of _TREE_CHUNK
+trees at once in numpy, so its Graphs skip the per-object check loop.
 
 The labeled sweep gets its distances by vertex augmentation, a million edge
 masks at a time.  The top C(n,2) - C(n-1,2) bits of a mask join the last
@@ -131,6 +133,15 @@ class Graph:
 
     def is_tree(self) -> bool:
         return self.edge_count == self.n - 1 and self.is_connected()
+
+
+def _prechecked_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph whose rows have passed Graph's checks already, made without
+    running them again (enumerate_trees, after _check_tree_words)."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
 
 
 @dataclass(frozen=True)
@@ -886,6 +897,36 @@ def _free_tree_parent_rows(n: int) -> Iterator[tuple[int, ...]]:
                 yield a + b
 
 
+def _tree_words(n: int, rows: list[tuple[int, ...]]) -> np.ndarray:
+    """(trees, n) uint64 adjacency words of a chunk of parent rows: bit p of
+    word v and bit v of word p for every child v and its parent p."""
+    m = len(rows)
+    parents = np.array(rows, dtype=np.intp).reshape(m, n - 1)
+    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    words = np.zeros((m, n), dtype=np.uint64)
+    words[:, 1:] = bit[parents]
+    np.bitwise_or.at(words, (np.arange(m)[:, None], parents), bit[1:])
+    return words
+
+
+def _check_tree_words(words: np.ndarray) -> None:
+    """Graph's three checks on every row of a (trees, n) uint64 word array at
+    once: no bit at or past n, no loop, symmetric.  A failure raises
+    RuntimeError, a check that also runs under python -O."""
+    m, n = words.shape
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8).reshape(m, n, 8),
+                         axis=2, bitorder="little")  # bits[t, v, u]: bit u of word v
+    square = bits[:, :, :n]
+    diag = np.arange(n)
+    for failed, what in ((bits[:, :, n:], "row {1} has bits beyond vertex range"),
+                         (square[:, diag, diag], "loop at vertex {1}"),
+                         (square != square.transpose(0, 2, 1),
+                          "adjacency not symmetric at {{{1},{2}}}")):
+        if failed.any():
+            where = np.argwhere(failed)[0].tolist()
+            raise RuntimeError(("tree {0} of the chunk: " + what).format(*where))
+
+
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """Every free (unlabeled) tree of order n exactly once, numbered in preorder.
 
@@ -893,13 +934,15 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     descending order of their level sequences rooted at the centroid, then
     the bicentroid pairs (_free_tree_parent_rows); none is generated and then
     discarded.  Each Graph is built from its parent row, which
-    tree_parent_row gives back.
+    tree_parent_row gives back.  The rows are taken a chunk of _TREE_CHUNK
+    at a time: the chunk's adjacency words are built in numpy and pass
+    Graph's checks together (_check_tree_words), so no Graph runs its own.
     """
     if not 1 <= n <= TREE_MAX_ORDER:
         raise ValueError(f"supported orders are 1..{TREE_MAX_ORDER}, got {n}")
-    for row in _free_tree_parent_rows(n):
-        adj = [0] * n
-        for v, p in enumerate(row, 1):
-            adj[v] |= 1 << p
-            adj[p] |= 1 << v
-        yield Graph(n, tuple(adj))
+    rows = _free_tree_parent_rows(n)
+    while chunk := list(itertools.islice(rows, _TREE_CHUNK)):
+        words = _tree_words(n, chunk)
+        _check_tree_words(words)
+        for adj in words.tolist():
+            yield _prechecked_graph(n, tuple(adj))

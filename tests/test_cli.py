@@ -10,6 +10,7 @@ import pytest
 
 from wiener_roots import polynomial
 from wiener_roots.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from wiener_roots.families import family_graph, parse_family_spec
 from wiener_roots.graph_core import fixture_names, from_edge_list, load_fixture
 from conftest import GRAPH6_MALFORMED, graph6_encode
 
@@ -149,6 +150,21 @@ def test_compute_reports_a_degree_past_the_root_bound_per_record(tmp_path, capsy
                       "error": "roots are found for W/x of degree at most 2, not 3"}
     assert first["coefficients"] == [2, 1] and len(first["roots"]) == 1
     assert third["coefficients"] == [6] and third["roots"] == []
+
+
+def test_a_root_failure_is_one_error_line(tmp_path, capsys):
+    # order 512, W/x square-free of degree 16: its roots are too ill-conditioned
+    # for Aberth's step test, so roots raises RootFindingError
+    spec = "leaf_augmented:2,8"
+    message = "Aberth-Ehrlich did not converge within 500 sweeps"
+    code, out, err = run_cli(capsys, "family", spec)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+    g = family_graph(parse_family_spec(spec))
+    src = tmp_path / "leaf_augmented.edges"
+    src.write_text(f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+    code, out, err = run_cli(capsys, "compute", str(src), "--edge-list")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == {"graph": str(src), "error": message}
 
 
 def test_compute_edge_list_and_stdin(tmp_path, capsys, monkeypatch):

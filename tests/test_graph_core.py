@@ -784,6 +784,63 @@ def test_tree_order_range():
         list(enumerate_trees(19))
 
 
+def _trees_one_at_a_time(n):
+    # each Graph built, and checked by Graph(n, adj), on its own from its parent row
+    return [from_edge_list(n, enumerate(row, 1))
+            for row in graph_core._free_tree_parent_rows(n)]
+
+
+def test_chunked_trees_are_the_graphs_built_one_at_a_time(monkeypatch):
+    for n in range(1, 15):
+        trees = list(enumerate_trees(n))
+        assert trees == _trees_one_at_a_time(n)
+        assert all(type(row) is int for g in trees for row in g.adj)
+    monkeypatch.setattr(graph_core, "_TREE_CHUNK", 7)  # 106 trees: 15 chunks of 7 and one
+    assert list(enumerate_trees(10)) == _trees_one_at_a_time(10)
+
+
+def test_enumerate_trees_checks_every_chunk(monkeypatch):
+    words_of = graph_core._tree_words
+
+    def with_a_loop(n, rows):
+        words = words_of(n, rows)
+        if len(rows) < graph_core._TREE_CHUNK:  # the last chunk only
+            words[-1, 1] |= np.uint64(1 << 1)
+        return words
+
+    monkeypatch.setattr(graph_core, "_tree_words", with_a_loop)
+    trees = enumerate_trees(12)  # 551 trees: a full chunk, then 39
+    assert sum(1 for _ in itertools.islice(trees, 512)) == 512
+    with pytest.raises(RuntimeError, match="tree 38 of the chunk: loop at vertex 1"):
+        next(trees)
+
+
+_TREE_WORD_CHECKS = """
+import numpy as np
+import pytest
+from wiener_roots.graph_core import _check_tree_words, _tree_words
+words = _tree_words(4, [(0, 1, 2), (0, 0, 0)])  # the path and the star
+assert words.tolist() == [[2, 5, 10, 4], [14, 1, 1, 1]]
+_check_tree_words(words)
+for t, v, bit, message in ((1, 2, 2, "loop at vertex 2"),
+                           (0, 3, 0, "adjacency not symmetric at {0,3}"),
+                           (1, 0, 4, "row 0 has bits beyond vertex range"),
+                           (0, 1, 63, "row 1 has bits beyond vertex range")):
+    bad = words.copy()
+    bad[t, v] |= np.uint64(1 << bit)
+    with pytest.raises(RuntimeError) as raised:
+        _check_tree_words(bad)
+    assert str(raised.value) == f"tree {t} of the chunk: {message}"
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_tree_word_checks_raise(flags):
+    src = Path(graph_core.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, *flags, "-c", _TREE_WORD_CHECKS], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def test_order4_trees_are_path_and_star():
     codes = {ahu_code(g) for g in enumerate_trees(4)}
     path = ahu_code(from_edge_list(4, [(0, 1), (1, 2), (2, 3)]))
