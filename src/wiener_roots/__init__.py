@@ -7,7 +7,6 @@ from .graph_core import (
     Graph6Error,
     diameter,
     distance_distribution,
-    distance_distributions,
     enumerate_connected_distributions,
     enumerate_trees,
     from_edge_list,

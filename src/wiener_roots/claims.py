@@ -930,7 +930,8 @@ def search_extremal(order: int, objective: str, kind: str,
 @claim("extremal_real_part",
        (lambda tree_lo, tree_hi: 6 <= tree_lo <= tree_hi <= 17,
         "supported tree order range is 6..17"),
-       (lambda graph_hi: graph_hi <= 7, "graph orders above 7 are gated"),
+       (lambda graph_hi: 3 <= graph_hi <= 7,
+        "supported graph order bound is 3..7; orders above 7 are gated"),
        quick=[dict(tree_lo=6, tree_hi=12, graph_hi=5)],
        full=[dict(tree_lo=6, tree_hi=17, graph_hi=5)])
 def verify_extremal_real_part(tree_lo: int = 6, tree_hi: int = 17, graph_hi: int = 5,

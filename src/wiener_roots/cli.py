@@ -20,7 +20,7 @@ from . import claims
 from .families import parse_family_spec, family_polynomial
 from .graph_core import (
     Graph6Error,
-    distance_distributions,
+    distance_distribution,
     graph6_distributions,
     load_edge_list,
     parse_graph6,  # noqa: F401  (kept as cli.parse_graph6 for its callers)
@@ -111,9 +111,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.edge_list:
         tokens = descs = [args.input]
         try:
-            dists = distance_distributions([load_edge_list(source, name=args.input)])
+            g = load_edge_list(source, name=args.input)
         except ValueError as exc:
             dists, unreadable = [exc], 1
+        else:
+            try:
+                dists = [distance_distribution(g)]
+            except ValueError as exc:  # disconnected, or a single vertex
+                dists = [exc]
     else:
         lines = [(i + 1, ln.strip()) for i, ln in enumerate(source) if ln.strip()]
         tokens = [token for _, token in lines]
@@ -188,13 +193,20 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 def _parse_claim_params(tokens: list[str], accepted: dict[str, type]) -> dict:
     """Turn 'n=5', 'n=6..100', 'rel_tol=0.05', 'which=imag' tokens into claim
-    arguments of the types the claim declares; a bool is written 0 or 1."""
+    arguments of the types the claim declares; a bool is written 0 or 1.
+    No parameter may be given twice, and n= counts as both n_lo and n_hi."""
     params: dict = {}
+    given: set[str] = set()
     for token in tokens:
         key, sep, value = token.partition("=")
         if not sep:
             raise ValueError(f"claim parameter {token!r} must look like key=value")
-        if key == "n" and ("n_lo" in accepted or "n_hi" in accepted):
+        ranged = key == "n" and ("n_lo" in accepted or "n_hi" in accepted)
+        names = {"n_lo", "n_hi"} if ranged else {key}
+        if names & given:
+            raise ValueError(f"parameter {key!r} is given more than once")
+        given |= names
+        if ranged:
             if ".." in value:
                 lo, hi = value.split("..", 1)
                 params["n_lo"], params["n_hi"] = int(lo), int(hi)
@@ -206,8 +218,10 @@ def _parse_claim_params(tokens: list[str], accepted: dict[str, type]) -> dict:
         if ".." in value:
             raise ValueError(f"parameter {key!r} does not take a range")
         kind = accepted[key]
+        if kind is bool and value not in ("0", "1"):
+            raise ValueError(f"parameter {key!r} takes 0 or 1, not {value!r}")
         try:
-            params[key] = bool(int(value)) if kind is bool else kind(value)
+            params[key] = value == "1" if kind is bool else kind(value)
         except ValueError:
             raise ValueError(f"parameter {key!r} takes {kind.__name__} values, "
                              f"not {value!r}") from None

@@ -6,9 +6,11 @@ pairs at distance k, and the degree is the diameter.
 Vertices are integers 0..n-1 and each adjacency row is a Python int whose
 bit u says whether {u, v} is an edge.  The distances of one graph come from
 one multi-source traversal: every vertex's ball, a bit row, grows by one
-radius per step.  The exhaustive sweeps, over all labeled graphs up to
-order 8 and all free trees up to order 18, compute theirs in numpy batches
-instead.
+radius per step.  graph6_distributions grows the balls of many graph6
+records of order 2..62 together in numpy, one uint64 word per ball, and is
+the only caller of that kernel (_grow_pieces, _ball_growth).  The
+exhaustive sweeps, over all labeled graphs up to order 8 and all free trees
+up to order 18, compute theirs in numpy batches too.
 
 Free trees are composed, not filtered: a single-centroid tree is its
 centroid plus a non-increasing list of rooted blocks, the canonical rooted
@@ -341,32 +343,6 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return (x * _BYTES_ONE) >> np.uint64(56)
 
 
-def distance_distributions(graphs: Iterable[Graph]) -> list[WienerPolynomial | ValueError]:
-    """distance_distribution of each graph, or the ValueError it raises, in order.
-
-    The graphs of order 2..64 are grown together by `_ball_growth`, each
-    ball one uint64 word, in batches of at most _BALL_CHUNK vertices; a
-    graph of any other order goes to distance_distribution itself.  Only
-    the current batch is held, so the input can be a generator that parses
-    one graph at a time.
-    """
-    out: list = []
-
-    def pieces() -> Iterator[tuple[list[int], int, np.ndarray]]:
-        for g in graphs:
-            out.append(None)
-            if 2 <= g.n <= _WORD_ORDER:
-                yield [len(out) - 1], g.n, np.array(g.adj, dtype=np.uint64)
-                continue
-            try:
-                out[-1] = distance_distribution(g)
-            except ValueError as exc:
-                out[-1] = exc
-
-    _grow_pieces(pieces(), out)
-    return out
-
-
 def graph6_distributions(records: Sequence[str]) -> list[WienerPolynomial | ValueError]:
     """For each graph6 record, the distance_distribution of its graph, the
     ValueError that raises, or the Graph6Error of a malformed record: each
@@ -406,10 +382,10 @@ def graph6_distributions(records: Sequence[str]) -> list[WienerPolynomial | Valu
 
 
 def _grow_pieces(pieces: Iterable[tuple[list[int], int, np.ndarray]], out: list) -> None:
-    """`_ball_growth` into out for each piece: (positions in out, the graphs'
-    common order 2..64, their adjacency words end to end), over batches of
-    at most _BALL_CHUNK words, or one piece if it is larger.  The pieces are
-    read as the batches fill."""
+    """`_ball_growth` into out for each piece of graph6_distributions, its
+    only feeder: (positions in out, the graphs' common order 2..62, their
+    adjacency words end to end, at most _BALL_CHUNK of them), over batches
+    of at most _BALL_CHUNK words.  The pieces are read as the batches fill."""
     batch: list[tuple[list[int], int, np.ndarray]] = []
     size = 0
     for piece in itertools.chain(pieces, [None]):
@@ -426,8 +402,9 @@ def _grow_pieces(pieces: Iterable[tuple[list[int], int, np.ndarray]], out: list)
 
 def _ball_growth(orders: np.ndarray, adj: np.ndarray) -> list[WienerPolynomial | ValueError]:
     """distance_distribution of each graph, or its ValueError, for graphs of
-    order 2..64 grown all at once: graph j has order orders[j], and adj
-    holds the adjacency words of all the graphs, end to end.
+    order 2..62 grown all at once: graph j has order orders[j], and adj
+    holds the adjacency words of all the graphs, end to end.  Its graphs
+    come from graph6_distributions, through _grow_pieces.
 
     Every ball is one uint64 word, and the words of all the graphs are laid
     end to end.  Each vertex's closed neighbourhood is one segment of an

@@ -186,6 +186,35 @@ def test_compute_edge_list_and_stdin(tmp_path, capsys, monkeypatch):
     assert "error" in json.loads(lines[1])  # edgeless pair is disconnected
 
 
+def test_compute_edge_list_reports_a_disconnected_graph_and_grows_past_one_word(
+        tmp_path, capsys):
+    # a disconnected edge list is its record's error, not an unreadable input
+    src = tmp_path / "two_paths.edges"
+    src.write_text("5\n0 1\n1 2\n3 4\n")
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, "compute", str(src), "--edge-list",
+                                 "--format", fmt)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {
+            "graph": str(src),
+            "error": "distance distribution undefined for disconnected graphs"}
+    # order 70, past one uint64 word per ball; the roots' digest was recorded
+    # while edge lists still went through the batched ball growth
+    n = 70
+    src = tmp_path / "path70.edges"
+    src.write_text(f"{n}\n" + "".join(f"{v - 1} {v}\n" for v in range(1, n)))
+    code, out, err = run_cli(capsys, "compute", str(src), "--edge-list")
+    assert (code, err) == (EXIT_OK, "")
+    record = json.loads(out)
+    assert record["graph"] == str(src)
+    assert record["coefficients"] == list(range(n - 1, 0, -1))
+    assert record["wiener_index"] == 57155
+    assert record["annulus"] == {"r": "69/68", "R": "2"}
+    assert len(record["roots"]) == n - 2
+    assert hashlib.sha256(json.dumps(record["roots"]).encode()).hexdigest() == \
+        "8efc1741a1b033d8a341e4529a6797737214df9d2a8430a795c7d9cfe79953c6"
+
+
 def test_scatter_order3_exact_bytes(tmp_path, capsys):
     out_path = tmp_path / "roots.csv"
     code, _, _ = run_cli(capsys, "scatter", "--order", "3", "--out", str(out_path))
@@ -387,6 +416,44 @@ def test_verify_command_exit_codes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "tree_density_limit", "a=1", "b=2",
                            "ell_max=80", "rel_tol=0.05")
     assert code == EXIT_OK and "pass" in out
+
+
+def test_verify_rejects_a_parameter_given_twice(capsys):
+    # n= gives both n_lo and n_hi, so it clashes with either
+    for argv in (("density", "a_hi=2", "b_hi=2", "a_hi=3"),
+                 ("tree_root_bound", "n=5", "n_lo=6"),
+                 ("tree_root_bound", "n_hi=6", "n=5"),
+                 ("tree_root_bound", "n=5", "n=6..7")):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: parameter ") and err.endswith(
+            " is given more than once\n")
+    code, out, _ = run_cli(capsys, "verify", "tree_root_bound", "n_lo=5", "n_hi=6")
+    assert code == EXIT_OK and "{'n_lo': 5, 'n_hi': 6}" in out
+
+
+def test_verify_bool_parameters_take_only_0_or_1(capsys):
+    for value in ("7", "-1", "true", "01"):
+        code, out, err = run_cli(capsys, "verify", "purely_imaginary", "kind=graphs",
+                                 "order=5", f"long_running={value}")
+        assert (code, out, err) == (
+            EXIT_USAGE, "",
+            f"error: parameter 'long_running' takes 0 or 1, not {value!r}\n")
+    for value in ("0", "1"):
+        code, _, _ = run_cli(capsys, "verify", "purely_imaginary", "kind=graphs",
+                             "order=5", f"long_running={value}")
+        assert code == EXIT_OK
+
+
+def test_extremal_real_part_bounds_graph_hi_from_both_sides(capsys):
+    message = "error: supported graph order bound is 3..7; orders above 7 are gated\n"
+    for graph_hi in (-5, 2, 8):
+        code, out, err = run_cli(capsys, "verify", "extremal_real_part",
+                                 f"graph_hi={graph_hi}")
+        assert (code, out, err) == (EXIT_USAGE, "", message)
+    code, out, _ = run_cli(capsys, "verify", "extremal_real_part", "tree_hi=7",
+                           "graph_hi=3")
+    assert code == EXIT_OK and "graphs order 3" in out
 
 
 def test_verify_all_quick(tmp_path, capsys):

@@ -29,7 +29,6 @@ from wiener_roots.graph_core import (
     Graph6Error,
     diameter,
     distance_distribution,
-    distance_distributions,
     enumerate_connected_distributions,
     enumerate_trees,
     fixture_names,
@@ -371,40 +370,6 @@ def _one_at_a_time(g: Graph):
         return distance_distribution(g)
     except ValueError as exc:
         return type(exc), str(exc)
-
-
-def _batched(graphs) -> list:
-    return [w if isinstance(w, WienerPolynomial) else (type(w), str(w))
-            for w in distance_distributions(graphs)]
-
-
-def test_batched_distances_are_distance_distribution_of_each_graph():
-    rng = random.Random(64)
-    graphs = [from_edge_list(1, []), from_edge_list(2, []), from_edge_list(2, [(0, 1)]),
-              from_edge_list(64, [(v, v + 1) for v in range(63)]),      # bit 63, diameter 63
-              from_edge_list(64, [(u, v) for v in range(64) for u in range(v)]),
-              from_edge_list(64, [(0, 63)]),                            # disconnected
-              from_edge_list(62, [(v, v + 1) for v in range(60)]),      # isolated vertex 61
-              from_edge_list(65, [(v, v + 1) for v in range(64)]),      # past one word
-              from_edge_list(70, [(0, 1)])]
-    for _ in range(140):
-        n = rng.choice((rng.randrange(2, 65), 62, 63, 64))
-        reach = rng.choice((1, 2, 4, n))
-        edges = [(rng.randrange(max(0, v - reach), v), v) for v in range(1, n)]
-        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(4))]
-        if rng.random() < 0.2:  # cut off the last vertex
-            edges = [(u, v) for u, v in edges if n - 1 not in (u, v)]
-        graphs.append(from_edge_list(n, edges))
-    rng.shuffle(graphs)
-    want = [_one_at_a_time(g) for g in graphs]
-    # 140 graphs of about 40 vertices: more than one batch of _BALL_CHUNK
-    assert sum(g.n for g in graphs) > graph_core._BALL_CHUNK
-    assert _batched(graphs) == want
-    assert _batched(iter(graphs)) == want
-    kinds = {w[0] if isinstance(w, tuple) else WienerPolynomial for w in want}
-    assert kinds == {WienerPolynomial, DisconnectedGraphError, ValueError}
-    assert distance_distributions([]) == []
-    assert _batched(graphs[:1]) == want[:1]
 
 
 @pytest.mark.parametrize("spec", ["broom:4,4000", "broom:5,4000", "star:4000",
