@@ -62,7 +62,7 @@ from .graph_core import (
     from_edge_list,
     load_fixture,
     tree_distributions,
-    tree_parent_row,
+    tree_parent_array,
 )
 from .polynomial import (
     ComplexRoot,
@@ -270,10 +270,12 @@ def connected_distributions(
 @lru_cache(maxsize=None)
 def tree_instances(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(distance vector, parent row) for every free tree of order n, in the
-    order of enumerate_trees; the vectors come from the batched tree kernel.
-    A report that names a tree spells its edges out with _edges."""
-    parents = [tree_parent_row(g) for g in enumerate_trees(n)]
-    return tuple(zip(tree_distributions(parents), parents))
+    order of enumerate_trees.  The parent rows are read off the trees'
+    adjacency words a chunk at a time (tree_parent_array), and that array
+    feeds the batched tree kernel as it is.  A report that names a tree
+    spells its edges out with _edges."""
+    parents = tree_parent_array(enumerate_trees(n))
+    return tuple(zip(tree_distributions(parents), map(tuple, parents.tolist())))
 
 
 def _edges(row: tuple[int, ...]) -> tuple[tuple[int, int], ...]:

@@ -17,15 +17,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import claims
-from .families import parse_family_spec, family_polynomial
+from .families import family_closed_form, family_graph, parse_family_spec
 from .graph_core import (
+    Graph,
     Graph6Error,
     distance_distribution,
+    eccentricity,
     graph6_distributions,
     load_edge_list,
     parse_graph6,  # noqa: F401  (kept as cli.parse_graph6 for its callers)
 )
 from .polynomial import (
+    ROOTS_MAX_DEGREE,
     Annulus,
     ComplexRoot,
     RootFindingError,
@@ -77,6 +80,18 @@ def _record_for(desc: str, w: WienerPolynomial,
     return OutputRecord(desc, w.d, rts, ann, wiener_index(w))
 
 
+def _distances_for_roots(g: Graph) -> WienerPolynomial:
+    """distance_distribution(g), refused before it runs when W/x is sure to
+    pass ROOTS_MAX_DEGREE: W/x has degree diameter - 1, and the diameter is at
+    least the eccentricity of vertex 0, which one BFS gives."""
+    e = eccentricity(g, 0)
+    if e - 1 > ROOTS_MAX_DEGREE:
+        raise ValueError(f"roots are found for W/x of degree at most {ROOTS_MAX_DEGREE}; "
+                         f"this graph's has degree at least {e - 1} "
+                         f"(vertex 0 has eccentricity {e})")
+    return distance_distribution(g)
+
+
 def _emit(lines: list[str], out: str | None) -> None:
     """Write the lines to out, or to stdout, each ended by a newline (a lone
     newline for no lines), without joining them into one more copy of the
@@ -116,8 +131,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
             dists, unreadable = [exc], 1
         else:
             try:
-                dists = [distance_distribution(g)]
-            except ValueError as exc:  # disconnected, or a single vertex
+                dists = [_distances_for_roots(g)]
+            except ValueError as exc:  # disconnected, a single vertex, or too long
                 dists = [exc]
     else:
         lines = [(i + 1, ln.strip()) for i, ln in enumerate(source) if ln.strip()]
@@ -174,7 +189,9 @@ def cmd_scatter(args: argparse.Namespace) -> int:
 def cmd_family(args: argparse.Namespace) -> int:
     try:
         spec = parse_family_spec(args.spec)
-        w = family_polynomial(spec)
+        w = family_closed_form(spec)
+        if w is None:
+            w = _distances_for_roots(family_graph(spec))
         record = _record_for(str(spec), w, roots(w))
     except (ValueError, RootFindingError) as exc:  # a bad spec, or no roots for it
         print(f"error: {exc}", file=sys.stderr)
@@ -189,6 +206,19 @@ def cmd_family(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify / verify-all
 # ---------------------------------------------------------------------------
+
+
+def _typed(key: str, kind: type, value: str):
+    """value read as the declared type of parameter key; a bool is 0 or 1."""
+    if kind is bool:
+        if value not in ("0", "1"):
+            raise ValueError(f"parameter {key!r} takes 0 or 1, not {value!r}")
+        return value == "1"
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"parameter {key!r} takes {kind.__name__} values, "
+                         f"not {value!r}") from None
 
 
 def _parse_claim_params(tokens: list[str], accepted: dict[str, type]) -> dict:
@@ -207,24 +237,16 @@ def _parse_claim_params(tokens: list[str], accepted: dict[str, type]) -> dict:
             raise ValueError(f"parameter {key!r} is given more than once")
         given |= names
         if ranged:
-            if ".." in value:
-                lo, hi = value.split("..", 1)
-                params["n_lo"], params["n_hi"] = int(lo), int(hi)
-            else:
-                params["n_lo"] = int(value)
+            lo, dots, hi = value.partition("..")
+            params["n_lo"] = _typed(key, int, lo)
+            if dots:
+                params["n_hi"] = _typed(key, int, hi)
             continue
         if key not in accepted:
             raise ValueError(f"claim does not take a parameter named {key!r}")
         if ".." in value:
             raise ValueError(f"parameter {key!r} does not take a range")
-        kind = accepted[key]
-        if kind is bool and value not in ("0", "1"):
-            raise ValueError(f"parameter {key!r} takes 0 or 1, not {value!r}")
-        try:
-            params[key] = value == "1" if kind is bool else kind(value)
-        except ValueError:
-            raise ValueError(f"parameter {key!r} takes {kind.__name__} values, "
-                             f"not {value!r}") from None
+        params[key] = _typed(key, accepted[key], value)
     return params
 
 

@@ -173,13 +173,17 @@ def validate_spec(spec: FamilySpec) -> None:
     _family(spec)
 
 
-def family_polynomial(spec: FamilySpec) -> WienerPolynomial:
-    """Exact Wiener polynomial: the closed form where one exists, else the graph's."""
+def family_closed_form(spec: FamilySpec) -> WienerPolynomial | None:
+    """The closed-form Wiener polynomial, or None where the family has none."""
     family = _family(spec)
     counts = family.counts and family.counts(*spec.params)
-    if counts:
-        return WienerPolynomial(counts)
-    return distance_distribution(_graph(spec, family))
+    return WienerPolynomial(counts) if counts else None
+
+
+def family_polynomial(spec: FamilySpec) -> WienerPolynomial:
+    """Exact Wiener polynomial: the closed form where one exists, else the graph's."""
+    w = family_closed_form(spec)
+    return w if w is not None else distance_distribution(family_graph(spec))
 
 
 def family_graph(spec: FamilySpec) -> Graph:

@@ -35,10 +35,11 @@ checked.
 
 Free trees get their distances in batches instead of one traversal each.  A
 tree numbered in preorder, as enumerate_trees numbers it, is its parent row:
-every vertex v >= 1 has exactly one lower-numbered neighbour.  For a chunk
-of such rows, step v fills row and column v of a (trees, n, n) uint8
+every vertex v >= 1 has exactly one lower-numbered neighbour, which
+tree_parent_array reads off a chunk of adjacency words at once.  For a chunk
+of such rows, step v fills row and column v of an (n, n, trees) uint8
 distance array by dist(v, u) = dist(parent(v), u) + 1 for every u < v, and
-one bincount gives each tree's pair counts by distance.
+one compare and sum per distance gives each tree's pair counts.
 
 Graphs must be connected for the distance distribution to exist; single-graph
 operations raise DisconnectedGraphError, while the exhaustive sweeps count
@@ -124,14 +125,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def is_connected(self) -> bool:
-        seen = frontier = 1
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        return _breadth_first(self, 0)[1] == (1 << self.n) - 1
 
     def is_tree(self) -> bool:
         return self.edge_count == self.n - 1 and self.is_connected()
@@ -278,6 +272,7 @@ def load_fixture(name: str) -> Graph:
 
 
 _ORDER_ONE = "distance distribution needs order >= 2"
+_DISCONNECTED = "distance distribution undefined for disconnected graphs"
 
 
 def distance_distribution(g: Graph) -> WienerPolynomial:
@@ -317,9 +312,7 @@ def distance_distribution(g: Graph) -> WienerPolynomial:
         total += rise
         growing = [u for u, _ in grown]
     if total != n * n:
-        raise DisconnectedGraphError(
-            "distance distribution undefined for disconnected graphs"
-        )
+        raise DisconnectedGraphError(_DISCONNECTED)
     w = WienerPolynomial(tuple(x // 2 for x in counts))
     if sum(w.d) != n * (n - 1) // 2:
         raise RuntimeError(f"pair counts sum to {sum(w.d)}, expected C({n},2)")
@@ -458,8 +451,7 @@ def _ball_growth(orders: np.ndarray, adj: np.ndarray) -> list[WienerPolynomial |
     for n, column, k in zip(orders.tolist(), table.T.tolist(), steps):
         counts = column[:k]
         if n + sum(counts) != n * n:
-            outcomes.append(DisconnectedGraphError(
-                "distance distribution undefined for disconnected graphs"))
+            outcomes.append(DisconnectedGraphError(_DISCONNECTED))
             continue
         w = WienerPolynomial(tuple(x // 2 for x in counts))
         if sum(w.d) != n * (n - 1) // 2:
@@ -468,11 +460,40 @@ def _ball_growth(orders: np.ndarray, adj: np.ndarray) -> list[WienerPolynomial |
     return outcomes
 
 
+def _breadth_first(g: Graph, v: int) -> tuple[int, int]:
+    """(greatest distance from v, bit row of v's component), by one BFS over
+    the bit rows."""
+    seen = frontier = 1 << v
+    levels = 0
+    while True:
+        nxt = 0
+        for u in _iter_bits(frontier):
+            nxt |= g.adj[u]
+        frontier = nxt & ~seen
+        if not frontier:
+            return levels, seen
+        seen |= frontier
+        levels += 1
+
+
+def eccentricity(g: Graph, v: int) -> int:
+    """Greatest distance from v to a vertex, by one BFS: at most the diameter
+    and at least half of it, without the distance distribution's work.
+    DisconnectedGraphError when some vertex is out of reach."""
+    e, seen = _breadth_first(g, v)
+    if seen != (1 << g.n) - 1:
+        raise DisconnectedGraphError(_DISCONNECTED)
+    return e
+
+
 def diameter(g: Graph) -> int:
     """Length of the longest shortest path (0 for the one-vertex graph)."""
     if g.n == 1:
         return 0
     return distance_distribution(g).degree
+
+
+_NOT_PREORDER = "vertex {} does not have exactly one lower-numbered neighbour"
 
 
 def tree_parent_row(g: Graph) -> tuple[int, ...]:
@@ -486,8 +507,7 @@ def tree_parent_row(g: Graph) -> tuple[int, ...]:
     for v in range(1, g.n):
         lower = g.adj[v] & ((1 << v) - 1)
         if not lower or lower & (lower - 1):
-            raise RuntimeError(f"vertex {v} does not have exactly one "
-                               "lower-numbered neighbour")
+            raise RuntimeError(_NOT_PREORDER.format(v))
         row.append(lower.bit_length() - 1)
     return tuple(row)
 
@@ -495,39 +515,68 @@ def tree_parent_row(g: Graph) -> tuple[int, ...]:
 _TREE_CHUNK = 512
 
 
-def _tree_chunk_distributions(n: int, rows: list[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Distance vectors of a chunk of trees of order n given as parent rows.
+def tree_parent_array(trees: Iterable[Graph]) -> np.ndarray:
+    """tree_parent_row of every tree, as one (trees, n-1) intp array.
 
-    dist[t] starts as 0xFF off the diagonal, and step v fills row and column
-    v of every tree at once by dist(v, u) = dist(parent(v), u) + 1 for u < v.
-    A parent that does not precede its child reads an unfilled entry, which
-    wraps to distance 0 and fails the pair-count check.
+    There must be at least one tree, and all share one order n <= 64.
+    Their adjacency rows are stacked _TREE_CHUNK trees at a time into one
+    (trees, n) uint64 array, and each vertex v >= 1 is read off it in numpy:
+    word v masked to the bits below v must be a single bit, whose position
+    is the parent.  Any other numbering raises tree_parent_row's
+    RuntimeError, also under python -O.
     """
-    m = len(rows)
-    parents = np.array(rows, dtype=np.intp).reshape(m, n - 1)
-    dist = np.full((m, n, n), 0xFF, dtype=np.uint8)
+    trees = iter(trees)
+    parts = []
+    while chunk := list(itertools.islice(trees, _TREE_CHUNK)):
+        words = np.array([g.adj for g in chunk], dtype=np.uint64)
+        bit = np.left_shift(np.uint64(1), np.arange(1, words.shape[1], dtype=np.uint64))
+        lower = words[:, 1:] & (bit - np.uint64(1))  # word v's bits below v
+        stray = (lower == 0) | (lower & (lower - np.uint64(1)) != 0)
+        if stray.any():
+            _, v = np.argwhere(stray)[0].tolist()
+            raise RuntimeError(_NOT_PREORDER.format(v + 1))
+        parts.append(_popcount(lower - np.uint64(1)).astype(np.intp))
+    return np.concatenate(parts)
+
+
+def _tree_chunk_distributions(parents: np.ndarray) -> list[tuple[int, ...]]:
+    """Distance vectors of a chunk of trees given as an (m, n-1) parent array.
+
+    dist[a, b, t] is the distance of a and b in tree t, trees innermost, so
+    each step reads and writes runs of m bytes.  It starts as 0xFF off the
+    diagonal, and step v fills row and column v of every tree at once by
+    dist(v, u) = dist(parent(v), u) + 1 for u < v.  A parent that does not
+    precede its child reads an unfilled entry, which wraps to distance 0 and
+    fails the pair-count check.
+    """
+    m, n = parents.shape[0], parents.shape[1] + 1
+    dist = np.full((n, n, m), 0xFF, dtype=np.uint8)
     diag = np.arange(n)
-    dist[:, diag, diag] = 0
-    trees = np.arange(m)
+    dist[diag, diag] = 0
+    flat = dist.reshape(-1)
+    start = parents.T * (n * m) + np.arange(m)  # where dist[parent(v), 0, t] sits
     for v in range(1, n):
-        row = dist[trees, parents[:, v - 1], :v]
+        row = flat.take(start[v - 1] + (np.arange(v) * m)[:, None])
         row += 1
-        dist[:, v, :v] = row
-        dist[:, :v, v] = row
-    later, earlier = np.tril_indices(n, -1)
-    below = dist[:, later, earlier].astype(np.intp)
-    below += (trees * 256)[:, None]  # one bin per uint8 value, out-of-range ones too
-    counts = np.bincount(below.ravel(), minlength=m * 256).reshape(m, 256)[:, 1:n]
-    if not np.all(counts.sum(axis=1) == n * (n - 1) // 2):
+        dist[v, :v] = row
+        dist[:v, v] = row
+    below = dist[np.tril_indices(n, -1)]  # (pairs, trees)
+    # one compare and count per distance, in the least unsigned type that
+    # holds C(n,2); past order 256 the counts stop at distance 255, and a pair
+    # at distance 256 wraps to 0 and fails the check
+    pairs = n * (n - 1) // 2
+    acc = np.min_scalar_type(pairs)
+    counts = np.stack([(below == k).sum(axis=0, dtype=acc)
+                       for k in range(1, min(n, 256))], axis=1)
+    if not np.all(counts.sum(axis=1) == pairs):
         raise RuntimeError(f"tree pair counts do not sum to C({n},2)")
-    # past order 256 the bins stop at distance 255, and a pair at distance 256
-    # wraps to bin 0 and fails the check above
     diameters = counts.shape[1] - np.argmax(counts[:, ::-1] > 0, axis=1)
     return [tuple(d[:k]) for d, k in zip(counts.tolist(), diameters.tolist())]
 
 
 def tree_distributions(parent_rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    """Distance vector of each tree, in order, from its parent row (tree_parent_row).
+    """Distance vector of each tree, in order, from its parent row: a row of
+    tree_parent_array, or of tree_parent_row.
 
     The trees are taken a chunk of _TREE_CHUNK at a time, so memory stays flat
     however many there are; all must have the same order.  Same vectors as
@@ -535,10 +584,10 @@ def tree_distributions(parent_rows: Iterable[Sequence[int]]) -> Iterator[tuple[i
     """
     rows = iter(parent_rows)
     while chunk := list(itertools.islice(rows, _TREE_CHUNK)):
-        n = len(chunk[0]) + 1
-        if n < 2:
-            raise ValueError("distance distribution needs order >= 2")
-        yield from _tree_chunk_distributions(n, chunk)
+        parents = np.array(chunk, dtype=np.intp)
+        if parents.shape[1] == 0:
+            raise ValueError(_ORDER_ONE)
+        yield from _tree_chunk_distributions(parents)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +931,12 @@ def _tree_words(n: int, rows: list[tuple[int, ...]]) -> np.ndarray:
     bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
     words = np.zeros((m, n), dtype=np.uint64)
     words[:, 1:] = bit[parents]
-    np.bitwise_or.at(words, (np.arange(m)[:, None], parents), bit[1:])
+    # word p's children bits, summed by one weighted bincount: they are
+    # distinct powers of two below 2^n <= 2^TREE_MAX_ORDER, so the float64 sum
+    # is exact (under 2^53) and equals their OR
+    cells = (parents + (np.arange(m) * n)[:, None]).ravel()
+    weights = np.broadcast_to(bit[1:].astype(np.float64), (m, n - 1)).ravel()
+    words |= np.bincount(cells, weights, m * n).astype(np.uint64).reshape(m, n)
     return words
 
 
@@ -911,9 +965,10 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     descending order of their level sequences rooted at the centroid, then
     the bicentroid pairs (_free_tree_parent_rows); none is generated and then
     discarded.  Each Graph is built from its parent row, which
-    tree_parent_row gives back.  The rows are taken a chunk of _TREE_CHUNK
-    at a time: the chunk's adjacency words are built in numpy and pass
-    Graph's checks together (_check_tree_words), so no Graph runs its own.
+    tree_parent_row, or tree_parent_array for many trees, reads back.  The
+    rows are taken a chunk of _TREE_CHUNK at a time: the chunk's adjacency
+    words are built in numpy and pass Graph's checks together
+    (_check_tree_words), so no Graph runs its own.
     """
     if not 1 <= n <= TREE_MAX_ORDER:
         raise ValueError(f"supported orders are 1..{TREE_MAX_ORDER}, got {n}")

@@ -524,6 +524,16 @@ def _isolate_real_roots(c: Sequence[int]) -> list[IsolatedRoot]:
     return sorted(rationals, key=_isolated_value)
 
 
+def _sign_at(c: Sequence[int], num: int, den: int) -> int:
+    """Sign of the integer polynomial c at num/den, den > 0: the sign of
+    den^deg c(num/den), by homogeneous Horner in integers."""
+    acc, scale = c[-1], 1
+    for k in range(len(c) - 2, -1, -1):
+        scale *= den
+        acc = acc * num + c[k] * scale
+    return _sign(acc)
+
+
 def _refine_bracket(c: Sequence[int], a: Fraction, b: Fraction) -> IsolatedRoot:
     """Shrink a one-root bracket to width 2^-40 or an exact rational hit.
 
@@ -532,20 +542,29 @@ def _refine_bracket(c: Sequence[int], a: Fraction, b: Fraction) -> IsolatedRoot:
     shrinks on until its width is at most 2^-20 times the modulus of its
     endpoint nearer 0, so the bracket's midpoint is close to the root in
     relative terms too.
+
+    The bracket is (lo/den, hi/den) in integers: each step doubles den and
+    takes lo + hi as the midpoint, with no gcd, and each sign comes from
+    _sign_at.  The Fractions returned are those of bisecting in Fractions.
     """
-    sa = _sign(_eval_frac(c, a))
-    while (b - a > STURM_REFINE_WIDTH or a <= 0 <= b
-           or b - a > STURM_RELATIVE_WIDTH * min(abs(a), abs(b))):
-        mid = (a + b) / 2
-        sm = _sign(_eval_frac(c, mid))
+    den = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    width, relative = STURM_REFINE_WIDTH, STURM_RELATIVE_WIDTH
+    sa = _sign_at(c, lo, den)
+    while ((hi - lo) * width.denominator > width.numerator * den or lo <= 0 <= hi
+           or (hi - lo) * relative.denominator
+           > relative.numerator * min(abs(lo), abs(hi))):
+        mid, den = lo + hi, 2 * den
+        sm = _sign_at(c, mid, den)
         if sm == 0:
-            return mid
+            return Fraction(mid, den)
         if sm == sa:
-            a = mid
+            lo, hi = mid, 2 * hi
         else:
-            b = mid
+            lo, hi = 2 * lo, mid
+    a, b = Fraction(lo, den), Fraction(hi, den)
     candidate = _simplest_in(a, b)
-    if _eval_frac(c, candidate) == 0:
+    if _sign_at(c, candidate.numerator, candidate.denominator) == 0:
         return candidate
     return (a, b)
 

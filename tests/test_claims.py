@@ -2,7 +2,11 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,6 +566,33 @@ def test_tree_instances_match_per_tree_bfs():
         assert claims.tree_instances(n) == expected
         assert [claims._edges(row) for _, row in expected] == \
             [tuple(g.edges()) for g in trees]
+    with pytest.raises(ValueError, match="distance distribution needs order >= 2"):
+        claims.tree_instances(1)
+
+
+_NOT_PREORDER = """
+import pytest
+from wiener_roots import claims
+from wiener_roots.graph_core import enumerate_trees, from_edge_list
+trees = list(enumerate_trees(12))  # 551 trees: a full chunk, then 39
+# in the star centred at vertex 11, vertex 1 has no lower-numbered neighbour;
+# in the path 0..10 with vertex 11 joined to 0 and 1 (not a tree), 11 has two
+for edges, v in (([(u, 11) for u in range(11)], 1),
+                 ([(u, u + 1) for u in range(10)] + [(0, 11), (1, 11)], 11)):
+    claims.enumerate_trees = lambda n: iter(trees + [from_edge_list(12, edges)])
+    claims.tree_instances.cache_clear()
+    with pytest.raises(RuntimeError) as raised:
+        claims.tree_instances(12)
+    assert str(raised.value) == \
+        f"vertex {v} does not have exactly one lower-numbered neighbour"
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_tree_instances_refuse_a_tree_not_in_preorder(flags):
+    src = Path(claims.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, *flags, "-c", _NOT_PREORDER], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 @pytest.fixture

@@ -3,15 +3,19 @@
 import csv
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from wiener_roots import polynomial
+from wiener_roots import cli, families, polynomial
 from wiener_roots.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from wiener_roots.families import family_graph, parse_family_spec
-from wiener_roots.graph_core import fixture_names, from_edge_list, load_fixture
+from wiener_roots.graph_core import (distance_distribution, fixture_names, from_edge_list,
+                                     load_fixture)
 from conftest import GRAPH6_MALFORMED, graph6_encode
 
 
@@ -20,6 +24,11 @@ def k4_minus_edge_line():
     g = from_edge_list(4, [(u, v) for v in range(4) for u in range(v)
                            if (u, v) != (0, 1)])
     return graph6_encode(g)
+
+
+# refused by one BFS from vertex 0, before the distance distribution
+_TOO_LONG = ("roots are found for W/x of degree at most {}; this graph's has "
+             "degree at least {} (vertex 0 has eccentricity {})")
 
 
 def run_cli(capsys, *argv):
@@ -127,15 +136,17 @@ def test_compute_reports_an_order_one_graph_per_record(tmp_path, capsys):
 
 def test_compute_reports_a_degree_past_the_root_bound_per_record(tmp_path, capsys,
                                                                  monkeypatch):
-    # the path of order 1100 has a W/x of degree 1098 > ROOTS_MAX_DEGREE
+    # the path of order 1100 has a W/x of degree 1098 > ROOTS_MAX_DEGREE, and
+    # vertex 0's eccentricity 1099 shows it before the distances are counted
     n = 1100
     src = tmp_path / "path.edges"
     src.write_text(f"{n}\n" + "".join(f"{v - 1} {v}\n" for v in range(1, n)))
+    monkeypatch.setattr(cli, "distance_distribution", None)  # never called
     code, out, err = run_cli(capsys, "compute", str(src), "--edge-list")
     assert (code, err) == (EXIT_OK, "")
-    assert json.loads(out) == {
-        "graph": str(src),
-        "error": "roots are found for W/x of degree at most 1024, not 1098"}
+    assert json.loads(out) == {"graph": str(src),
+                               "error": _TOO_LONG.format(1024, 1098, 1099)}
+    monkeypatch.undo()
     # graph6 stops at order 62, so among several records a lower bound is
     # passed: the path of order 5 gets an error line in its place, and the
     # records around it are still computed
@@ -371,6 +382,42 @@ def test_family_graphs_above_the_order_bound_exit_2_before_building(capsys):
                        "only closed forms go past that order\n")
 
 
+def test_a_family_too_long_for_roots_is_refused_before_its_distances(capsys, monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return distance_distribution(g)
+
+    monkeypatch.setattr(cli, "distance_distribution", counting)
+    monkeypatch.setattr(families, "distance_distribution", counting)
+    # a path of 16384 vertices: one BFS from its end vertex 0 refuses it
+    code, out, err = run_cli(capsys, "family", "path_with_pendants:16384,1,0")
+    assert (code, out, err) == \
+        (EXIT_USAGE, "", f"error: {_TOO_LONG.format(1024, 16382, 16383)}\n")
+    assert calls == []
+    # within the bound the distances are counted as before; at a bound of 3,
+    # the path of order 5 (W/x of degree 3) passes and that of order 6 does not
+    code, out, _ = run_cli(capsys, "family", "path_with_pendants:20,3,2")
+    assert code == EXIT_OK and json.loads(out)["coefficients"][0] == 21
+    monkeypatch.setattr(cli, "ROOTS_MAX_DEGREE", 3)
+    code, out, _ = run_cli(capsys, "family", "path_with_pendants:5,1,0")
+    assert code == EXIT_OK and json.loads(out)["coefficients"] == [4, 3, 2, 1]
+    code, out, err = run_cli(capsys, "family", "path_with_pendants:6,1,0")
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {_TOO_LONG.format(3, 4, 5)}\n")
+    assert calls == [22, 5]
+
+
+def test_family_too_long_for_roots_exits_2_in_a_fresh_process():
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "wiener_roots.cli", "family",
+                           "path_with_pendants:16384,1,0"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    assert done.stderr == f"error: {_TOO_LONG.format(1024, 16382, 16383)}\n"
+
+
 def test_leaf_augment_depth_above_the_order_bound_exits_2(capsys):
     # depth 13 would augment the three-vertex path to order 3 * 2^13 = 24576
     code, out, err = run_cli(capsys, "verify", "leaf_augment_identity", "depth=13")
@@ -396,12 +443,17 @@ def test_verify_command_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "max_modulus", "bogus=3")
     assert code == EXIT_USAGE
 
-    # malformed claim parameters: one error line each
-    for token, message in (
-            ("a_hi", "claim parameter 'a_hi' must look like key=value"),
-            ("a_hi=2..3", "parameter 'a_hi' does not take a range"),
-            ("a_hi=x", "parameter 'a_hi' takes int values, not 'x'")):
-        code, out, err = run_cli(capsys, "verify", "density", token)
+    # malformed claim parameters: one error line each; both halves of n= are
+    # read as ints under the name n
+    for claim_id, token, message in (
+            ("density", "a_hi", "claim parameter 'a_hi' must look like key=value"),
+            ("density", "a_hi=2..3", "parameter 'a_hi' does not take a range"),
+            ("density", "a_hi=x", "parameter 'a_hi' takes int values, not 'x'"),
+            ("tree_root_bound", "n=abc", "parameter 'n' takes int values, not 'abc'"),
+            ("tree_root_bound", "n=5..x", "parameter 'n' takes int values, not 'x'"),
+            ("tree_root_bound", "n_lo=abc",
+             "parameter 'n_lo' takes int values, not 'abc'")):
+        code, out, err = run_cli(capsys, "verify", claim_id, token)
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     # the knowingly false identity comes back as a verification failure

@@ -38,6 +38,7 @@ from wiener_roots.graph_core import (
     load_fixture,
     parse_graph6,
     tree_distributions,
+    tree_parent_array,
     tree_parent_row,
 )
 from wiener_roots.families import family_graph, family_polynomial, parse_family_spec
@@ -824,8 +825,11 @@ def test_tree_kernel_matches_bfs_on_every_free_tree():
         rows = [tree_parent_row(g) for g in trees]
         assert all(len(row) == n - 1 and all(p < v for v, p in enumerate(row, 1))
                    for row in rows)
-        assert list(tree_distributions(rows)) == \
-            [distance_distribution(g).d for g in trees]
+        parents = tree_parent_array(trees)
+        assert parents.dtype == np.intp and parents.tolist() == [list(r) for r in rows]
+        want = [distance_distribution(g).d for g in trees]
+        assert list(tree_distributions(rows)) == want
+        assert list(tree_distributions(parents)) == want
 
 
 def test_tree_kernel_crosses_chunk_boundaries(monkeypatch):
@@ -837,27 +841,39 @@ def test_tree_kernel_crosses_chunk_boundaries(monkeypatch):
 
 def test_tree_kernel_order_one_and_empty_input():
     assert list(tree_distributions([])) == []
-    with pytest.raises(ValueError, match="needs order >= 2"):
-        list(tree_distributions([tree_parent_row(next(enumerate_trees(1)))]))
+    assert list(tree_distributions(np.empty((0, 4), dtype=np.intp))) == []
+    order_one = next(enumerate_trees(1))
+    for rows in ([tree_parent_row(order_one)], tree_parent_array([order_one])):
+        with pytest.raises(ValueError, match="needs order >= 2"):
+            list(tree_distributions(rows))
 
 
 def test_tree_kernel_past_order_256_counts_to_distance_255_and_raises_beyond():
     # uint8 distances: the path of order 256 has diameter 255, the next does not fit
-    assert next(tree_distributions([tuple(range(255))])) == tuple(range(255, 0, -1))
-    with pytest.raises(RuntimeError, match="do not sum to C"):
-        list(tree_distributions([tuple(range(256))]))
+    for path in ([tuple(range(255))], np.arange(255)[None, :]):
+        assert next(tree_distributions(path)) == tuple(range(255, 0, -1))
+    for path in ([tuple(range(256))], np.arange(256)[None, :]):
+        with pytest.raises(RuntimeError, match="do not sum to C"):
+            list(tree_distributions(path))
 
 
 _TREE_INVARIANTS = """
+import numpy as np
 import pytest
-from wiener_roots.graph_core import from_edge_list, tree_distributions, tree_parent_row
+from wiener_roots.graph_core import (from_edge_list, tree_distributions,
+                                     tree_parent_array, tree_parent_row)
 # vertex 2 has two lower-numbered neighbours in the triangle, none in 0-1 + 2
 for edges in ([(0, 1), (0, 2), (1, 2)], [(0, 1)]):
-    with pytest.raises(RuntimeError, match="exactly one lower-numbered neighbour"):
-        tree_parent_row(from_edge_list(3, edges))
+    g = from_edge_list(3, edges)
+    for read in (tree_parent_row, lambda g: tree_parent_array([g])):
+        with pytest.raises(RuntimeError) as raised:
+            read(g)
+        assert str(raised.value) == \
+            "vertex 2 does not have exactly one lower-numbered neighbour"
 # the parent of vertex 2 is vertex 3, which does not precede it
-with pytest.raises(RuntimeError, match="do not sum to C"):
-    list(tree_distributions([(0, 3, 1)]))
+for rows in ([(0, 3, 1)], np.array([[0, 3, 1]])):
+    with pytest.raises(RuntimeError, match="do not sum to C"):
+        list(tree_distributions(rows))
 """
 
 

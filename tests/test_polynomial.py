@@ -642,10 +642,32 @@ def _ref_square_free(c):
     return out
 
 
+def _ref_refine_bracket(c, a, b):
+    """_refine_bracket as it bisected in Fractions, the reference for the
+    integer bisection."""
+    from wiener_roots.polynomial import (STURM_REFINE_WIDTH, STURM_RELATIVE_WIDTH,
+                                         _eval_frac, _sign, _simplest_in)
+
+    sa = _sign(_eval_frac(c, a))
+    while (b - a > STURM_REFINE_WIDTH or a <= 0 <= b
+           or b - a > STURM_RELATIVE_WIDTH * min(abs(a), abs(b))):
+        mid = (a + b) / 2
+        sm = _sign(_eval_frac(c, mid))
+        if sm == 0:
+            return mid
+        if sm == sa:
+            a = mid
+        else:
+            b = mid
+    candidate = _simplest_in(a, b)
+    if _eval_frac(c, candidate) == 0:
+        return candidate
+    return (a, b)
+
+
 def _ref_isolate(c):
     from wiener_roots.polynomial import (_cauchy_bound, _eval_frac,
-                                         _isolated_value, _refine_bracket,
-                                         _variations_at)
+                                         _isolated_value, _variations_at)
 
     rationals, work = [], _ref_int(c)
     if len(work) > 1 and work[0] == 0:
@@ -669,7 +691,8 @@ def _ref_isolate(c):
                     break
                 stack += [(a, mid), (mid, b)]
         if not restart:
-            found = rationals + [_refine_bracket(work, a, b) for a, b in brackets]
+            found = rationals + [_ref_refine_bracket(work, a, b)
+                                 for a, b in brackets]
             return sorted(found, key=_isolated_value)
     return sorted(rationals, key=_isolated_value)
 
@@ -720,6 +743,42 @@ def test_integer_remainder_routines_match_fraction_reference():
     assert _square_free_decomposition(PLANTED[1]) == [([2, 0, 1], 1), ([3, 2], 3)]
     assert _isolate_real_roots(PLANTED[2]) == [-2, -1]
     assert _isolate_real_roots(PLANTED[3]) == [5, 6]
+
+
+def test_integer_bisection_matches_fraction_bisection(monkeypatch):
+    from wiener_roots import polynomial
+    from wiener_roots.polynomial import _isolate_real_roots, _square_free_decomposition
+
+    refine = polynomial._refine_bracket
+    brackets = {}  # (factor, a, b) -> what the integer bisection gave
+
+    def recording(c, a, b):
+        found = brackets[tuple(c), a, b] = refine(c, a, b)
+        return found
+
+    monkeypatch.setattr(polynomial, "_refine_bracket", recording)
+    # every factor the exact tests isolate at tree orders <= 14, graph orders <= 7
+    for kind, orders in (("trees", range(2, 15)), ("graphs", range(2, 8))):
+        for n in orders:
+            for dvec in distinct_distributions(kind, n):
+                purely_imaginary_roots(WienerPolynomial(dvec))
+                all_roots_rational(WienerPolynomial(dvec))
+    pools = len(brackets)
+    # seeded random integer polynomials, split into square-free factors
+    rng = random.Random(43)
+    for _ in range(300):
+        for factor, _ in _square_free_decomposition(_random_integer_poly(rng)):
+            _isolate_real_roots(factor)
+    randoms = len(brackets) - pools
+    # the pinned cases: t = -2^-64, t = -1/(3 * 2^50), and -1 +- 1/sqrt(3 * 2^100)
+    K = 3 * 2**100
+    for dvec in ((1, 1, 2**64, 2**64), (1, 1, 3 * 2**50, 3 * 2**50),
+                 (K - 1, K - 1, 3 * K - 1, 3 * K - 1, 3 * K, 3 * K, K, K)):
+        purely_imaginary_roots(WienerPolynomial(dvec))
+    monkeypatch.undo()
+    assert pools > 4000 and randoms > 100 and len(brackets) >= pools + randoms + 4
+    for (c, a, b), found in brackets.items():
+        assert found == _ref_refine_bracket(list(c), a, b)
 
 
 # ---------------------------------------------------------------------------
