@@ -1,9 +1,9 @@
 """Command-line front end: compute, family queries, verification, scatter data.
 
 Exit codes are stable across commands: 0 for success (all verdicts pass),
-1 for a verification failure, 2 for usage or parse errors and for a family
-whose roots are not found.  The tool has no randomness; setting
-WIENER_ROOTS_SEED is rejected so nobody relies on it.
+1 for a verification failure, 2 for usage or parse errors, an unwritable
+--out and a family whose roots are not found.  The tool has no randomness;
+setting WIENER_ROOTS_SEED is rejected so nobody relies on it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,7 +93,20 @@ def _distances_for_roots(g: Graph) -> WienerPolynomial:
     return distance_distribution(g)
 
 
-def _emit(lines: list[str], out: str | None) -> None:
+class _Unwritable(Exception):
+    """An --out path that cannot be written: one error line and exit 2."""
+
+
+@contextmanager
+def _writing(path: str | Path):
+    """OSErrors in the block become _Unwritable, naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _emit(lines: list[str], out: str | Path | None) -> None:
     """Write the lines to out, or to stdout, each ended by a newline (a lone
     newline for no lines), without joining them into one more copy of the
     whole output."""
@@ -100,7 +114,7 @@ def _emit(lines: list[str], out: str | None) -> None:
     if out is None:
         sys.stdout.writelines(ended)
     else:
-        with open(out, "w") as fh:
+        with _writing(out), open(out, "w") as fh:
             fh.writelines(ended)
 
 
@@ -283,20 +297,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     print("\n".join(_report_lines(report)))
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        _emit([json.dumps(report.to_json_dict(), indent=2)], args.out)
     return EXIT_OK if report.verdict == "pass" else EXIT_VERIFICATION
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    outdir = Path(args.out) if args.out else None
+    if outdir:
+        with _writing(outdir):
+            outdir.mkdir(parents=True, exist_ok=True)
     claims.set_jobs(args.jobs)
     try:
         reports = claims.run_all(args.profile)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    outdir = Path(args.out) if args.out else None
-    if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
     summary = [("claim_id", "params", "verdict", "runtime_seconds")]
     all_pass = True
     for i, report in enumerate(reports):
@@ -305,10 +320,11 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
                         report.verdict, f"{report.runtime:.3f}"))
         all_pass &= report.verdict == "pass"
         if outdir:
-            path = outdir / f"{i:02d}_{report.claim_id}.json"
-            path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+            _emit([json.dumps(report.to_json_dict(), indent=2)],
+                  outdir / f"{i:02d}_{report.claim_id}.json")
     if outdir:
-        with open(outdir / "summary.csv", "w", newline="") as fh:
+        path = outdir / "summary.csv"
+        with _writing(path), open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(summary)
     print(f"\n{sum(r.verdict == 'pass' for r in reports)}/{len(reports)} "
           f"claims pass")
@@ -380,7 +396,11 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unwritable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

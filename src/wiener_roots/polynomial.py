@@ -57,8 +57,9 @@ and a Sturm chain.
 Every remainder sequence (Sturm chains, gcds, Yun's loop) runs on integer
 coefficient lists: fraction-free pseudo-remainders reduced to their
 primitive part, and exact divisions by primitive divisors.  No polynomial
-is ever divided with Fraction coefficients; rationals remain only as values
-(evaluation points, isolating intervals, closed forms, the annulus).
+is ever divided, or evaluated at a rational num/den, in Fractions: one integer
+Horner, den^deg c(num/den), serves `evaluate`, the Sturm variations and the
+bisection.  Rationals remain only as values (roots, closed forms, annulus).
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -104,8 +106,6 @@ ABERTH_BLOCK_MIN_ROOTS = 800
 ABERTH_BLOCK_ROWS = 2048
 STURM_REFINE_WIDTH = Fraction(1, 1 << 40)
 STURM_RELATIVE_WIDTH = Fraction(1, 1 << 20)
-
-Number = Union[int, float, complex, Fraction]
 
 
 class RootFindingError(RuntimeError):
@@ -231,16 +231,28 @@ class GaussianValue(NamedTuple):
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def evaluate(p: WienerPolynomial, z: Number):
-    """W(z): exact for rational z, compensated Horner for floats."""
+def _horner_at(c: Sequence[int], num: int, den: int) -> int:
+    """den^deg c(num/den) for the integer polynomial c and den > 0: homogeneous
+    Horner in integers, so its sign is the sign of c at num/den."""
+    acc, scale = c[-1], 1
+    for k in range(len(c) - 2, -1, -1):
+        scale *= den
+        acc = acc * num + c[k] * scale
+    return acc
+
+
+def evaluate(p: WienerPolynomial, z: numbers.Complex):
+    """W(z): the exact Fraction by _horner_at at any numbers.Rational (numpy
+    integers too); compensated Horner at other complex z, a float if z is real."""
     coeffs = (0,) + p.d
-    if isinstance(z, (complex, float)):
+    if isinstance(z, numbers.Rational):
+        num, den = int(z.numerator), int(z.denominator)
+        return Fraction(_horner_at(coeffs, num, den), den ** p.degree)
+    if isinstance(z, numbers.Complex):
         with np.errstate(all="ignore"):
             value = complex(_comp_horner_batch(np.array([[float(x) for x in coeffs]]),
                                                np.array([z], dtype=complex))[0])
-        return value if isinstance(z, complex) else value.real
-    if isinstance(z, (int, Fraction)):
-        return _eval_frac(coeffs, Fraction(z))
+        return value.real if isinstance(z, numbers.Real) else value
     raise TypeError(f"cannot evaluate at {type(z)!r}")
 
 
@@ -423,20 +435,13 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _eval_frac(c: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for k in range(len(c) - 1, -1, -1):
-        acc = acc * x + c[k]
-    return acc
-
-
 def _variations(signs: Iterable[int]) -> int:
     seq = [s for s in signs if s]
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
-def _variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    return _variations(_sign(_eval_frac(p, x)) for p in chain)
+def _variations_at(chain: Sequence[Sequence[int]], num: int, den: int) -> int:
+    return _variations(_sign(_horner_at(p, num, den)) for p in chain)
 
 
 def _variations_at_inf(chain: Sequence[Sequence[int]], positive: bool) -> int:
@@ -458,12 +463,6 @@ def _count_real_roots(c: Sequence[int]) -> int:
     return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
 
 
-def _cauchy_bound(c: Sequence[int]) -> Fraction:
-    lead = abs(c[-1])
-    top = max(abs(x) for x in c[:-1]) if len(c) > 1 else 0
-    return 1 + Fraction(top, lead)
-
-
 def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
     """The rational with smallest denominator in [lo, hi] (Stern-Brocot walk)."""
     if lo == hi:
@@ -483,9 +482,12 @@ def _isolate_real_roots(c: Sequence[int]) -> list[IsolatedRoot]:
 
     Rational roots come back exactly (as Fractions); irrational roots come
     back as certified open intervals of width at most 2^-40, and at most 2^-20
-    times the modulus of the endpoint nearer 0, with non-root dyadic
-    endpoints.  A dyadic subdivision point that happens to be a root
-    is divided out and the isolation restarts on the quotient.
+    times the modulus of the endpoint nearer 0, with non-root endpoints.
+
+    Brackets (lo/den, hi/den) are bisected in integers as in _refine_bracket,
+    from the Cauchy bound ±(|lead| + max|c_k|)/|lead|, with Sturm variations
+    by _horner_at.  A midpoint that is a root is divided out, and the
+    isolation starts again on the quotient.
     """
     rationals: list[Fraction] = []
     work = _primitive(_trim(list(c)))
@@ -494,48 +496,32 @@ def _isolate_real_roots(c: Sequence[int]) -> list[IsolatedRoot]:
         work = work[1:]
     while len(work) > 1:
         chain = _sturm_chain(work)
-        bound = _cauchy_bound(work)
-        restart = False
-        stack = [(-bound, bound)]
-        brackets: list[tuple[Fraction, Fraction]] = []
+        lead = abs(work[-1])
+        bound = lead + max(abs(x) for x in work[:-1])
+        stack = [(-bound, bound, lead)]
+        brackets: list[tuple[int, int, int]] = []
         while stack:
-            a, b = stack.pop()
-            k = _variations_at(chain, a) - _variations_at(chain, b)
-            if k == 0:
-                continue
+            lo, hi, den = stack.pop()
+            k = _variations_at(chain, lo, den) - _variations_at(chain, hi, den)
             if k == 1:
-                brackets.append((a, b))
-                continue
-            mid = (a + b) / 2
-            if _eval_frac(work, mid) == 0:
-                rationals.append(mid)
-                work = _primitive(_int_div_exact(
-                    work, [-mid.numerator, mid.denominator]))
-                restart = True
-                break
-            stack.append((a, mid))
-            stack.append((mid, b))
-        if restart:
-            continue
-        out: list[IsolatedRoot] = list(rationals)
-        for a, b in brackets:
-            out.append(_refine_bracket(work, a, b))
-        return sorted(out, key=_isolated_value)
+                brackets.append((lo, hi, den))
+            elif k > 1:
+                mid, den = lo + hi, 2 * den
+                if _horner_at(work, mid, den) == 0:
+                    root = Fraction(mid, den)  # reduced, so the divisor is primitive
+                    rationals.append(root)
+                    work = _primitive(_int_div_exact(work, [-root.numerator, root.denominator]))
+                    break
+                stack += [(2 * lo, mid, den), (mid, 2 * hi, den)]
+        else:
+            found = rationals + [_refine_bracket(work, *b) for b in brackets]
+            return sorted(found, key=_isolated_value)
     return sorted(rationals, key=_isolated_value)
 
 
-def _sign_at(c: Sequence[int], num: int, den: int) -> int:
-    """Sign of the integer polynomial c at num/den, den > 0: the sign of
-    den^deg c(num/den), by homogeneous Horner in integers."""
-    acc, scale = c[-1], 1
-    for k in range(len(c) - 2, -1, -1):
-        scale *= den
-        acc = acc * num + c[k] * scale
-    return _sign(acc)
-
-
-def _refine_bracket(c: Sequence[int], a: Fraction, b: Fraction) -> IsolatedRoot:
-    """Shrink a one-root bracket to width 2^-40 or an exact rational hit.
+def _refine_bracket(c: Sequence[int], lo: int, hi: int, den: int) -> IsolatedRoot:
+    """Shrink the one-root bracket (lo/den, hi/den), den > 0, to width 2^-40
+    or an exact rational hit.
 
     The bracket also shrinks until 0 is not in its closure: 0 is never a
     root here, so every kept bracket has the sign of its root.  Next to 0 it
@@ -543,19 +529,17 @@ def _refine_bracket(c: Sequence[int], a: Fraction, b: Fraction) -> IsolatedRoot:
     endpoint nearer 0, so the bracket's midpoint is close to the root in
     relative terms too.
 
-    The bracket is (lo/den, hi/den) in integers: each step doubles den and
-    takes lo + hi as the midpoint, with no gcd, and each sign comes from
-    _sign_at.  The Fractions returned are those of bisecting in Fractions.
+    Each step doubles den and takes lo + hi as the midpoint, with no gcd,
+    and each sign comes from _horner_at.  Fractions are made only for what
+    is returned: a midpoint hit, the _simplest_in candidate, or the bracket.
     """
-    den = math.lcm(a.denominator, b.denominator)
-    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     width, relative = STURM_REFINE_WIDTH, STURM_RELATIVE_WIDTH
-    sa = _sign_at(c, lo, den)
+    sa = _sign(_horner_at(c, lo, den))
     while ((hi - lo) * width.denominator > width.numerator * den or lo <= 0 <= hi
            or (hi - lo) * relative.denominator
            > relative.numerator * min(abs(lo), abs(hi))):
         mid, den = lo + hi, 2 * den
-        sm = _sign_at(c, mid, den)
+        sm = _sign(_horner_at(c, mid, den))
         if sm == 0:
             return Fraction(mid, den)
         if sm == sa:
@@ -564,7 +548,7 @@ def _refine_bracket(c: Sequence[int], a: Fraction, b: Fraction) -> IsolatedRoot:
             lo, hi = 2 * lo, mid
     a, b = Fraction(lo, den), Fraction(hi, den)
     candidate = _simplest_in(a, b)
-    if _sign_at(c, candidate.numerator, candidate.denominator) == 0:
+    if _horner_at(c, candidate.numerator, candidate.denominator) == 0:
         return candidate
     return (a, b)
 

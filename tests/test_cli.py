@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -418,6 +419,39 @@ def test_family_too_long_for_roots_exits_2_in_a_fresh_process():
     assert done.stderr == f"error: {_TOO_LONG.format(1024, 16382, 16383)}\n"
 
 
+# leaf_augmented specs at orders 304..576 whose Aberth run does not converge
+_NO_ROOTS = ((2, 8), (3, 7), (4, 7), (8, 6), (9, 6), (38, 3), (34, 4), (18, 5))
+
+
+def _family_draw(rng):
+    """One valid spec of each of the 11 families, at order at most 120."""
+    def order(lo):
+        return rng.randint(lo, 120)
+
+    ds, br, d2, p, m = order(4), order(4), order(3), rng.randint(2, 119), rng.randint(2, 60)
+    return [f"complete:{order(2)}", f"complete_minus_edge:{order(3)}", f"star:{order(2)}",
+            f"path:{order(2)}", f"double_star:{rng.randint(2, ds - 2)},{ds}",
+            f"broom:{rng.randint(3, br - 1)},{br}", f"t_n:{order(5)}", f"g_n:{order(4)}",
+            f"diameter2:{d2},{rng.randint(d2 - 1, comb(d2, 2) - 1)}",
+            f"path_with_pendants:{p},{rng.randint(1, p)},{rng.randint(0, 120 - p)}",
+            f"leaf_augmented:{m},{rng.randint(0, (120 // m).bit_length() - 1)}"]
+
+
+def test_family_grammar_sweep_ends_in_roots_or_one_error_line(capsys):
+    rng = random.Random(29)
+    specs = [spec for _ in range(10) for spec in _family_draw(rng)]
+    specs += [f"leaf_augmented:{m},{k}" for m, k in _NO_ROOTS]
+    assert len({spec.partition(":")[0] for spec in specs}) == len(families._FAMILIES)
+    for spec in specs:
+        code, out, err = run_cli(capsys, "family", spec)
+        if code == EXIT_OK:
+            record = json.loads(out)
+            assert len(record["roots"]) == len(record["coefficients"]) - 1, spec
+        else:
+            assert (code, out) == (EXIT_USAGE, ""), spec
+            assert err.startswith("error: ") and err.count("\n") == 1, spec
+
+
 def test_leaf_augment_depth_above_the_order_bound_exits_2(capsys):
     # depth 13 would augment the three-vertex path to order 3 * 2^13 = 24576
     code, out, err = run_cli(capsys, "verify", "leaf_augment_identity", "depth=13")
@@ -544,6 +578,28 @@ def test_full_tree_modulus_reports_match_the_exhaustive_scan(tmp_path, capsys):
 
 def test_purely_imaginary_reports_match_the_exact_scan(tmp_path, capsys):
     _check_full_digests(tmp_path, capsys, ("purely_imaginary",))
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "{g6}"), ("scatter", "--order", "3"), ("family", "star:4"),
+    ("verify", "path_annulus", "n=3")])
+def test_an_unwritable_out_is_one_error_line(tmp_path, capsys, k4_minus_edge_line, argv):
+    g6 = tmp_path / "in.g6"
+    g6.write_text(k4_minus_edge_line + "\n")
+    target = tmp_path / "missing" / "r.out"
+    code, out, err = run_cli(capsys, *(a.format(g6=g6) for a in argv), "--out", str(target))
+    assert code == EXIT_USAGE and not target.parent.exists()
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    # only verify prints before it writes: its report goes to stdout as well
+    assert out == "" if argv[0] != "verify" else out.startswith("path_annulus ")
+
+
+def test_verify_all_refuses_an_unwritable_out_before_any_claim(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(cli.claims, "run_all", lambda profile: pytest.fail("a claim ran"))
+    code, out, err = run_cli(capsys, "verify-all", "--out", str(taken))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: cannot write {taken}: File exists\n")
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -3,7 +3,8 @@
 Independent oracles: exact Fraction/Gaussian evaluation for the compensated
 Horner scheme, numpy's companion-matrix eigenvalue roots for Aberth-Ehrlich,
 and hand-expanded factorizations for the closed forms.  The integer
-remainder sequences are compared with a Fraction-arithmetic reference, and
+remainder sequences, the integer Sturm bisection and `evaluate` at rationals
+are compared with Fraction-arithmetic references of their own, and
 the inlined compensated Horner with one built from explicit TwoSum and
 TwoProduct calls, bit for bit.  The batched modular screen is checked
 against the exact integer gcd of the even and odd parts.  The batched root
@@ -97,6 +98,35 @@ def test_evaluate_compensated_matches_exact():
         err = abs(got - complex(float(exact.re), float(exact.im)))
         majorant = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs, start=1))
         assert err <= 1e-13 * max(1.0, majorant)
+
+
+def test_evaluate_dispatches_on_the_numbers_tower():
+    p = WienerPolynomial((3, 2, 1))  # W = 3x + 2x^2 + x^3
+    exact = [(True, Fraction(6)), (2, Fraction(22)), (Fraction(1, 2), Fraction(17, 8)),
+             (np.int64(2), Fraction(22)), (np.uint8(3), Fraction(54))]
+    for z, value in exact:
+        got = evaluate(p, z)
+        assert type(got) is Fraction and got == value
+    for z in (0.5, np.float64(0.5), np.float32(0.5)):
+        got = evaluate(p, z)
+        assert type(got) is float and got == 2.125
+    for z in (1j, np.complex64(1j)):
+        got = evaluate(p, z)
+        assert type(got) is complex and got == complex(-2, 2)
+    with pytest.raises(TypeError, match="cannot evaluate at <class 'str'>"):
+        evaluate(p, "2")
+
+
+def test_evaluate_at_fractions_matches_the_fraction_horner():
+    rng = random.Random(29)
+    points = [Fraction(0), Fraction(-1), Fraction(-3, 7), Fraction(5, 2**64 + 1),
+              Fraction(-(2**70 + 1), 2**65 + 3)]
+    points += [Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 2**rng.randrange(1, 80)))
+               for _ in range(200)]
+    for z in points:
+        deg = rng.randrange(1, 15)
+        d = tuple(rng.randrange(1, 10 ** rng.randrange(1, 30)) for _ in range(deg))
+        assert evaluate(WienerPolynomial(d), z) == _ref_eval_frac((0,) + d, z)
 
 
 def test_evaluate_gaussian_examples():
@@ -642,17 +672,38 @@ def _ref_square_free(c):
     return out
 
 
+def _ref_eval_frac(c, x):
+    """c(x) by Horner in Fractions."""
+    acc = Fraction(0)
+    for k in range(len(c) - 1, -1, -1):
+        acc = acc * x + c[k]
+    return acc
+
+
+def _ref_sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _ref_variations_at(chain, x):
+    signs = [s for s in (_ref_sign(_ref_eval_frac(p, x)) for p in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_cauchy_bound(c):
+    return 1 + Fraction(max(abs(x) for x in c[:-1]), abs(c[-1]))
+
+
 def _ref_refine_bracket(c, a, b):
     """_refine_bracket as it bisected in Fractions, the reference for the
     integer bisection."""
     from wiener_roots.polynomial import (STURM_REFINE_WIDTH, STURM_RELATIVE_WIDTH,
-                                         _eval_frac, _sign, _simplest_in)
+                                         _simplest_in)
 
-    sa = _sign(_eval_frac(c, a))
+    sa = _ref_sign(_ref_eval_frac(c, a))
     while (b - a > STURM_REFINE_WIDTH or a <= 0 <= b
            or b - a > STURM_RELATIVE_WIDTH * min(abs(a), abs(b))):
         mid = (a + b) / 2
-        sm = _sign(_eval_frac(c, mid))
+        sm = _ref_sign(_ref_eval_frac(c, mid))
         if sm == 0:
             return mid
         if sm == sa:
@@ -660,14 +711,14 @@ def _ref_refine_bracket(c, a, b):
         else:
             b = mid
     candidate = _simplest_in(a, b)
-    if _eval_frac(c, candidate) == 0:
+    if _ref_eval_frac(c, candidate) == 0:
         return candidate
     return (a, b)
 
 
 def _ref_isolate(c):
-    from wiener_roots.polynomial import (_cauchy_bound, _eval_frac,
-                                         _isolated_value, _variations_at)
+    """_isolate_real_roots as it bisected in Fractions."""
+    from wiener_roots.polynomial import _isolated_value
 
     rationals, work = [], _ref_int(c)
     if len(work) > 1 and work[0] == 0:
@@ -675,16 +726,16 @@ def _ref_isolate(c):
         work = work[1:]
     while len(work) > 1:
         chain = _ref_sturm_chain(work)
-        bound = _cauchy_bound(work)
+        bound = _ref_cauchy_bound(work)
         stack, brackets, restart = [(-bound, bound)], [], False
         while stack:
             a, b = stack.pop()
-            k = _variations_at(chain, a) - _variations_at(chain, b)
+            k = _ref_variations_at(chain, a) - _ref_variations_at(chain, b)
             if k == 1:
                 brackets.append((a, b))
             elif k > 1:
                 mid = (a + b) / 2
-                if _eval_frac(work, mid) == 0:
+                if _ref_eval_frac(work, mid) == 0:
                     rationals.append(mid)
                     work = _ref_int(_ref_div_exact(work, [-mid, Fraction(1)]))
                     restart = True
@@ -747,16 +798,27 @@ def test_integer_remainder_routines_match_fraction_reference():
 
 def test_integer_bisection_matches_fraction_bisection(monkeypatch):
     from wiener_roots import polynomial
-    from wiener_roots.polynomial import _isolate_real_roots, _square_free_decomposition
+    from wiener_roots.polynomial import _square_free_decomposition
 
-    refine = polynomial._refine_bracket
-    brackets = {}  # (factor, a, b) -> what the integer bisection gave
+    isolate, refine = polynomial._isolate_real_roots, polynomial._refine_bracket
+    factors = {}  # factor -> what the integer isolation gave
+    brackets = set()  # (factor, lo/den, hi/den) of every bracket it refined
+    running = []  # the factors whose isolation is under way
 
-    def recording(c, a, b):
-        found = brackets[tuple(c), a, b] = refine(c, a, b)
+    def isolating(c):
+        running.append(c)
+        found = factors[tuple(c)] = isolate(c)
+        running.pop()
         return found
 
-    monkeypatch.setattr(polynomial, "_refine_bracket", recording)
+    def refining(c, lo, hi, den):
+        # a bracket is compared through the result of the isolation it is in
+        assert running, "a bracket refined outside a recorded isolation"
+        brackets.add((tuple(c), Fraction(lo, den), Fraction(hi, den)))
+        return refine(c, lo, hi, den)
+
+    monkeypatch.setattr(polynomial, "_isolate_real_roots", isolating)
+    monkeypatch.setattr(polynomial, "_refine_bracket", refining)
     # every factor the exact tests isolate at tree orders <= 14, graph orders <= 7
     for kind, orders in (("trees", range(2, 15)), ("graphs", range(2, 8))):
         for n in orders:
@@ -768,7 +830,7 @@ def test_integer_bisection_matches_fraction_bisection(monkeypatch):
     rng = random.Random(43)
     for _ in range(300):
         for factor, _ in _square_free_decomposition(_random_integer_poly(rng)):
-            _isolate_real_roots(factor)
+            polynomial._isolate_real_roots(factor)
     randoms = len(brackets) - pools
     # the pinned cases: t = -2^-64, t = -1/(3 * 2^50), and -1 +- 1/sqrt(3 * 2^100)
     K = 3 * 2**100
@@ -777,8 +839,9 @@ def test_integer_bisection_matches_fraction_bisection(monkeypatch):
         purely_imaginary_roots(WienerPolynomial(dvec))
     monkeypatch.undo()
     assert pools > 4000 and randoms > 100 and len(brackets) >= pools + randoms + 4
-    for (c, a, b), found in brackets.items():
-        assert found == _ref_refine_bracket(list(c), a, b)
+    # each bracket is refined again inside the reference's isolation
+    for c, found in factors.items():
+        assert found == _ref_isolate(list(c))
 
 
 # ---------------------------------------------------------------------------
