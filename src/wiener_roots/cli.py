@@ -2,8 +2,9 @@
 
 Exit codes are stable across commands: 0 for success (all verdicts pass),
 1 for a verification failure, 2 for usage or parse errors, an unwritable
---out and a family whose roots are not found.  The tool has no randomness;
-setting WIENER_ROOTS_SEED is rejected so nobody relies on it.
+--out (found before any work) and a family whose roots are not found.  The
+tool has no randomness; setting WIENER_ROOTS_SEED is rejected so nobody
+relies on it.
 """
 
 from __future__ import annotations
@@ -106,6 +107,22 @@ def _writing(path: str | Path):
         raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_out(out: str | None) -> None:
+    """Raise _Unwritable before any work if out cannot be written.  A new
+    file is made and removed again, so a run that stops later leaves none;
+    an existing file or directory is opened for appending, which changes no
+    byte (a directory fails as it would later); a device or a pipe is left
+    alone, since opening it may block or end its reader's input."""
+    if out is None:
+        return
+    with _writing(out):
+        if not os.path.lexists(out):
+            open(out, "a").close()
+            os.remove(out)
+        elif os.path.isfile(out) or os.path.isdir(out):
+            open(out, "a").close()
+
+
 def _emit(lines: list[str], out: str | Path | None) -> None:
     """Write the lines to out, or to stdout, each ended by a newline (a lone
     newline for no lines), without joining them into one more copy of the
@@ -124,6 +141,7 @@ def _emit(lines: list[str], out: str | Path | None) -> None:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     if args.input == "-":
         source = sys.stdin.read().splitlines()
     else:
@@ -176,6 +194,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     if args.klass == "graphs" and args.order == 8 and not args.long:
         print("order-8 graph sweeps are long-running; pass --long to opt in",
               file=sys.stderr)
@@ -201,6 +220,7 @@ def cmd_scatter(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     try:
         spec = parse_family_spec(args.spec)
         w = family_closed_form(spec)
@@ -279,6 +299,7 @@ def _report_lines(report: claims.ClaimReport) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     if args.claim not in claims.claim_ids():
         print(f"error: unknown claim {args.claim!r}; known: "
               f"{', '.join(claims.claim_ids())}", file=sys.stderr)

@@ -31,7 +31,9 @@ counted one tile of at most 2^15 masks at a time: each tile's pairs fill one
 plus one column sum over the whole table counts each distance.  Each chunk's
 distance vectors are packed into int64 keys, the connected masks' keys are
 deduplicated by an in-place sort, and only the distinct keys are decoded and
-checked.
+checked.  A sweep with jobs > 1 and more than one chunk of masks splits them
+over a process pool, and only such a sweep imports ProcessPoolExecutor, so
+no other command loads multiprocessing.
 
 Free trees get their distances in batches instead of one traversal each.  A
 tree numbered in preorder, as enumerate_trees numbers it, is its parent row:
@@ -51,7 +53,6 @@ from __future__ import annotations
 import itertools
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
@@ -496,34 +497,20 @@ def diameter(g: Graph) -> int:
 _NOT_PREORDER = "vertex {} does not have exactly one lower-numbered neighbour"
 
 
-def tree_parent_row(g: Graph) -> tuple[int, ...]:
-    """parent[v] for v = 1..n-1 of a tree numbered in preorder, where every
-    vertex v >= 1 has exactly one lower-numbered neighbour, its parent.
-
-    The trees of enumerate_trees have this form.  Any other vertex numbering
-    raises RuntimeError, a check that also runs under python -O.
-    """
-    row = []
-    for v in range(1, g.n):
-        lower = g.adj[v] & ((1 << v) - 1)
-        if not lower or lower & (lower - 1):
-            raise RuntimeError(_NOT_PREORDER.format(v))
-        row.append(lower.bit_length() - 1)
-    return tuple(row)
-
-
 _TREE_CHUNK = 512
 
 
 def tree_parent_array(trees: Iterable[Graph]) -> np.ndarray:
-    """tree_parent_row of every tree, as one (trees, n-1) intp array.
+    """parent[v] for v = 1..n-1 of every tree, as one (trees, n-1) intp array.
 
+    Each tree must be numbered in preorder, as enumerate_trees numbers it:
+    every vertex v >= 1 has exactly one lower-numbered neighbour, its parent.
     There must be at least one tree, and all share one order n <= 64.
     Their adjacency rows are stacked _TREE_CHUNK trees at a time into one
     (trees, n) uint64 array, and each vertex v >= 1 is read off it in numpy:
     word v masked to the bits below v must be a single bit, whose position
-    is the parent.  Any other numbering raises tree_parent_row's
-    RuntimeError, also under python -O.
+    is the parent.  Any other numbering raises RuntimeError, also under
+    python -O.
     """
     trees = iter(trees)
     parts = []
@@ -574,20 +561,18 @@ def _tree_chunk_distributions(parents: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(d[:k]) for d, k in zip(counts.tolist(), diameters.tolist())]
 
 
-def tree_distributions(parent_rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    """Distance vector of each tree, in order, from its parent row: a row of
-    tree_parent_array, or of tree_parent_row.
+def tree_distributions(parents: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """Distance vector of each tree, in order, from a (trees, n-1) parent
+    array such as tree_parent_array's.
 
-    The trees are taken a chunk of _TREE_CHUNK at a time, so memory stays flat
-    however many there are; all must have the same order.  Same vectors as
+    The kernel takes _TREE_CHUNK rows of it at a time, so its memory stays
+    flat however many trees there are.  Same vectors as
     distance_distribution(g).d, without a traversal per tree.
     """
-    rows = iter(parent_rows)
-    while chunk := list(itertools.islice(rows, _TREE_CHUNK)):
-        parents = np.array(chunk, dtype=np.intp)
-        if parents.shape[1] == 0:
-            raise ValueError(_ORDER_ONE)
-        yield from _tree_chunk_distributions(parents)
+    if parents.shape[1] == 0:
+        raise ValueError(_ORDER_ONE)
+    for lo in range(0, len(parents), _TREE_CHUNK):
+        yield from _tree_chunk_distributions(parents[lo:lo + _TREE_CHUNK])
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +794,8 @@ def enumerate_connected_distributions(
         ranges = [r for r in ranges if r[1] < r[2]]
         distinct: set[tuple[int, ...]] = set()
         connected = 0
+        # only a forking sweep loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part, count in pool.map(_sweep_mask_range_star, ranges):
                 distinct |= part
@@ -965,10 +952,9 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     descending order of their level sequences rooted at the centroid, then
     the bicentroid pairs (_free_tree_parent_rows); none is generated and then
     discarded.  Each Graph is built from its parent row, which
-    tree_parent_row, or tree_parent_array for many trees, reads back.  The
-    rows are taken a chunk of _TREE_CHUNK at a time: the chunk's adjacency
-    words are built in numpy and pass Graph's checks together
-    (_check_tree_words), so no Graph runs its own.
+    tree_parent_array reads back.  The rows are taken a chunk of _TREE_CHUNK
+    at a time: the chunk's adjacency words are built in numpy and pass
+    Graph's checks together (_check_tree_words), so no Graph runs its own.
     """
     if not 1 <= n <= TREE_MAX_ORDER:
         raise ValueError(f"supported orders are 1..{TREE_MAX_ORDER}, got {n}")

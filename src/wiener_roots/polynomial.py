@@ -243,7 +243,10 @@ def _horner_at(c: Sequence[int], num: int, den: int) -> int:
 
 def evaluate(p: WienerPolynomial, z: numbers.Complex):
     """W(z): the exact Fraction by _horner_at at any numbers.Rational (numpy
-    integers too); compensated Horner at other complex z, a float if z is real."""
+    integers and bools too); compensated Horner at other complex z, a float if
+    z is real."""
+    if isinstance(z, np.bool_):  # registered with none of the numbers ABCs
+        z = bool(z)
     coeffs = (0,) + p.d
     if isinstance(z, numbers.Rational):
         num, den = int(z.numerator), int(z.denominator)

@@ -39,7 +39,7 @@ from wiener_roots.graph_core import (
     distance_distribution,
     enumerate_connected_distributions,
     enumerate_trees,
-    tree_parent_row,
+    tree_parent_array,
 )
 from wiener_roots.polynomial import (
     Annulus,
@@ -562,7 +562,8 @@ def test_registered_verifiers_keep_their_signatures():
 def test_tree_instances_match_per_tree_bfs():
     for n in range(2, 15):
         trees = list(enumerate_trees(n))
-        expected = tuple((distance_distribution(g).d, tree_parent_row(g)) for g in trees)
+        expected = tuple((distance_distribution(g).d, tuple(tree_parent_array([g])[0].tolist()))
+                         for g in trees)
         assert claims.tree_instances(n) == expected
         assert [claims._edges(row) for _, row in expected] == \
             [tuple(g.edges()) for g in trees]

@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, and the exit-code contract."""
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -580,18 +581,52 @@ def test_purely_imaginary_reports_match_the_exact_scan(tmp_path, capsys):
     _check_full_digests(tmp_path, capsys, ("purely_imaginary",))
 
 
+def _counting(fn, calls):
+    """fn, recording each call in calls; fn's attributes (a claim's spec) kept."""
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "{g6}"), ("scatter", "--order", "3"), ("family", "star:4"),
     ("verify", "path_annulus", "n=3")])
-def test_an_unwritable_out_is_one_error_line(tmp_path, capsys, k4_minus_edge_line, argv):
+def test_an_unwritable_out_is_one_error_line(tmp_path, capsys, monkeypatch, k4_minus_edge_line,
+                                             argv):
     g6 = tmp_path / "in.g6"
     g6.write_text(k4_minus_edge_line + "\n")
-    target = tmp_path / "missing" / "r.out"
-    code, out, err = run_cli(capsys, *(a.format(g6=g6) for a in argv), "--out", str(target))
-    assert code == EXIT_USAGE and not target.parent.exists()
-    assert err == f"error: cannot write {target}: No such file or directory\n"
-    # only verify prints before it writes: its report goes to stdout as well
-    assert out == "" if argv[0] != "verify" else out.startswith("path_annulus ")
+    argv = [a.format(g6=g6) for a in argv]
+    # a counting stub on the command's work shows that the --out check comes first
+    calls = []
+    if argv[0] == "verify":
+        monkeypatch.setitem(cli.claims.CLAIMS, argv[1],
+                            _counting(cli.claims.CLAIMS[argv[1]], calls))
+    else:
+        owner, name = {"compute": (cli, "graph6_distributions"),
+                       "scatter": (cli.claims, "distinct_distributions"),
+                       "family": (cli, "family_closed_form")}[argv[0]]
+        monkeypatch.setattr(owner, name, _counting(getattr(owner, name), calls))
+    for target in (tmp_path / "missing" / "r.out", tmp_path):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        reason = "Is a directory" if target == tmp_path else "No such file or directory"
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: cannot write {target}: {reason}\n")
+    assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["in.g6"]
+    # with a writable --out the same work runs once
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "r.out"))
+    assert code == EXIT_OK and len(calls) == 1 and (tmp_path / "r.out").stat().st_size > 0
+
+
+def test_a_run_that_stops_after_the_out_check_leaves_no_file(tmp_path, capsys):
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.json"
+    kept.write_text("old bytes\n")
+    for argv, out in ((("scatter", "--order", "9"), fresh),
+                      (("verify", "tree_density_limit", "a=0", "b=1"), kept),
+                      (("family", "nosuchfamily:3"), fresh)):
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == EXIT_USAGE and err.startswith("error: ")
+    assert not fresh.exists() and kept.read_text() == "old bytes\n"
 
 
 def test_verify_all_refuses_an_unwritable_out_before_any_claim(tmp_path, capsys, monkeypatch):
@@ -600,6 +635,28 @@ def test_verify_all_refuses_an_unwritable_out_before_any_claim(tmp_path, capsys,
     monkeypatch.setattr(cli.claims, "run_all", lambda profile: pytest.fail("a claim ran"))
     code, out, err = run_cli(capsys, "verify-all", "--out", str(taken))
     assert (code, out, err) == (EXIT_USAGE, "", f"error: cannot write {taken}: File exists\n")
+
+
+_NO_POOL = """
+import sys
+from wiener_roots import cli
+g6, out = sys.argv[1:]
+for argv in (["verify", "tree_root_bound", "n=6", "--jobs", "1"],
+             ["scatter", "--order", "7", "--jobs", "1", "--out", out],
+             ["compute", g6, "--out", out]):
+    assert cli.main(argv) == 0, argv
+loaded = {"multiprocessing", "concurrent.futures.process"} & set(sys.modules)
+assert not loaded, sorted(loaded)
+"""
+
+
+def test_commands_without_a_forking_sweep_never_load_multiprocessing(tmp_path,
+                                                                     k4_minus_edge_line):
+    g6 = tmp_path / "in.g6"
+    g6.write_text(k4_minus_edge_line + "\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "-c", _NO_POOL, str(g6), str(tmp_path / "out")],
+                   check=True, capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_usage_errors(tmp_path, capsys):

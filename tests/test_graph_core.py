@@ -6,6 +6,7 @@ for labeled connected graph counts, the rooted-tree/free-tree counting
 recurrences, and a Pruefer-sequence sweep deduplicated by canonical codes.
 """
 
+import concurrent.futures
 import functools
 import hashlib
 import itertools
@@ -39,7 +40,6 @@ from wiener_roots.graph_core import (
     parse_graph6,
     tree_distributions,
     tree_parent_array,
-    tree_parent_row,
 )
 from wiener_roots.families import family_graph, family_polynomial, parse_family_spec
 from wiener_roots.polynomial import WienerPolynomial
@@ -382,7 +382,11 @@ def test_distance_distribution_matches_closed_forms_at_order_4000(spec):
 
 def test_distance_distribution_of_a_broom_without_closed_form_matches_the_tree_kernel():
     g = family_graph(parse_family_spec("broom:3,4000"))
-    (want,) = tree_distributions([tree_parent_row(g)])
+    # past the 64-bit words of tree_parent_array: each parent is the highest
+    # bit of row v below v, read as a Python int
+    parents = np.array([[(g.adj[v] & ((1 << v) - 1)).bit_length() - 1
+                         for v in range(1, g.n)]])
+    (want,) = tree_distributions(parents)
     assert distance_distribution(g).d == want == (3999, comb(3998, 2) + 1, 3997)
 
 
@@ -499,7 +503,7 @@ def test_enumeration_workers_clamped_to_usable_cores(monkeypatch, jobs, cores, w
             self.tasks = len(items)
             return map(fn, items)
 
-    monkeypatch.setattr(graph_core, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(graph_core, "_usable_cores", lambda: cores)
     dists, stats = enumerate_connected_distributions(7, jobs=jobs)
     [pool] = pools
@@ -693,9 +697,10 @@ def test_rooted_block_table():
     assert len(graph_core._rooted_blocks((15 - 1) // 2)) == 85
 
 
-# sha256 of repr([tree_parent_row(g) for g in enumerate_trees(n)]), recorded
-# with the rooted-sequence walk that kept the centroid-rooted sequences: the
-# same trees, in the same order, with the same vertex numbering.
+# sha256 of the repr of the list of parent rows, tuples of ints, of
+# enumerate_trees(n), recorded with the rooted-sequence walk that kept the
+# centroid-rooted sequences: the same trees, in the same order, with the same
+# vertex numbering.
 TREE_ROW_DIGESTS = {
     1: "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
     2: "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
@@ -718,9 +723,9 @@ TREE_ROW_DIGESTS = {
 
 
 def test_tree_order_and_numbering_pinned():
-    got = {n: hashlib.sha256(repr([tree_parent_row(g) for g in enumerate_trees(n)])
-                             .encode()).hexdigest()
-           for n in TREE_ROW_DIGESTS}
+    rows = {n: list(map(tuple, tree_parent_array(enumerate_trees(n)).tolist()))
+            for n in TREE_ROW_DIGESTS}
+    got = {n: hashlib.sha256(repr(rows[n]).encode()).hexdigest() for n in rows}
     assert got == TREE_ROW_DIGESTS
 
 
@@ -819,61 +824,60 @@ def test_order4_trees_are_path_and_star():
 # ---------------------------------------------------------------------------
 
 
+def _lower_neighbours(g):
+    """Every lower-numbered neighbour of each vertex v >= 1, edge by edge."""
+    return [[u for u in range(v) if g.has_edge(u, v)] for v in range(1, g.n)]
+
+
 def test_tree_kernel_matches_bfs_on_every_free_tree():
     for n in range(2, 15):
         trees = list(enumerate_trees(n))
-        rows = [tree_parent_row(g) for g in trees]
-        assert all(len(row) == n - 1 and all(p < v for v, p in enumerate(row, 1))
-                   for row in rows)
         parents = tree_parent_array(trees)
-        assert parents.dtype == np.intp and parents.tolist() == [list(r) for r in rows]
-        want = [distance_distribution(g).d for g in trees]
-        assert list(tree_distributions(rows)) == want
-        assert list(tree_distributions(parents)) == want
+        assert parents.dtype == np.intp and parents.shape == (len(trees), n - 1)
+        assert [[[p] for p in row] for row in parents.tolist()] == \
+            [_lower_neighbours(g) for g in trees]
+        assert all(tree_parent_array([g])[0].tolist() == row
+                   for g, row in zip(trees, parents.tolist()))
+        assert list(tree_distributions(parents)) == \
+            [distance_distribution(g).d for g in trees]
 
 
 def test_tree_kernel_crosses_chunk_boundaries(monkeypatch):
     trees = list(enumerate_trees(10))  # 106 trees: 15 chunks of 7 and one of 1
     monkeypatch.setattr(graph_core, "_TREE_CHUNK", 7)
-    assert list(tree_distributions(tree_parent_row(g) for g in trees)) == \
-        [distance_distribution(g).d for g in trees]
+    parents = tree_parent_array(trees)
+    assert list(tree_distributions(parents)) == [distance_distribution(g).d for g in trees]
 
 
 def test_tree_kernel_order_one_and_empty_input():
-    assert list(tree_distributions([])) == []
     assert list(tree_distributions(np.empty((0, 4), dtype=np.intp))) == []
-    order_one = next(enumerate_trees(1))
-    for rows in ([tree_parent_row(order_one)], tree_parent_array([order_one])):
-        with pytest.raises(ValueError, match="needs order >= 2"):
-            list(tree_distributions(rows))
+    parents = tree_parent_array(enumerate_trees(1))
+    assert parents.shape == (1, 0)
+    with pytest.raises(ValueError, match="needs order >= 2"):
+        list(tree_distributions(parents))
 
 
 def test_tree_kernel_past_order_256_counts_to_distance_255_and_raises_beyond():
     # uint8 distances: the path of order 256 has diameter 255, the next does not fit
-    for path in ([tuple(range(255))], np.arange(255)[None, :]):
-        assert next(tree_distributions(path)) == tuple(range(255, 0, -1))
-    for path in ([tuple(range(256))], np.arange(256)[None, :]):
-        with pytest.raises(RuntimeError, match="do not sum to C"):
-            list(tree_distributions(path))
+    path = np.arange(255)[None, :]
+    assert next(tree_distributions(path)) == tuple(range(255, 0, -1))
+    with pytest.raises(RuntimeError, match="do not sum to C"):
+        list(tree_distributions(np.arange(256)[None, :]))
 
 
 _TREE_INVARIANTS = """
 import numpy as np
 import pytest
-from wiener_roots.graph_core import (from_edge_list, tree_distributions,
-                                     tree_parent_array, tree_parent_row)
+from wiener_roots.graph_core import from_edge_list, tree_distributions, tree_parent_array
 # vertex 2 has two lower-numbered neighbours in the triangle, none in 0-1 + 2
 for edges in ([(0, 1), (0, 2), (1, 2)], [(0, 1)]):
-    g = from_edge_list(3, edges)
-    for read in (tree_parent_row, lambda g: tree_parent_array([g])):
-        with pytest.raises(RuntimeError) as raised:
-            read(g)
-        assert str(raised.value) == \
-            "vertex 2 does not have exactly one lower-numbered neighbour"
+    with pytest.raises(RuntimeError) as raised:
+        tree_parent_array([from_edge_list(3, edges)])
+    assert str(raised.value) == \
+        "vertex 2 does not have exactly one lower-numbered neighbour"
 # the parent of vertex 2 is vertex 3, which does not precede it
-for rows in ([(0, 3, 1)], np.array([[0, 3, 1]])):
-    with pytest.raises(RuntimeError, match="do not sum to C"):
-        list(tree_distributions(rows))
+with pytest.raises(RuntimeError, match="do not sum to C"):
+    list(tree_distributions(np.array([[0, 3, 1]])))
 """
 
 

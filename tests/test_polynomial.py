@@ -103,7 +103,8 @@ def test_evaluate_compensated_matches_exact():
 def test_evaluate_dispatches_on_the_numbers_tower():
     p = WienerPolynomial((3, 2, 1))  # W = 3x + 2x^2 + x^3
     exact = [(True, Fraction(6)), (2, Fraction(22)), (Fraction(1, 2), Fraction(17, 8)),
-             (np.int64(2), Fraction(22)), (np.uint8(3), Fraction(54))]
+             (np.int64(2), Fraction(22)), (np.uint8(3), Fraction(54)),
+             (np.bool_(True), Fraction(6)), (np.bool_(False), Fraction(0))]
     for z, value in exact:
         got = evaluate(p, z)
         assert type(got) is Fraction and got == value
