@@ -869,6 +869,8 @@ def _imaginary_desc(hit) -> str:
 
 @claim("purely_imaginary",
        (lambda kind: kind in ("graphs", "trees"), "kind must be 'graphs' or 'trees'"),
+       (lambda kind, order, long_running: kind != "graphs" or order != 8 or long_running,
+        "order 8 sweeps 2^28 graphs; pass long_running=1 to opt in"),
        quick=[dict(kind="graphs", order=6)],
        full=[dict(kind="graphs", order=5), dict(kind="graphs", order=6),
              dict(kind="trees", order=12)])

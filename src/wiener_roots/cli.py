@@ -196,7 +196,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_scatter(args: argparse.Namespace) -> int:
     _check_out(args.out)
     if args.klass == "graphs" and args.order == 8 and not args.long:
-        print("order-8 graph sweeps are long-running; pass --long to opt in",
+        print("error: order-8 graph sweeps are long-running; pass --long to opt in",
               file=sys.stderr)
         return EXIT_USAGE
     claims.set_jobs(args.jobs)
@@ -310,6 +310,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.tol is not None:
             if "tol" not in func.spec.types:
                 raise ValueError(f"claim {args.claim!r} takes no --tol")
+            if "tol" in params:
+                raise ValueError("parameter 'tol' is given more than once")
             params["tol"] = args.tol
         claims.set_jobs(args.jobs)
         report = func(**params)

@@ -324,17 +324,6 @@ _WORD_ORDER = 64  # one ball per uint64 word
 # Words per _ball_growth batch: its index arrays and gathered balls stay
 # near 100 KB however many graphs there are.
 _BALL_CHUNK = 1 << 12
-_M1, _M2, _M4 = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333,
-                                         0x0F0F0F0F0F0F0F0F))
-_BYTES_ONE = np.uint64(0x0101010101010101)
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64, by the SWAR sums of Hacker's Delight, section 5-1."""
-    x = x - ((x >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return (x * _BYTES_ONE) >> np.uint64(56)
 
 
 def graph6_distributions(records: Sequence[str]) -> list[WienerPolynomial | ValueError]:
@@ -400,22 +389,21 @@ def _ball_growth(orders: np.ndarray, adj: np.ndarray) -> list[WienerPolynomial |
     holds the adjacency words of all the graphs, end to end.  Its graphs
     come from graph6_distributions, through _grow_pieces.
 
-    Every ball is one uint64 word, and the words of all the graphs are laid
-    end to end.  Each vertex's closed neighbourhood is one segment of an
-    index array, itself first, so one np.bitwise_or.reduceat over the
-    gathered balls grows every ball by one radius, and np.add.reduceat over
-    the popcounts of the new bits gives each graph's ordered pairs at the
-    next distance.  A graph none of whose balls grows stays as it is, so
-    its segments leave the index array in that step, the steps end when no
-    ball of any graph grows, and each graph's counts are its nonzero ones.
-    The neighbour indices are peeled off the adjacency words lowest bit
-    first, one pass per neighbour rank.
+    Every ball is one uint64 word, laid out as adj is.  Each vertex's closed
+    neighbourhood is one segment of an index array, itself first, so one
+    np.bitwise_or.reduceat over the gathered balls grows every ball by one
+    radius, and np.add.reduceat over np.bitwise_count of the new bits gives each
+    graph's ordered pairs at the next distance.  A graph none of whose balls
+    grows stays as it is, so its segments leave the index array in that step,
+    the steps end when no ball of any graph grows, and each graph's counts are
+    its nonzero ones.  Neighbours are peeled off the adjacency words lowest bit
+    first, one pass per rank, each index the count of the bits below its bit.
     """
     first = np.cumsum(orders) - orders  # each graph's first vertex
     base = np.repeat(first, orders)     # and each vertex's
     vertex = np.arange(len(adj))
     balls = np.left_shift(np.uint64(1), (vertex - base).astype(np.uint64))
-    degree = _popcount(adj).astype(np.intp)
+    degree = np.bitwise_count(adj).astype(np.intp)
     segment = np.cumsum(degree + 1) - (degree + 1)
     closed = np.empty(len(adj) + int(degree.sum()), dtype=np.intp)
     closed[segment] = vertex
@@ -424,8 +412,7 @@ def _ball_growth(orders: np.ndarray, adj: np.ndarray) -> list[WienerPolynomial |
     while peel.size:
         word = rest[peel]
         low = word & (~word + np.uint64(1))
-        # low is a power of two, so its float conversion and exponent are exact
-        closed[slot[peel]] = base[peel] + np.frexp(low.astype(float))[1] - 1
+        closed[slot[peel]] = base[peel] + np.bitwise_count(low - np.uint64(1))
         slot[peel] += 1
         rest[peel] = word ^ low
         peel = peel[rest[peel] != 0]
@@ -433,7 +420,7 @@ def _ball_growth(orders: np.ndarray, adj: np.ndarray) -> list[WienerPolynomial |
     live, members, sizes = np.arange(len(orders)), vertex, orders  # at distance 1, 2, ...
     for step in range(_WORD_ORDER):  # diameters are at most 63
         grown = np.bitwise_or.reduceat(balls[closed], segment)
-        rise = np.add.reduceat(_popcount(grown ^ balls[members]), first)
+        rise = np.add.reduceat(np.bitwise_count(grown ^ balls[members]), first)
         table[step, live] = rise
         balls[members] = grown
         done = rise == 0
@@ -505,24 +492,24 @@ def tree_parent_array(trees: Iterable[Graph]) -> np.ndarray:
 
     Each tree must be numbered in preorder, as enumerate_trees numbers it:
     every vertex v >= 1 has exactly one lower-numbered neighbour, its parent.
-    There must be at least one tree, and all share one order n <= 64.
-    Their adjacency rows are stacked _TREE_CHUNK trees at a time into one
-    (trees, n) uint64 array, and each vertex v >= 1 is read off it in numpy:
-    word v masked to the bits below v must be a single bit, whose position
-    is the parent.  Any other numbering raises RuntimeError, also under
-    python -O.
+    There must be at least one tree, and all share one order n <= 64, past
+    which ValueError is raised.  Their adjacency rows are stacked _TREE_CHUNK
+    trees at a time into one (trees, n) uint64 array, and each vertex v >= 1
+    is read off it in numpy: word v masked to the bits below v must hold one
+    bit, and the count of the bits below that one is the parent.  Any other
+    numbering raises RuntimeError, also under python -O.
     """
     trees = iter(trees)
     parts = []
     while chunk := list(itertools.islice(trees, _TREE_CHUNK)):
+        if (n := max(g.n for g in chunk)) > _WORD_ORDER:
+            raise ValueError(f"tree order {n} is past the bound {_WORD_ORDER}")
         words = np.array([g.adj for g in chunk], dtype=np.uint64)
-        bit = np.left_shift(np.uint64(1), np.arange(1, words.shape[1], dtype=np.uint64))
+        bit = np.left_shift(np.uint64(1), np.arange(1, n, dtype=np.uint64))
         lower = words[:, 1:] & (bit - np.uint64(1))  # word v's bits below v
-        stray = (lower == 0) | (lower & (lower - np.uint64(1)) != 0)
-        if stray.any():
-            _, v = np.argwhere(stray)[0].tolist()
-            raise RuntimeError(_NOT_PREORDER.format(v + 1))
-        parts.append(_popcount(lower - np.uint64(1)).astype(np.intp))
+        if (stray := np.bitwise_count(lower) != 1).any():
+            raise RuntimeError(_NOT_PREORDER.format(np.argwhere(stray)[0, 1] + 1))
+        parts.append(np.bitwise_count(lower - np.uint64(1)).astype(np.intp))
     return np.concatenate(parts)
 
 

@@ -353,7 +353,7 @@ def test_compute_output_on_mixed_records_is_pinned(tmp_path, capsys, fmt):
 
 def test_scatter_order8_graphs_gated(capsys):
     code, _, err = run_cli(capsys, "scatter", "--order", "8")
-    assert code == EXIT_USAGE and "--long" in err
+    assert code == EXIT_USAGE and "--long" in err and err.startswith("error: ")
 
 
 def test_family_command(capsys):
@@ -506,17 +506,35 @@ def test_verify_command_exit_codes(tmp_path, capsys):
 
 
 def test_verify_rejects_a_parameter_given_twice(capsys):
-    # n= gives both n_lo and n_hi, so it clashes with either
+    # n= gives both n_lo and n_hi, so it clashes with either; tol= clashes with --tol
     for argv in (("density", "a_hi=2", "b_hi=2", "a_hi=3"),
                  ("tree_root_bound", "n=5", "n_lo=6"),
                  ("tree_root_bound", "n_hi=6", "n=5"),
-                 ("tree_root_bound", "n=5", "n=6..7")):
+                 ("tree_root_bound", "n=5", "n=6..7"),
+                 ("path_annulus", "n=3..5", "tol=1", "--tol", "0.5")):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: parameter ") and err.endswith(
             " is given more than once\n")
     code, out, _ = run_cli(capsys, "verify", "tree_root_bound", "n_lo=5", "n_hi=6")
     assert code == EXIT_OK and "{'n_lo': 5, 'n_hi': 6}" in out
+    for tol in (("tol=0.5",), ("--tol", "0.5")):
+        code, out, _ = run_cli(capsys, "verify", "path_annulus", "n=3..5", *tol)
+        assert code == EXIT_OK and "pass" in out
+    code, out, err = run_cli(capsys, "verify", "density", "a_hi=2", "b_hi=2",
+                             "--tol", "0.1")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: claim 'density' takes no --tol\n")
+
+
+def test_verify_purely_imaginary_order8_names_a_working_opt_in(capsys):
+    code, out, err = run_cli(capsys, "verify", "purely_imaginary", "kind=graphs", "order=8")
+    assert (code, out, err) == (
+        EXIT_USAGE, "",
+        "error: order 8 sweeps 2^28 graphs; pass long_running=1 to opt in\n")
+    # the spelling it names parses: refused for a bad kind, not for the flag
+    code, out, err = run_cli(capsys, "verify", "purely_imaginary", "kind=both",
+                             "order=8", "long_running=1")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: kind must be 'graphs' or 'trees'\n")
 
 
 def test_verify_bool_parameters_take_only_0_or_1(capsys):

@@ -842,6 +842,15 @@ def test_tree_kernel_matches_bfs_on_every_free_tree():
             [distance_distribution(g).d for g in trees]
 
 
+def test_tree_parent_array_reads_order_64_and_refuses_order_65():
+    # both trees set bit 63: the path in word 62, the broom in word 2
+    for spec in ("path:64", "broom:3,64"):
+        g = family_graph(parse_family_spec(spec))
+        assert [[p] for p in tree_parent_array([g])[0].tolist()] == _lower_neighbours(g)
+    with pytest.raises(ValueError, match="^tree order 65 is past the bound 64$"):
+        tree_parent_array([family_graph(parse_family_spec("broom:3,65"))])
+
+
 def test_tree_kernel_crosses_chunk_boundaries(monkeypatch):
     trees = list(enumerate_trees(10))  # 106 trees: 15 chunks of 7 and one of 1
     monkeypatch.setattr(graph_core, "_TREE_CHUNK", 7)
